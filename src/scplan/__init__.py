@@ -6,11 +6,10 @@ monitored over time, and the cell layout and channel allocation are
 re-planned when capacity falls short.
 """
 
-from .scenario import (GridSpec, CandidateSiteSet, Hotspot, TenantProfile,
-                       TrafficMaps, ServingMap, SmallCell, NetworkState,
-                       select_candidate_sites, build_traffic_maps,
-                       pixel_positions, pixel_total_demand, cell_demand,
-                       aggregate_cell_demand)
+from .scenario import (ScenarioError, InvariantError, GridSpec,
+                       CandidateSiteSet, Hotspot, TenantProfile, ServingMap,
+                       SmallCell, NetworkState, select_candidate_sites,
+                       pixel_positions)
 from .radio import (PropagationParams, RadioSnapshot, path_loss,
                     noise_floor_dbm, received_power, serving_assignment,
                     configure_powers, sinr, spectral_efficiency, average_se,
@@ -27,10 +26,10 @@ from .planner import (PlannerParams, ActionLedger, AddChannel, RemoveChannel,
                       AddCell, RemoveCell, Relocate, select_channel,
                       select_site, plan, compress_actions, compress_ledger,
                       replay_actions)
-from .scenario_io import (Scenario, NewTenantEvent, ScenarioError,
-                          load_scenario, save_scenario)
-from .experiment import (ExperimentConfig, Report, run_experiment,
-                         emit_report, validate, validate_file, plan_once)
+from .scenario_io import (Scenario, NewTenantEvent, load_scenario,
+                          save_scenario, validate, validate_file)
+from .experiment import (ExperimentConfig, Report, RunContext, build_context,
+                         run_experiment, emit_report, plan_once)
 from .presets import build_reference_scenario, bundled_scenario_path
 
 __version__ = "0.1.0"

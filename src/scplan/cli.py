@@ -13,14 +13,13 @@ import sys
 from pathlib import Path
 
 from .evaluation import METHODS, evaluate_state
-from .experiment import (ExperimentConfig, emit_report, plan_once,
+from .experiment import (ExperimentConfig, build_context, emit_report, plan_once,
                          run_experiment, validate_file)
 from .presets import bundled_scenario_path
-from .radio import configure_powers
 from .reporting import (read_bandwidth_table, write_actions_csv,
                         write_bandwidth_table, write_changelog,
                         write_layout_fragment, write_spec_csv)
-from .scenario_io import ScenarioError, load_scenario
+from .scenario_io import InvariantError, ScenarioError
 
 __all__ = ["main"]
 
@@ -80,17 +79,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _config(args, need_out=True)
-    scn = load_scenario(cfg.scenario_path)
+    scn = cfg.scenario()
     if scn.event is None:
         print("scenario has no arriving tenant to translate for")
         return 1
-    _, _, ctx = plan_once(scn, cfg.method)
+    ctx = build_context(scn, cfg.method, cfg.horizon).busy_hour()
     tenant_id = scn.event.tenant.tenant_id
     policy = ctx.policies[tenant_id]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    state = configure_powers(scn.initial_state, scn.grid, scn.radio)
-    ev = evaluate_state(state, ctx)
+    ev = evaluate_state(scn.initial_state, ctx)
     write_spec_csv(out / "specs_cell.csv", tenant_id, "cell",
                    ev.cell_specs[tenant_id])
     if policy.pixel_spec is not None:
@@ -102,9 +100,8 @@ def _cmd_translate(args) -> int:
 
 def _cmd_plan(args) -> int:
     cfg = _config(args, need_out=True)
-    from .experiment import _apply_overrides
-    scn = _apply_overrides(load_scenario(cfg.scenario_path), cfg)
-    state, ledger, ctx = plan_once(scn, cfg.method)
+    scn = cfg.scenario()
+    state, ledger, ctx = plan_once(scn, cfg.method, cfg.horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_actions_csv(out / "actions.csv", [(0, ledger)])
@@ -182,6 +179,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        for line in exc.violations:
+            print(f"invariant violation: {line}", file=sys.stderr)
+        return 1
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

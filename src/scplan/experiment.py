@@ -1,4 +1,4 @@
-"""End-to-end experiment runner and scenario validation.
+"""End-to-end experiment runner.
 
 A run steps time forward over the scenario's demand series, monitors
 capacity conformance each step, launches the planner when the trigger
@@ -14,7 +14,7 @@ becomes operative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +25,21 @@ from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
 from .monitor import CellCheck, DemandHistory, SlaExceedNotice, \
     check_trigger, sla_exceed_check
 from .planner import ActionLedger, plan
-from .radio import configure_powers
-from .scenario import GridSpec, NetworkState, TenantProfile
-from .scenario_io import Scenario, ScenarioError, load_scenario
+from .radio import configure_powers, serving_mean
+from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
+                       select_candidate_sites)
+from .scenario_io import Scenario, load_scenario, validate, validate_file
 
 __all__ = [
     "ExperimentConfig",
     "Report",
+    "RunContext",
+    "build_context",
     "run_experiment",
     "emit_report",
     "validate",
     "validate_file",
     "plan_once",
-    "build_event_policy",
 ]
 
 
@@ -61,6 +63,23 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
+    def scenario(self) -> Scenario:
+        """The scenario at ``scenario_path`` with this config's overrides: a
+        field set here replaces the monitor or planner parameter of the same
+        name, and a new seed redraws the candidate sites of a fraction-drawn
+        pool."""
+        scn = load_scenario(self.scenario_path)
+
+        def overridden(params):
+            return replace(params, **{f.name: getattr(self, f.name) for f in fields(params)
+                                      if getattr(self, f.name, None) is not None})
+
+        scn = replace(scn, monitor=overridden(scn.monitor), planner=overridden(scn.planner))
+        if self.seed is not None and scn.candidate_fraction is not None:
+            scn = replace(scn, candidate_sites=select_candidate_sites(
+                scn.grid, scn.candidate_fraction, self.seed))
+        return scn
+
 
 @dataclass
 class Report:
@@ -81,87 +100,96 @@ class Report:
     config_echo: dict
 
 
-def _apply_overrides(scn: Scenario, cfg: ExperimentConfig) -> Scenario:
-    monitor = scn.monitor
-    planner = scn.planner
-    if cfg.alpha is not None:
-        monitor = replace(monitor, alpha=cfg.alpha)
-        planner = replace(planner, alpha=cfg.alpha)
-    if cfg.window_steps is not None:
-        monitor = replace(monitor, window_steps=cfg.window_steps)
-    if cfg.consecutive_steps is not None:
-        monitor = replace(monitor, consecutive_steps=cfg.consecutive_steps)
-    for name in ("beta", "gamma", "k_max", "n_max_sc"):
-        value = getattr(cfg, name)
-        if value is not None:
-            planner = replace(planner, **{name: value})
-    if cfg.step4_mode is not None:
-        planner = replace(planner, step4_mode=cfg.step4_mode)
-    scn = replace(scn, monitor=monitor, planner=planner)
-    if cfg.seed is not None and scn.candidate_fraction is not None:
-        from .scenario import select_candidate_sites
-        scn = replace(scn, candidate_sites=select_candidate_sites(
-            scn.grid, scn.candidate_fraction, cfg.seed))
-    return scn
+@dataclass(frozen=True)
+class RunContext:
+    """What a run or a planning pass derives from a scenario before any step.
+
+    ``spatial`` holds each tenant's demand raster at its temporal peak, the
+    arriving tenant included; ``busy_step`` is the step of the horizon with
+    the most existing traffic (ties go to the latest) and ``basis`` the
+    existing tenants' rasters at that step.  ``policies`` holds the existing
+    tenants' spec policies, then the arriving tenant's under the method.
+    """
+
+    scenario: Scenario
+    horizon: int
+    busy_step: int
+    spatial: dict[str, np.ndarray]
+    basis: dict[str, np.ndarray]
+    policies: dict[str, TenantSpecPolicy]
+
+    def demand(self, tenant: TenantProfile, t: int) -> np.ndarray:
+        return self.spatial[tenant.tenant_id] * tenant.temporal_weight(t)
+
+    def evaluation(self, active, live, t: int) -> EvaluationContext:
+        """Model inputs at step ``t``: the ``active`` tenants' policies, the
+        observed traffic of those ``live``, and the others estimated from
+        their specs scaled by their temporal profile."""
+        known = {tn.tenant_id: self.demand(tn, t) for tn in live}
+        ids = {tn.tenant_id for tn in active}
+        return EvaluationContext(
+            grid=self.scenario.grid, radio=self.scenario.radio,
+            policies={m: p for m, p in self.policies.items() if m in ids},
+            known_demand=known, basis_demand=self.basis,
+            estimate_scale={tn.tenant_id: tn.temporal_weight(t) for tn in active
+                            if tn.tenant_id not in known})
+
+    def busy_hour(self) -> EvaluationContext:
+        """Model inputs for one planning pass with the trigger assumed fired:
+        the existing traffic at the busy step, the arriving tenant at its
+        full planning spec."""
+        return EvaluationContext(grid=self.scenario.grid, radio=self.scenario.radio,
+                                 policies=self.policies, known_demand=self.basis,
+                                 basis_demand=self.basis)
 
 
-def build_event_policy(method: str, tenant: TenantProfile, scn: Scenario,
-                       busy_weight: float, basis_px: np.ndarray) -> TenantSpecPolicy:
-    """Spec policy for the arriving tenant under one translation method."""
-    a_busy = tenant.contracted_capacity_mbps * busy_weight
-    own = tenant.spatial_demand(scn.grid) if method == "oracle" else None
-    return make_policy(method, tenant.tenant_id, a_busy, scn.grid,
-                       basis_px=basis_px, own_map_px=own)
+def build_context(scn: Scenario, method: str, horizon: int | None = None) -> RunContext:
+    """Set-up shared by runs, planning passes and spec translation.
 
+    The horizon defaults to the longest temporal profile of the existing
+    tenants.  Existing tenants plan against their own observed traffic; the
+    arriving tenant's contract, at the busy step, is translated by ``method``.
+    """
+    if horizon is None:
+        horizon = max(len(t.temporal_profile) for t in scn.tenants)
+    require((is_count(horizon), "run.horizon_positive",
+             f"horizon must be an integer >= 1, got {horizon!r}"))
+    grid, existing, event = scn.grid, scn.tenants, scn.event
+    arriving = () if event is None else (event.tenant,)
+    spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
 
-def _existing_policies(scn: Scenario, busy_step: int) -> dict[str, TenantSpecPolicy]:
-    """Existing tenants plan against their own observed traffic."""
-    policies = {}
-    for tn in scn.tenants:
-        spatial = tn.spatial_demand(scn.grid)
-        a_busy = float(spatial.sum()) * tn.temporal_weight(busy_step)
-        if a_busy <= 0:
-            policies[tn.tenant_id] = make_policy("uniform-px", tn.tenant_id,
-                                                 0.0, scn.grid)
-        else:
-            policies[tn.tenant_id] = make_policy("oracle", tn.tenant_id, a_busy,
-                                                 scn.grid, own_map_px=spatial)
-    return policies
-
-
-def _context(scn: Scenario, policies, known: dict[str, np.ndarray],
-             basis: dict[str, np.ndarray], scales: dict[str, float]
-             ) -> EvaluationContext:
-    return EvaluationContext(grid=scn.grid, radio=scn.radio, policies=policies,
-                             known_demand=known, basis_demand=basis,
-                             estimate_scale=scales)
-
-
-def run_experiment(cfg: ExperimentConfig) -> Report:
-    scn = _apply_overrides(load_scenario(cfg.scenario_path), cfg)
-    grid = scn.grid
-    horizon = cfg.horizon if cfg.horizon is not None else max(
-        (len(t.temporal_profile) for t in scn.tenants), default=24)
-    event = scn.event
-    if event is not None and not 0 <= event.step < horizon:
-        raise ScenarioError("event step outside the run horizon")
-
-    existing = list(scn.tenants)
-    spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing}
-    if event is not None:
-        spatial[event.tenant.tenant_id] = event.tenant.spatial_demand(grid)
-
-    def slice_of(tenant: TenantProfile, t: int) -> np.ndarray:
-        return spatial[tenant.tenant_id] * tenant.temporal_weight(t)
+    def traffic(tn: TenantProfile, t: int) -> np.ndarray:
+        return spatial[tn.tenant_id] * tn.temporal_weight(t)
 
     busy_step = max(
         range(horizon),
-        key=lambda t: (sum(float(slice_of(tn, t).sum()) for tn in existing), t))
-    basis_rasters = {tn.tenant_id: slice_of(tn, busy_step) for tn in existing}
-    basis_total = (np.sum(list(basis_rasters.values()), axis=0)
-                   if basis_rasters else np.zeros(grid.num_pixels))
+        key=lambda t: (sum(float(traffic(tn, t).sum()) for tn in existing), t))
+    basis = {tn.tenant_id: traffic(tn, busy_step) for tn in existing}
+    policies = {}
+    for tn in existing:
+        own = spatial[tn.tenant_id]
+        a_busy = float(own.sum()) * tn.temporal_weight(busy_step)
+        policies[tn.tenant_id] = (
+            make_policy("oracle", tn.tenant_id, a_busy, grid, own_map_px=own)
+            if a_busy > 0 else make_policy("uniform-px", tn.tenant_id, 0.0, grid))
+    for tn in arriving:
+        policies[tn.tenant_id] = make_policy(
+            method, tn.tenant_id,
+            tn.contracted_capacity_mbps * tn.temporal_weight(busy_step), grid,
+            basis_px=np.sum(list(basis.values()), axis=0),
+            own_map_px=spatial[tn.tenant_id])
+    return RunContext(scn, horizon, busy_step, spatial, basis, policies)
 
-    policies = _existing_policies(scn, busy_step)
+
+def run_experiment(cfg: ExperimentConfig) -> Report:
+    scn = cfg.scenario()
+    run = build_context(scn, cfg.method, cfg.horizon)
+    grid, horizon, event = scn.grid, run.horizon, scn.event
+    if event is not None:
+        require((event.step < horizon, "event.step_in_horizon",
+                 f"event step {event.step} is outside the {horizon}-step horizon"))
+
+    existing = list(scn.tenants)
     state = configure_powers(scn.initial_state, grid, scn.radio)
     initial_state = state
     history = DemandHistory(scn.monitor.window_steps)
@@ -170,28 +198,16 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     fired_steps: list[int] = []
     notices: list[tuple[int, SlaExceedNotice]] = []
     ledgers: list[tuple[int, ActionLedger]] = []
-    event_tenant = event.tenant if event is not None else None
-    event_live_step: int | None = None
-    if event is None:
-        event_live_step = -1
+    event_live_step = -1 if event is None else None
 
     for t in range(horizon):
         active = list(existing)
         if event is not None and t >= event.step:
-            active.append(event_tenant)
-            if event_tenant.tenant_id not in policies:
-                busy_weight = event_tenant.temporal_weight(busy_step)
-                policies[event_tenant.tenant_id] = build_event_policy(
-                    cfg.method, event_tenant, scn, busy_weight, basis_total)
+            active.append(event.tenant)
         operative = [tn for tn in active
                      if tn in existing
                      or (event_live_step is not None and t >= event_live_step)]
-        known = {tn.tenant_id: slice_of(tn, t) for tn in operative}
-        scales = {tn.tenant_id: tn.temporal_weight(t) for tn in active
-                  if tn.tenant_id not in known}
-        active_policies = {m: p for m, p in policies.items()
-                           if m in {tn.tenant_id for tn in active}}
-        ctx = _context(scn, active_policies, known, basis_rasters, scales)
+        ctx = run.evaluation(active, operative, t)
 
         ev = evaluate_state(state, ctx)
         state = ev.state
@@ -200,19 +216,14 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                                  scn.radio.channel_bandwidth_mhz, t)
         checks.extend(decision.checks)
         for tn in operative:
-            notice = sla_exceed_check(float(known[tn.tenant_id].sum()),
+            notice = sla_exceed_check(float(ctx.known_demand[tn.tenant_id].sum()),
                                       tn.contracted_capacity_mbps, tn.tenant_id)
             if notice is not None:
                 notices.append((t, notice))
 
         if decision.fire:
             fired_steps.append(t)
-            plan_t = _planning_step(history, state)
-            plan_known = {tn.tenant_id: slice_of(tn, plan_t) for tn in operative}
-            plan_scales = {tn.tenant_id: tn.temporal_weight(plan_t)
-                           for tn in active if tn.tenant_id not in plan_known}
-            plan_ctx = _context(scn, active_policies, plan_known,
-                                basis_rasters, plan_scales)
+            plan_ctx = run.evaluation(active, operative, _planning_step(history, state))
             state, ledger = plan(state, scn.candidate_sites, plan_ctx, scn.planner)
             ledgers.append((t, ledger))
             history = DemandHistory(scn.monitor.window_steps)
@@ -224,25 +235,22 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             event_live_step = t + 1
 
     # evaluate the final layout against actual traffic from every tenant
-    all_tenants = existing + ([event_tenant] if event is not None else [])
+    all_tenants = existing + ([event.tenant] if event is not None else [])
     eval_step = max(
         range(horizon),
-        key=lambda t: (sum(float(slice_of(tn, t).sum()) for tn in all_tenants), t))
-    known = {tn.tenant_id: slice_of(tn, eval_step) for tn in all_tenants}
-    final_policies = dict(policies)
-    ctx = _context(scn, final_policies, known, basis_rasters, {})
+        key=lambda t: (sum(float(run.demand(tn, t).sum()) for tn in all_tenants), t))
+    ctx = run.evaluation(all_tenants, all_tenants, eval_step)
     ev = evaluate_state(state, ctx)
     state = ev.state
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     total = float(sum(v for _, v in rows))
     snap = ev.snapshot
-    sinr_mean = _serving_sinr_mean(state, snap)
     rasters = {
-        "demand_mbps": np.sum(list(known.values()), axis=0),
+        "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
         "serving_cell": snap.serving.pixel_cell.astype(float),
         "pixel_se": snap.pixel_se,
-        "sinr_db": sinr_mean,
+        "sinr_db": serving_mean(state, snap.serving, snap.sinr_db),
     }
     echo = {
         "scenario": str(cfg.scenario_path),
@@ -276,38 +284,11 @@ def _planning_step(history: DemandHistory, state: NetworkState) -> int:
     return max(totals, key=lambda t: (totals[t], t))
 
 
-def _serving_sinr_mean(state: NetworkState, snap) -> np.ndarray:
-    out = np.zeros(snap.sinr_db.shape[0])
-    for c in state.cells:
-        mask = snap.serving.pixel_cell == c.cell_id
-        if mask.any():
-            out[mask] = snap.sinr_db[np.ix_(mask, np.array(c.channels))].mean(axis=1)
-    return out
-
-
-def plan_once(scn: Scenario, method: str) -> tuple[NetworkState, ActionLedger,
-                                                   EvaluationContext]:
+def plan_once(scn: Scenario, method: str, horizon: int | None = None
+              ) -> tuple[NetworkState, ActionLedger, EvaluationContext]:
     """One planner invocation on the initial layout, trigger assumed fired."""
-    grid = scn.grid
-    horizon = max((len(t.temporal_profile) for t in scn.tenants), default=24)
-    existing = list(scn.tenants)
-    busy_step = max(
-        range(horizon),
-        key=lambda t: (sum(float(tn.spatial_demand(grid).sum())
-                           * tn.temporal_weight(t) for tn in existing), t))
-    basis = {tn.tenant_id: tn.spatial_demand(grid) * tn.temporal_weight(busy_step)
-             for tn in existing}
-    basis_total = (np.sum(list(basis.values()), axis=0) if basis
-                   else np.zeros(grid.num_pixels))
-    policies = _existing_policies(scn, busy_step)
-    if scn.event is not None:
-        tenant = scn.event.tenant
-        busy_weight = tenant.temporal_weight(busy_step)
-        policies[tenant.tenant_id] = build_event_policy(method, tenant, scn,
-                                                        busy_weight, basis_total)
-    ctx = _context(scn, policies, basis, basis, {})
-    state = configure_powers(scn.initial_state, grid, scn.radio)
-    new_state, ledger = plan(state, scn.candidate_sites, ctx, scn.planner)
+    ctx = build_context(scn, method, horizon).busy_hour()
+    new_state, ledger = plan(scn.initial_state, scn.candidate_sites, ctx, scn.planner)
     return new_state, ledger, ctx
 
 
@@ -347,136 +328,3 @@ def emit_report(report: Report, out_dir) -> list[Path]:
     path.write_text(json.dumps(summary, indent=2) + "\n")
     files.append(path)
     return files
-
-
-def validate(doc: dict, path: str = "<scenario>") -> list[str]:
-    """Check every scenario invariant; returns one line per violation."""
-    violations: list[str] = []
-
-    def bad(name: str, detail: str):
-        violations.append(f"{name}: {detail}")
-
-    grid = None
-    g = doc.get("grid")
-    if not isinstance(g, dict):
-        bad("grid.missing", "no grid section")
-    else:
-        try:
-            width, height, res = (float(g["width_m"]), float(g["height_m"]),
-                                  float(g["resolution_m"]))
-        except (KeyError, TypeError, ValueError):
-            bad("grid.malformed", "grid needs width_m, height_m, resolution_m")
-        else:
-            if res <= 0:
-                bad("grid.resolution_positive", f"resolution_m={res}")
-            elif width <= 0 or height <= 0:
-                bad("grid.dimensions_positive", f"{width} x {height}")
-            else:
-                grid = GridSpec(width, height, res)
-
-    planner_doc = doc.get("planner", {})
-    radio_doc = doc.get("radio", {})
-    k_max = int(planner_doc.get("k_max", 2))
-    num_channels = int(radio_doc.get("num_channels", 4))
-    power_min = float(radio_doc.get("power_min_dbm", 10.0))
-    power_max = float(radio_doc.get("power_max_dbm", 24.0))
-
-    if float(radio_doc.get("channel_bandwidth_mhz", 20.0)) <= 0:
-        bad("radio.bandwidth_positive", "channel_bandwidth_mhz must be > 0")
-    if num_channels < 1:
-        bad("radio.num_channels_positive", "num_channels must be >= 1")
-    if power_min > power_max:
-        bad("radio.power_range", f"power_min {power_min} > power_max {power_max}")
-    if float(radio_doc.get("se_max_bps_hz", 4.4)) <= 0:
-        bad("radio.se_max_positive", "se_max_bps_hz must be > 0")
-
-    monitor_doc = doc.get("monitor", {})
-    if not 0 <= float(monitor_doc.get("alpha", 0.9)) <= 1:
-        bad("monitor.alpha_range", "alpha must be in [0, 1]")
-    if int(monitor_doc.get("window_steps", 24)) < 1:
-        bad("monitor.window_positive", "window_steps must be >= 1")
-    if int(monitor_doc.get("consecutive_steps", 3)) < 1:
-        bad("monitor.consecutive_positive", "consecutive_steps must be >= 1")
-
-    for name in ("beta", "gamma"):
-        if not 0 <= float(planner_doc.get(name, 0.5)) <= 1:
-            bad(f"planner.{name}_range", f"{name} must be in [0, 1]")
-    if k_max < 1:
-        bad("planner.k_max_positive", "k_max must be >= 1")
-    if int(planner_doc.get("n_max_sc", 10)) < 1:
-        bad("planner.n_max_positive", "n_max_sc must be >= 1")
-
-    for td in doc.get("tenants", []) + ([doc["event"]["tenant"]]
-                                        if doc.get("event") else []):
-        tid = td.get("id", "?")
-        if float(td.get("contracted_capacity_mbps", 0)) < 0:
-            bad("tenant.contracted_nonnegative", f"tenant {tid}")
-        profile = td.get("temporal_profile", [1.0])
-        if not profile or min(profile) < 0 or max(profile) > 1:
-            bad("tenant.temporal_weights_range", f"tenant {tid}")
-        elif max(profile) != 1.0:
-            bad("tenant.temporal_peak_one", f"tenant {tid} peak {max(profile)}")
-        for h in td.get("hotspots", []):
-            if float(h.get("spread_m", 1)) <= 0:
-                bad("tenant.hotspot_spread_positive", f"tenant {tid}")
-            if float(h.get("peak_mbps", 0)) < 0:
-                bad("tenant.hotspot_peak_nonnegative", f"tenant {tid}")
-        if float(td.get("uniform_floor_mbps", 0.0)) < 0:
-            bad("tenant.floor_nonnegative", f"tenant {tid}")
-
-    site_list: list[int] = []
-    cs = doc.get("candidate_sites")
-    if not isinstance(cs, dict):
-        bad("candidate_sites.missing", "no candidate_sites section")
-    elif "pixels" in cs:
-        site_list = [int(p) for p in cs["pixels"]]
-        if len(set(site_list)) != len(site_list):
-            bad("candidate_sites.distinct", "duplicate candidate pixels")
-        if grid is not None and any(not 0 <= p < grid.num_pixels for p in site_list):
-            bad("candidate_sites.pixel_range", "candidate pixel outside grid")
-    else:
-        fraction = float(cs.get("fraction", 0))
-        if not 0 < fraction <= 1:
-            bad("candidate_sites.fraction_range", f"fraction={fraction}")
-        elif grid is not None:
-            n = int(round(fraction * grid.num_pixels))
-            if n <= 0:
-                bad("candidate_sites.nonempty", "fraction yields zero sites")
-            else:
-                from .scenario import select_candidate_sites
-                site_list = list(select_candidate_sites(
-                    grid, fraction, int(cs.get("seed", 0))).site_pixels)
-
-    sites_seen = set()
-    for i, c in enumerate(doc.get("initial_cells", []), start=1):
-        label = f"cell {c.get('id', i)}"
-        pixel = int(c.get("site_pixel", -1))
-        if grid is not None and not 0 <= pixel < grid.num_pixels:
-            bad("cells.site_pixel_range", label)
-        if site_list and pixel not in site_list:
-            bad("cells.site_is_candidate", f"{label} at non-candidate pixel {pixel}")
-        if pixel in sites_seen:
-            bad("cells.sites_distinct", f"{label} duplicates pixel {pixel}")
-        sites_seen.add(pixel)
-        channels = [int(ch) for ch in c.get("channels", [])]
-        if not 1 <= len(channels) <= k_max:
-            bad("cells.channel_count", f"{label} holds {len(channels)} channels")
-        if any(not 0 <= ch < num_channels for ch in channels):
-            bad("cells.channel_range", label)
-        if "power_dbm" in c and not power_min <= float(c["power_dbm"]) <= power_max:
-            bad("cells.power_range", f"{label} power {c['power_dbm']}")
-
-    if doc.get("event") is not None and int(doc["event"].get("step", -1)) < 0:
-        bad("event.step_nonnegative", "event step must be >= 0")
-    return violations
-
-
-def validate_file(path) -> list[str]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return validate(doc, str(path))

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .scenario import NetworkState
+from .scenario import NetworkState, in_unit, is_count, require_fields
 
 __all__ = [
     "MonitorParams",
@@ -35,12 +35,11 @@ class MonitorParams:
     consecutive_steps: int = 3      # violating steps required to fire
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.window_steps < 1:
-            raise ValueError("window_steps must be >= 1")
-        if self.consecutive_steps < 1:
-            raise ValueError("consecutive_steps must be >= 1")
+        require_fields(self, ("monitor.alpha_range", "alpha", in_unit, "in [0, 1]"),
+                       ("monitor.window_positive", "window_steps", is_count,
+                        "an integer >= 1"),
+                       ("monitor.consecutive_positive", "consecutive_steps", is_count,
+                        "an integer >= 1"))
 
 
 class DemandHistory:
@@ -70,10 +69,6 @@ class DemandHistory:
         if not self.has(cell_id):
             raise ValueError(f"no history for cell {cell_id}")
         return list(self._ring[cell_id])
-
-    def forget(self, cell_id: int):
-        self._ring.pop(cell_id, None)
-        self.counters.pop(cell_id, None)
 
 
 def required_bandwidth(tenant_demands: Mapping[str, float],

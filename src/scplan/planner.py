@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 from .evaluation import EvaluationContext, evaluate_state
 from .radio import PropagationParams, configure_powers
-from .scenario import CandidateSiteSet, GridSpec, NetworkState, SmallCell, pixel_positions
+from .scenario import (CandidateSiteSet, GridSpec, NetworkState, SmallCell, in_unit,
+                       is_count, pixel_positions, require_fields)
 
 __all__ = [
     "PlannerParams",
@@ -50,12 +51,13 @@ class PlannerParams:
     step4_mode: str = "printed"     # densification bar: "printed" | "kmax"
 
     def __post_init__(self):
-        if not 0 <= self.beta <= 1 or not 0 <= self.gamma <= 1:
-            raise ValueError("beta and gamma must be in [0, 1]")
-        if self.k_max < 1 or self.n_max_sc < 1:
-            raise ValueError("k_max and n_max_sc must be >= 1")
-        if self.step4_mode not in ("printed", "kmax"):
-            raise ValueError("step4_mode must be 'printed' or 'kmax'")
+        require_fields(self, ("planner.beta_range", "beta", in_unit, "in [0, 1]"),
+                       ("planner.gamma_range", "gamma", in_unit, "in [0, 1]"),
+                       ("planner.alpha_range", "alpha", in_unit, "in [0, 1]"),
+                       ("planner.k_max_positive", "k_max", is_count, "an integer >= 1"),
+                       ("planner.n_max_positive", "n_max_sc", is_count, "an integer >= 1"),
+                       ("planner.step4_mode", "step4_mode",
+                        lambda m: m in ("printed", "kmax"), "'printed' or 'kmax'"))
 
     def densification_bar_mhz(self, bandwidth_mhz: float, num_cells: int) -> float:
         """Requirement level above which another cell is added.

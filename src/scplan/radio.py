@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scenario import GridSpec, NetworkState, ServingMap, pixel_positions
+from .scenario import (GridSpec, NetworkState, ServingMap, is_count, is_real,
+                       pixel_positions, positive, require_fields)
 
 __all__ = [
     "PropagationParams",
@@ -32,6 +33,7 @@ __all__ = [
     "average_se",
     "cell_capacity",
     "radio_snapshot",
+    "serving_mean",
 ]
 
 MIN_DISTANCE_M = 1.0    # clamp below this to keep log10 finite at a cell's own pixel
@@ -57,16 +59,24 @@ class PropagationParams:
     edge_fraction: float = math.sqrt(3.0) / 2.0
 
     def __post_init__(self):
-        if self.channel_bandwidth_mhz <= 0:
-            raise ValueError("channel_bandwidth_mhz must be positive")
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
-        if self.power_min_dbm > self.power_max_dbm:
-            raise ValueError("power_min_dbm must not exceed power_max_dbm")
-        if self.se_max_bps_hz <= 0:
-            raise ValueError("se_max_bps_hz must be positive")
-        if self.pathloss_variant not in ("nlos", "los"):
-            raise ValueError("pathloss_variant must be 'nlos' or 'los'")
+        levels = ("antenna_gain_db", "noise_figure_db", "thermal_noise_dbm_per_hz",
+                  "sinr_min_db", "edge_sinr_target_db", "power_min_dbm", "power_max_dbm")
+        require_fields(
+            self, *((f"radio.{name}_real", name, is_real, "a finite number")
+                    for name in levels),
+            ("radio.carrier_positive", "carrier_ghz", positive, "> 0"),
+            ("radio.bandwidth_positive", "channel_bandwidth_mhz", positive, "> 0"),
+            ("radio.num_channels_positive", "num_channels", is_count, "an integer >= 1"),
+            ("radio.pathloss_variant", "pathloss_variant",
+             lambda v: v in ("nlos", "los"), "'nlos' or 'los'"),
+            ("radio.se_max_positive", "se_max_bps_hz", positive, "> 0"),
+            ("radio.se_impl_range", "se_impl_factor", lambda f: positive(f) and f <= 1,
+             "in (0, 1]"),
+            ("radio.edge_fraction_range", "edge_fraction",
+             lambda f: positive(f) and f <= 1, "in (0, 1]"),
+            ("radio.power_range", "power_max_dbm", lambda p: not is_real(p)
+             or not is_real(self.power_min_dbm) or p >= self.power_min_dbm,
+             "at least power_min_dbm"))
 
 
 def path_loss(distance_m, params: PropagationParams):
@@ -247,13 +257,14 @@ def spectral_efficiency(sinr_db, params: PropagationParams):
     return float(se) if np.isscalar(sinr_db) else se
 
 
-def _pixel_se(state: NetworkState, serving: ServingMap, se_table: np.ndarray) -> np.ndarray:
-    """Per-pixel SE: mean over the serving cell's allocated channels."""
-    out = np.zeros(se_table.shape[0])
+def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray) -> np.ndarray:
+    """Per-pixel mean of a (pixel, channel) table, such as SE or SINR, over
+    the serving cell's allocated channels."""
+    out = np.zeros(table.shape[0])
     for c in state.cells:
         mask = serving.pixel_cell == c.cell_id
         if mask.any():
-            out[mask] = se_table[np.ix_(mask, np.array(c.channels))].mean(axis=1)
+            out[mask] = table[np.ix_(mask, np.array(c.channels))].mean(axis=1)
     return out
 
 
@@ -307,7 +318,7 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams
     serving = ServingMap(state.cell_ids, ids[np.argmax(rx, axis=1)])
     table = _sinr_table(state, grid, params, serving, rx)
     se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
-    pixel_se = _pixel_se(state, serving, se_table)
+    pixel_se = serving_mean(state, serving, se_table)
     return serving, rx, table, pixel_se
 
 

@@ -1,9 +1,12 @@
 """Geographic grid, tenants, traffic demand and deployed-network state.
 
 The scenario is the simulator's ground truth: a rectangular pixel grid,
-per-tenant per-time-step demand rasters, the candidate site pool and the
-currently deployed small cells.  Everything here is immutable after
-construction; updates produce new objects.
+per-tenant demand models, the candidate site pool and the currently
+deployed small cells.  Everything here is immutable after construction;
+updates produce new objects.
+
+Each dataclass checks its own fields on construction and raises
+:class:`InvariantError`, which names every broken rule at once.
 """
 from __future__ import annotations
 
@@ -14,21 +17,73 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "ScenarioError",
+    "InvariantError",
     "GridSpec",
     "pixel_positions",
     "CandidateSiteSet",
     "select_candidate_sites",
     "Hotspot",
     "TenantProfile",
-    "TrafficMaps",
-    "build_traffic_maps",
     "ServingMap",
     "SmallCell",
     "NetworkState",
-    "pixel_total_demand",
-    "cell_demand",
-    "aggregate_cell_demand",
 ]
+
+
+class ScenarioError(ValueError):
+    """A scenario that cannot be used: unreadable, unparsable or invalid."""
+
+
+class InvariantError(ScenarioError):
+    """Broken scenario invariants, one ``section.rule: detail`` line each."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
+
+
+def require(*rules):
+    """Raise InvariantError naming every ``(holds, name, detail)`` rule that
+    does not hold."""
+    broken = [f"{name}: {detail}" for holds, name, detail in rules if not holds]
+    if broken:
+        raise InvariantError(broken)
+
+
+def require_fields(obj, *rules):
+    """``require`` for one-field rules ``(name, field, test, expected)``; a
+    broken one reads ``name: field must be expected, got value``."""
+    require(*((False, name, f"{field} must be {expected}, got {getattr(obj, field)!r}")
+              for name, field, test, expected in rules if not test(getattr(obj, field))))
+
+
+def is_int(x) -> bool:
+    """A 64-bit integer (booleans are not numbers here)."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and -2 ** 63 <= x < 2 ** 63)
+
+
+def is_real(x) -> bool:
+    """A finite float or a 64-bit integer."""
+    return is_int(x) or isinstance(x, (float, np.floating)) and math.isfinite(x)
+
+
+def positive(x) -> bool:
+    return is_real(x) and x > 0
+
+
+def nonnegative(x) -> bool:
+    return is_real(x) and x >= 0
+
+
+def in_unit(x) -> bool:
+    return is_real(x) and 0 <= x <= 1
+
+
+def is_count(x) -> bool:
+    """An integer of at least 1."""
+    return is_int(x) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -47,10 +102,9 @@ class GridSpec:
     resolution_m: float
 
     def __post_init__(self):
-        if self.resolution_m <= 0:
-            raise ValueError("resolution_m must be positive")
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError("grid dimensions must be positive")
+        require_fields(self, ("grid.width_positive", "width_m", positive, "> 0"),
+                       ("grid.height_positive", "height_m", positive, "> 0"),
+                       ("grid.resolution_positive", "resolution_m", positive, "> 0"))
 
     @property
     def nx(self) -> int:
@@ -92,11 +146,14 @@ class CandidateSiteSet:
     seed: int | None = None
 
     def __post_init__(self):
-        if len(set(self.site_pixels)) != len(self.site_pixels):
-            raise ValueError("duplicate candidate site pixels")
-
-    def __contains__(self, pixel: int) -> bool:
-        return pixel in set(self.site_pixels)
+        pixels = self.site_pixels
+        ints = isinstance(pixels, tuple) and all(is_int(p) and p >= 0 for p in pixels)
+        require((ints, "candidate_sites.pixels_integer",
+                 "pixels must be a list of non-negative pixel indices"),
+                (not ints or len(set(pixels)) == len(pixels),
+                 "candidate_sites.distinct", "duplicate candidate pixels"),
+                (not ints or len(pixels) > 0, "candidate_sites.nonempty",
+                 "no candidate sites"))
 
     def __len__(self) -> int:
         return len(self.site_pixels)
@@ -109,11 +166,11 @@ def select_candidate_sites(grid: GridSpec, fraction: float, seed: int) -> Candid
     ``seed``; the result is returned in ascending pixel order so equal seeds
     give identical sets and ``fraction=1.0`` is the full grid in index order.
     """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
+    require((positive(fraction) and fraction <= 1, "candidate_sites.fraction_range",
+             f"fraction must be in (0, 1], got {fraction!r}"),
+            (is_int(seed) and seed >= 0, "candidate_sites.seed_nonnegative",
+             f"seed must be an integer >= 0, got {seed!r}"))
     n = int(round(fraction * grid.num_pixels))
-    if n <= 0:
-        raise ValueError("no candidate sites")
     if n >= grid.num_pixels:
         pixels = np.arange(grid.num_pixels)
     else:
@@ -130,6 +187,13 @@ class Hotspot:
     y_m: float
     spread_m: float
     peak_mbps: float    # per-pixel demand at the hotspot center
+
+    def __post_init__(self):
+        require_fields(self, ("tenant.hotspot_x_real", "x_m", is_real, "a finite number"),
+                       ("tenant.hotspot_y_real", "y_m", is_real, "a finite number"),
+                       ("tenant.hotspot_spread_positive", "spread_m", positive, "> 0"),
+                       ("tenant.hotspot_peak_nonnegative", "peak_mbps", nonnegative,
+                        ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -148,11 +212,21 @@ class TenantProfile:
     uniform_floor_mbps: float = 0.0
 
     def __post_init__(self):
-        if self.contracted_capacity_mbps < 0:
-            raise ValueError("contracted_capacity_mbps must be >= 0")
         w = self.temporal_profile
-        if not w or min(w) < 0 or max(w) > 1 or max(w) != 1.0:
-            raise ValueError("temporal_profile weights must lie in [0,1] with peak exactly 1")
+        weights = isinstance(w, tuple) and len(w) > 0 and all(map(in_unit, w))
+        require_fields(
+            self,
+            ("tenant.id_string", "tenant_id", lambda x: isinstance(x, str) and x != "",
+             "a non-empty string"),
+            ("tenant.contracted_nonnegative", "contracted_capacity_mbps", nonnegative,
+             ">= 0"),
+            ("tenant.temporal_weights_range", "temporal_profile", lambda _: weights,
+             "a non-empty list of weights in [0, 1]"),
+            ("tenant.temporal_peak_one", "temporal_profile",
+             lambda _: not weights or max(w) == 1.0, "peaked at exactly 1"),
+            ("tenant.hotspots_list", "hotspots", lambda hs: isinstance(hs, tuple)
+             and all(isinstance(h, Hotspot) for h in hs), "a list of hotspots"),
+            ("tenant.floor_nonnegative", "uniform_floor_mbps", nonnegative, ">= 0"))
 
     def temporal_weight(self, t: int) -> float:
         return self.temporal_profile[t % len(self.temporal_profile)]
@@ -166,66 +240,6 @@ class TenantProfile:
             out += h.peak_mbps * np.exp(-d2 / (2.0 * h.spread_m ** 2))
         return out
 
-    def demand_at(self, grid: GridSpec, t: int) -> np.ndarray:
-        return self.spatial_demand(grid) * self.temporal_weight(t)
-
-
-@dataclass(frozen=True)
-class TrafficMaps:
-    """Dense per-tenant per-step demand rasters (Mbps per pixel).
-
-    ``demand`` has shape (num_tenants, num_steps, num_pixels) and is the one
-    source of truth; cell-level figures are always sums over a serving map.
-    """
-
-    tenant_ids: tuple[str, ...]
-    demand: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.demand, dtype=float)
-        if d.ndim != 3 or d.shape[0] != len(self.tenant_ids):
-            raise ValueError("demand must be (tenants, steps, pixels)")
-        if d.size and d.min() < 0:
-            raise ValueError("demand values must be >= 0")
-        d.flags.writeable = False
-        object.__setattr__(self, "demand", d)
-
-    @property
-    def num_steps(self) -> int:
-        return self.demand.shape[1]
-
-    @property
-    def num_pixels(self) -> int:
-        return self.demand.shape[2]
-
-    def _tenant_index(self, tenant_id: str) -> int:
-        try:
-            return self.tenant_ids.index(tenant_id)
-        except ValueError:
-            raise ValueError(f"unknown tenant {tenant_id!r}") from None
-
-    def _check_time(self, t: int):
-        if not 0 <= t < self.num_steps:
-            raise ValueError("time out of range")
-
-    def tenant_slice(self, tenant_id: str, t: int) -> np.ndarray:
-        self._check_time(t)
-        return self.demand[self._tenant_index(tenant_id), t]
-
-    def total_slice(self, t: int) -> np.ndarray:
-        self._check_time(t)
-        return self.demand[:, t, :].sum(axis=0)
-
-
-def build_traffic_maps(tenants, grid: GridSpec, num_steps: int) -> TrafficMaps:
-    """Rasterize tenant demand models into a TrafficMaps cube."""
-    cube = np.zeros((len(tenants), num_steps, grid.num_pixels))
-    for m, tenant in enumerate(tenants):
-        spatial = tenant.spatial_demand(grid)
-        for t in range(num_steps):
-            cube[m, t] = spatial * tenant.temporal_weight(t)
-    return TrafficMaps(tuple(t.tenant_id for t in tenants), cube)
-
 
 @dataclass(frozen=True)
 class ServingMap:
@@ -238,11 +252,6 @@ class ServingMap:
         arr = np.asarray(self.pixel_cell)
         arr.flags.writeable = False
         object.__setattr__(self, "pixel_cell", arr)
-
-    def pixels_of(self, cell_id: int) -> np.ndarray:
-        if cell_id not in self.cell_ids:
-            raise ValueError(f"unknown cell id {cell_id}")
-        return np.flatnonzero(self.pixel_cell == cell_id)
 
     def mask_of(self, cell_id: int) -> np.ndarray:
         if cell_id not in self.cell_ids:
@@ -261,10 +270,15 @@ class SmallCell:
     power_fixed: bool = False
 
     def __post_init__(self):
-        ch = tuple(sorted(set(int(c) for c in self.channels)))
-        if not ch:
-            raise ValueError("a deployed cell must hold at least one channel")
-        object.__setattr__(self, "channels", ch)
+        require_fields(
+            self, ("cells.id_integer", "cell_id", is_int, "an integer"),
+            ("cells.site_pixel_integer", "site_pixel", lambda p: is_int(p) and p >= 0,
+             "an integer >= 0"),
+            ("cells.channels_valid", "channels", lambda ch: isinstance(ch, (tuple, list))
+             and len(ch) > 0 and all(is_int(c) and c >= 0 for c in ch)
+             and len(set(ch)) == len(ch), "a non-empty list of distinct channel indices"),
+            ("cells.power_real", "power_dbm", is_real, "a finite number"))
+        object.__setattr__(self, "channels", tuple(sorted(int(c) for c in self.channels)))
 
 
 @dataclass(frozen=True)
@@ -272,16 +286,14 @@ class NetworkState:
     """Deployed cells at one point in time; functional updates only."""
 
     cells: tuple[SmallCell, ...]
-    time_index: int = 0
 
     def __post_init__(self):
         cells = tuple(sorted(self.cells, key=lambda c: c.cell_id))
         ids = [c.cell_id for c in cells]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate cell ids")
         sites = [c.site_pixel for c in cells]
-        if len(set(sites)) != len(sites):
-            raise ValueError("duplicate cell sites")
+        require((len(set(ids)) == len(ids), "cells.ids_distinct", "duplicate cell ids"),
+                (len(set(sites)) == len(sites), "cells.sites_distinct",
+                 "two cells share a site pixel"))
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -317,31 +329,6 @@ class NetworkState:
             raise ValueError(f"cell {cell_id} does not hold channel {channel}")
         return self._swap(replace(c, channels=tuple(x for x in c.channels if x != channel)))
 
-    def set_power(self, cell_id: int, power_dbm: float) -> "NetworkState":
-        return self._swap(replace(self.cell(cell_id), power_dbm=float(power_dbm)))
-
     def _swap(self, cell: SmallCell) -> "NetworkState":
         return replace(self, cells=tuple(cell if c.cell_id == cell.cell_id else c
                                          for c in self.cells))
-
-
-def pixel_total_demand(maps: TrafficMaps, u: int, t: int) -> float:
-    """Total demand of all tenants at one pixel and time step."""
-    maps._check_time(t)
-    if not 0 <= u < maps.num_pixels:
-        raise ValueError(f"pixel {u} out of range")
-    return float(maps.demand[:, t, u].sum())
-
-
-def cell_demand(maps: TrafficMaps, serving: ServingMap, tenant_id: str,
-                cell_id: int, t: int) -> float:
-    """One tenant's demand summed over the pixels a cell serves."""
-    mask = serving.mask_of(cell_id)
-    return float(maps.tenant_slice(tenant_id, t)[mask].sum())
-
-
-def aggregate_cell_demand(maps: TrafficMaps, serving: ServingMap,
-                          cell_id: int, t: int) -> float:
-    """All tenants' demand summed over the pixels a cell serves."""
-    mask = serving.mask_of(cell_id)
-    return float(maps.total_slice(t)[mask].sum())

@@ -1,16 +1,24 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scplan.cli import main
-from scplan.experiment import (ExperimentConfig, emit_report, run_experiment,
-                               validate, validate_file)
+from scplan.evaluation import METHODS
+from scplan.experiment import (ExperimentConfig, build_context, emit_report,
+                               run_experiment, validate, validate_file)
+from scplan.monitor import MonitorParams
+from scplan.planner import PlannerParams
 from scplan.presets import build_reference_scenario, bundled_scenario_path
+from scplan.radio import PropagationParams
 from scplan.reporting import read_raster_csv, write_raster_csv
-from scplan.scenario import GridSpec
-from scplan.scenario_io import (ScenarioError, load_scenario, save_scenario,
+from scplan.scenario import GridSpec, select_candidate_sites
+from scplan.scenario_io import (InvariantError, ScenarioError, load_scenario,
+                                save_scenario, scenario_from_dict,
                                 scenario_to_dict)
 
 BUNDLED = bundled_scenario_path("urban200m")
@@ -259,3 +267,208 @@ def test_unknown_radio_key_is_parse_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+# --- one definition of a valid scenario: validate lists what loading rejects
+
+
+def _bundled_doc():
+    return json.loads(Path(BUNDLED).read_text())
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return mutate
+
+
+def _names(violations):
+    return [v.split(":")[0] for v in violations]
+
+
+# Each document below used to be accepted by one of validate and the loader
+# and rejected, crashed on or silently trimmed by the other.
+BUNDLED_CASES = {
+    "duplicate-tenant": (lambda d: d["tenants"].append(dict(d["tenants"][0])),
+                         "tenants.ids_distinct"),
+    "arrival-reuses-id": (lambda d: d["event"]["tenant"].update(id=d["tenants"][0]["id"]),
+                          "tenants.ids_distinct"),
+    "no-initial-cells": (_set(["initial_cells"], []), "cells.nonempty"),
+    "unknown-radio-key": (_set(["radio", "bogus_knob"], 1), "radio.unknown_key"),
+    "bad-pathloss-variant": (_set(["radio", "pathloss_variant"], "x"),
+                             "radio.pathloss_variant"),
+    "fraction-without-seed": (lambda d: d["candidate_sites"].pop("seed"),
+                              "candidate_sites.missing_key"),
+    "nan-contract": (_set(["tenants", 0, "contracted_capacity_mbps"], float("nan")),
+                     "tenant.contracted_nonnegative"),
+    "non-numeric-alpha": (_set(["monitor", "alpha"], "x"), "monitor.alpha_range"),
+    "zero-hotspot-spread": (_set(["tenants", 0, "hotspots", 0, "spread_m"], 0),
+                            "tenant.hotspot_spread_positive"),
+    "negative-floor": (_set(["tenants", 0, "uniform_floor_mbps"], -0.01),
+                       "tenant.floor_nonnegative"),
+    "channels-over-kmax": (_set(["initial_cells", 0, "channels"], [0, 2, 3]),
+                           "cells.channel_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLED_CASES))
+def test_bundled_regressions_rejected_by_name(case, tmp_path, capsys):
+    mutate, name = BUNDLED_CASES[case]
+    doc = _bundled_doc()
+    mutate(doc)
+    violations = validate(doc)
+    assert _names(violations) == [name]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantError) as exc:
+        load_scenario(path)
+    assert exc.value.violations == violations
+    code = main(["run", "--scenario", str(path), "--method", "corr-px",
+                 "--horizon", "8", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert name in capsys.readouterr().err
+
+
+def test_load_lists_every_violation_at_once():
+    doc = _bundled_doc()
+    doc["grid"]["resolution_m"] = 0
+    doc["monitor"]["alpha"] = 2.0
+    doc["event"]["tenant"]["id"] = "retail"
+    doc["initial_cells"][1]["channels"] = [7]
+    with pytest.raises(InvariantError) as exc:
+        scenario_from_dict(doc)
+    assert sorted(_names(exc.value.violations)) == [
+        "cells.channel_range", "grid.resolution_positive", "monitor.alpha_range",
+        "tenants.ids_distinct"]
+    assert validate(doc) == exc.value.violations
+
+
+def test_cli_exit_codes_match_readme(tmp_path, capsys):
+    doc = _bundled_doc()
+    doc["monitor"]["alpha"] = 2.0
+    bad = tmp_path / "alpha.json"
+    bad.write_text(json.dumps(doc))
+    for cmd in ("validate", "run", "plan", "translate"):
+        args = [cmd, "--scenario", str(bad)]
+        if cmd != "validate":
+            args += ["--out", str(tmp_path / cmd)]
+        assert main(args) == 1, cmd
+        captured = capsys.readouterr()
+        assert "monitor.alpha_range" in captured.out + captured.err, cmd
+    broken = tmp_path / "broken.json"
+    broken.write_text("{ not json")
+    for path in (broken, tmp_path / "missing.json"):
+        for cmd in ("validate", "run"):
+            args = [cmd, "--scenario", str(path)]
+            if cmd != "validate":
+                args += ["--out", str(tmp_path / "x")]
+            assert main(args) == 2, (cmd, path.name)
+    # an override is checked like the document's own value
+    assert main(["translate", "--scenario", str(BUNDLED), "--alpha", "2",
+                 "--out", str(tmp_path / "tr")]) == 1
+    assert "monitor.alpha_range" in capsys.readouterr().err
+
+
+def test_candidate_redraw_is_not_rechecked(tmp_path):
+    # the redrawn pool no longer holds the initial cells' sites
+    assert main(["run", "--scenario", "urban200m", "--seed", "7", "--horizon", "6",
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_build_context_honours_horizon(tmp_path, capsys):
+    scn = load_scenario(BUNDLED)
+    assert build_context(scn, "corr-px").horizon == 24
+    run = build_context(scn, "corr-px", horizon=3)
+    assert (run.horizon, run.busy_step) == (3, 2)
+    assert main(["plan", "--scenario", str(BUNDLED), "--horizon", "0",
+                 "--out", str(tmp_path / "plan")]) == 1
+    assert "run.horizon_positive" in capsys.readouterr().err
+
+
+def _runnable_mini_doc():
+    doc = _mini_scenario_doc()
+    sites = select_candidate_sites(GridSpec(45.0, 45.0, 3.0), 0.1, 5).site_pixels
+    doc["initial_cells"] = [
+        {"id": 1, "site_pixel": sites[3], "channels": [0]},
+        {"id": 2, "site_pixel": sites[12], "channels": [1], "power_dbm": 20.0}]
+    doc["event"] = {"step": 1, "tenant": {
+        "id": "b", "contracted_capacity_mbps": 3.0, "temporal_profile": [1.0, 0.5],
+        "hotspots": [{"x_m": 30.0, "y_m": 30.0, "spread_m": 6.0, "peak_mbps": 0.05}],
+        "uniform_floor_mbps": 0.0}}
+    for section, cls in (("radio", PropagationParams), ("monitor", MonitorParams),
+                         ("planner", PlannerParams)):
+        doc[section] = {**asdict(cls()), **doc[section]}
+    return doc
+
+
+def _field_paths(doc, path=()):
+    """Every leaf and container below ``doc``, as key paths; the event step
+    is left out because a valid one may still lie past a short horizon."""
+    if path == ("event", "step"):
+        return []
+    paths = [path] if path else []
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        paths += _field_paths(value, path + (key,))
+    return paths
+
+
+MINI = _runnable_mini_doc()
+FIELDS = _field_paths(MINI)
+VALUES = ("x", None, True, [], {}, -1, 0, 1, 2, 3, 7, 1000, 10 ** 30, 0.5, 1.5,
+          -0.01, float("nan"), float("inf"))
+
+
+def _structural(doc):
+    return {
+        "duplicate-tenant": lambda d: d["tenants"].append(dict(d["tenants"][0])),
+        "arrival-reuses-id": _set(["event", "tenant", "id"], "a"),
+        "duplicate-cell-id": _set(["initial_cells", 1, "id"], 1),
+        "duplicate-cell-site": _set(["initial_cells", 1, "site_pixel"],
+                                    doc["initial_cells"][0]["site_pixel"]),
+        "duplicate-candidate": _set(["candidate_sites"], {"pixels": [
+            c["site_pixel"] for c in doc["initial_cells"] * 2]}),
+        "no-initial-cells": _set(["initial_cells"], []),
+        "no-tenants": _set(["tenants"], []),
+        "no-event": lambda d: d.pop("event"),
+        "event-step-negative": _set(["event", "step"], -1),
+        "event-step-text": _set(["event", "step"], "1"),
+        **{f"unknown-key-{'.'.join(map(str, p)) or 'document'}": _set([*p, "bogus"], 1)
+           for p in ((), ("grid",), ("tenants", 0), ("tenants", 0, "hotspots", 0),
+                     ("candidate_sites",), ("initial_cells", 0), ("radio",),
+                     ("monitor",), ("planner",), ("event",), ("event", "tenant"))},
+    }
+
+
+STRUCTURAL = _structural(MINI)
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(FIELDS), st.sampled_from(VALUES)),
+    st.sampled_from(sorted(STRUCTURAL)))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=MUTATIONS, method=st.sampled_from(METHODS))
+def test_valid_exactly_when_runnable(mutation, method, tmp_path):
+    """A mutated mini scenario passes validate exactly when it loads and runs;
+    one that does not run fails with the violations validate lists."""
+    doc = json.loads(json.dumps(MINI))
+    if isinstance(mutation, str):
+        STRUCTURAL[mutation](doc)
+    else:
+        _set(list(mutation[0]), mutation[1])(doc)
+    violations = validate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    try:
+        run_experiment(ExperimentConfig(path, method=method, horizon=4))
+    except InvariantError as exc:
+        assert exc.violations == violations
+        assert violations
+    else:
+        assert violations == []

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
-                             TenantProfile, TrafficMaps, aggregate_cell_demand,
-                             build_traffic_maps, cell_demand, pixel_positions,
-                             pixel_total_demand, select_candidate_sites)
+from scplan.scenario import (GridSpec, NetworkState, SmallCell, TenantProfile,
+                             pixel_positions, select_candidate_sites)
 
 
 def test_grid_pixel_counts():
@@ -71,84 +69,6 @@ def test_candidate_sites_empty_errors():
         select_candidate_sites(grid, 1.5, seed=0)
 
 
-def _two_tenant_maps(grid):
-    demand = np.zeros((2, 2, grid.num_pixels))
-    demand[0, :, :] = 0.5
-    demand[1, :, :] = 0.3
-    return TrafficMaps(("a", "b"), demand)
-
-
-def test_pixel_total_demand_sums_tenants():
-    grid = GridSpec(12.0, 12.0, 3.0)
-    maps = _two_tenant_maps(grid)
-    assert pixel_total_demand(maps, 3, 0) == pytest.approx(0.8)
-
-
-def test_pixel_total_demand_empty_and_identity():
-    grid = GridSpec(12.0, 12.0, 3.0)
-    empty = TrafficMaps((), np.zeros((0, 1, grid.num_pixels)))
-    assert pixel_total_demand(empty, 0, 0) == 0.0
-    single = TrafficMaps(("a",), np.full((1, 1, grid.num_pixels), 0.7))
-    assert pixel_total_demand(single, 5, 0) == pytest.approx(0.7)
-
-
-def test_pixel_total_demand_time_range():
-    grid = GridSpec(12.0, 12.0, 3.0)
-    maps = _two_tenant_maps(grid)
-    with pytest.raises(ValueError, match="time out of range"):
-        pixel_total_demand(maps, 0, 2)
-
-
-def test_cell_demand_uniform_sum():
-    grid = GridSpec(30.0, 30.0, 3.0)      # 100 pixels
-    maps = TrafficMaps(("a",), np.full((1, 1, grid.num_pixels), 0.1))
-    serving = ServingMap((1,), np.full(grid.num_pixels, 1))
-    assert cell_demand(maps, serving, "a", 1, 0) == pytest.approx(10.0)
-
-
-def test_cell_demand_zero_pixels_and_unknown_cell():
-    grid = GridSpec(12.0, 12.0, 3.0)
-    maps = _two_tenant_maps(grid)
-    pixel_cell = np.full(grid.num_pixels, 1)
-    serving = ServingMap((1, 2), pixel_cell)
-    assert cell_demand(maps, serving, "a", 2, 0) == 0.0
-    with pytest.raises(ValueError, match="unknown cell"):
-        cell_demand(maps, serving, "a", 9, 0)
-
-
-def test_cell_demand_partition_property():
-    rng = np.random.default_rng(11)
-    grid = GridSpec(30.0, 24.0, 3.0)
-    demand = rng.uniform(0, 2, size=(3, 4, grid.num_pixels))
-    maps = TrafficMaps(("a", "b", "c"), demand)
-    cells = (1, 4, 7)
-    serving = ServingMap(cells, np.array(rng.choice(cells, grid.num_pixels)))
-    for t in range(4):
-        for tenant in maps.tenant_ids:
-            total = sum(cell_demand(maps, serving, tenant, c, t) for c in cells)
-            assert total == pytest.approx(float(maps.tenant_slice(tenant, t).sum()))
-
-
-def test_aggregate_cell_demand():
-    grid = GridSpec(12.0, 12.0, 3.0)
-    n = grid.num_pixels
-    demand = np.zeros((2, 1, n))
-    demand[0, 0, :] = 22.5 / n
-    demand[1, 0, :] = 3.5 / n
-    maps = TrafficMaps(("a", "b"), demand)
-    serving = ServingMap((1,), np.full(n, 1))
-    assert aggregate_cell_demand(maps, serving, 1, 0) == pytest.approx(26.0)
-    only_a = TrafficMaps(("a",), demand[:1])
-    assert aggregate_cell_demand(only_a, serving, 1, 0) == pytest.approx(22.5)
-
-
-def test_traffic_maps_reject_bad_values():
-    with pytest.raises(ValueError):
-        TrafficMaps(("a",), np.array([[[-0.1, 0.2]]]))
-    with pytest.raises(ValueError):
-        TrafficMaps(("a", "b"), np.zeros((1, 1, 4)))
-
-
 def test_tenant_profile_invariants():
     with pytest.raises(ValueError):
         TenantProfile("t", -1.0)
@@ -158,15 +78,6 @@ def test_tenant_profile_invariants():
         TenantProfile("t", 1.0, temporal_profile=(1.0, 1.2))
     profile = TenantProfile("t", 1.0, temporal_profile=(0.25, 1.0, 0.5))
     assert profile.temporal_weight(4) == 1.0   # wraps around
-
-
-def test_build_traffic_maps_scales_with_profile():
-    grid = GridSpec(30.0, 30.0, 3.0)
-    tenant = TenantProfile("t", 10.0, temporal_profile=(0.5, 1.0),
-                           uniform_floor_mbps=0.02)
-    maps = build_traffic_maps([tenant], grid, 2)
-    assert maps.demand.shape == (1, 2, grid.num_pixels)
-    np.testing.assert_allclose(maps.demand[0, 0], 0.5 * maps.demand[0, 1])
 
 
 def test_network_state_invariants():
