@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radio import (PropagationParams, RadioSnapshot, average_se, cell_capacity,
-                    configure_powers, link_state)
+from .radio import (LinkCache, PropagationParams, RadioSnapshot, average_se,
+                    cell_capacity, configure_powers, link_state)
 from .scenario import GridSpec, NetworkState
 from .monitor import required_bandwidth
 from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, translate_sc_level
@@ -94,7 +94,8 @@ class EvaluationContext:
     are planning estimates.  ``basis_demand`` is the busy-hour raster set
     used for correlated cell-level splits (defaults to ``known_demand``);
     ``estimate_scale`` scales an estimated tenant's contribution by its
-    temporal profile (1 at the busy hour).
+    temporal profile (1 at the busy hour).  ``link_cache`` keeps the radio
+    state of the layouts evaluated; contexts of one run share one.
     """
 
     grid: GridSpec
@@ -103,6 +104,7 @@ class EvaluationContext:
     known_demand: dict[str, np.ndarray] = field(default_factory=dict)
     basis_demand: dict[str, np.ndarray] | None = None
     estimate_scale: dict[str, float] = field(default_factory=dict)
+    link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
 
     def basis(self) -> dict[str, np.ndarray]:
         return self.known_demand if self.basis_demand is None else self.basis_demand
@@ -152,10 +154,15 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs re-expressed for this layout and each cell's required bandwidth
     evaluated.  The SE average is weighted by the total expected traffic:
     observable demand plus the estimated rasters of tenants that are not
-    live yet.
+    live yet.  Powers and link state depend on the layout alone, so they
+    are taken from ``ctx.link_cache`` when it holds this layout.
     """
-    state = configure_powers(state, ctx.grid, ctx.radio)
-    serving, rx, sinr_table, pixel_se = link_state(state, ctx.grid, ctx.radio)
+    link = ctx.link_cache.link(state, ctx.grid, ctx.radio)
+    if link is None:
+        powered = configure_powers(state, ctx.grid, ctx.radio)
+        link = ctx.link_cache.remember(
+            state, powered, *link_state(powered, ctx.grid, ctx.radio, ctx.link_cache))
+    state, serving, rx, sinr_table, pixel_se = link
 
     basis_cell = None
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):

@@ -14,7 +14,7 @@ becomes operative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
 from .monitor import CellCheck, DemandHistory, SlaExceedNotice, \
     check_trigger, sla_exceed_check
 from .planner import ActionLedger, plan
-from .radio import configure_powers, serving_mean
+from .radio import LinkCache, configure_powers, serving_mean
 from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
                        select_candidate_sites)
 from .scenario_io import Scenario, load_scenario, validate, validate_file
@@ -67,7 +67,8 @@ class ExperimentConfig:
         """The scenario at ``scenario_path`` with this config's overrides: a
         field set here replaces the monitor or planner parameter of the same
         name, and a new seed redraws the candidate sites of a fraction-drawn
-        pool."""
+        pool; a seed given for an explicit pixel list is the named violation
+        ``run.seed_unused``."""
         scn = load_scenario(self.scenario_path)
 
         def overridden(params):
@@ -75,7 +76,10 @@ class ExperimentConfig:
                                       if getattr(self, f.name, None) is not None})
 
         scn = replace(scn, monitor=overridden(scn.monitor), planner=overridden(scn.planner))
-        if self.seed is not None and scn.candidate_fraction is not None:
+        if self.seed is not None:
+            require((scn.candidate_fraction is not None, "run.seed_unused",
+                     f"seed {self.seed} would redraw the candidate sites, but the "
+                     "scenario lists them as explicit pixels"))
             scn = replace(scn, candidate_sites=select_candidate_sites(
                 scn.grid, scn.candidate_fraction, self.seed))
         return scn
@@ -109,6 +113,7 @@ class RunContext:
     the most existing traffic (ties go to the latest) and ``basis`` the
     existing tenants' rasters at that step.  ``policies`` holds the existing
     tenants' spec policies, then the arriving tenant's under the method.
+    Every evaluation context built here shares ``link_cache``.
     """
 
     scenario: Scenario
@@ -117,6 +122,7 @@ class RunContext:
     spatial: dict[str, np.ndarray]
     basis: dict[str, np.ndarray]
     policies: dict[str, TenantSpecPolicy]
+    link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
 
     def demand(self, tenant: TenantProfile, t: int) -> np.ndarray:
         return self.spatial[tenant.tenant_id] * tenant.temporal_weight(t)
@@ -132,7 +138,8 @@ class RunContext:
             policies={m: p for m, p in self.policies.items() if m in ids},
             known_demand=known, basis_demand=self.basis,
             estimate_scale={tn.tenant_id: tn.temporal_weight(t) for tn in active
-                            if tn.tenant_id not in known})
+                            if tn.tenant_id not in known},
+            link_cache=self.link_cache)
 
     def busy_hour(self) -> EvaluationContext:
         """Model inputs for one planning pass with the trigger assumed fired:
@@ -140,7 +147,7 @@ class RunContext:
         full planning spec."""
         return EvaluationContext(grid=self.scenario.grid, radio=self.scenario.radio,
                                  policies=self.policies, known_demand=self.basis,
-                                 basis_demand=self.basis)
+                                 basis_demand=self.basis, link_cache=self.link_cache)
 
 
 def build_context(scn: Scenario, method: str, horizon: int | None = None) -> RunContext:

@@ -22,6 +22,7 @@ from .scenario import (GridSpec, NetworkState, ServingMap, is_count, is_real,
 __all__ = [
     "PropagationParams",
     "RadioSnapshot",
+    "LinkCache",
     "path_loss",
     "noise_floor_dbm",
     "rx_power_matrix",
@@ -106,16 +107,68 @@ def _site_positions(state: NetworkState, grid: GridSpec) -> np.ndarray:
     return pos[np.array(state.site_pixels, dtype=int)]
 
 
-def rx_power_matrix(state: NetworkState, grid: GridSpec,
-                    params: PropagationParams) -> np.ndarray:
+class LinkCache:
+    """Radio quantities of one run that depend on the layout alone.
+
+    It holds the path-loss column of each site of the last layout seen, so
+    a layout that differs from it by a cell computes one new column, and
+    the link state of the last layout evaluated: the input layout, its
+    powered state, serving map, rx power, SINR table and per-pixel SE (see
+    ``evaluation.evaluate_state``).  Both belong to one grid and one set of
+    radio parameters; using the cache with others drops what it holds.
+    Memoized arrays are read-only.
+    """
+
+    def __init__(self):
+        self._scope = None
+        self._columns: dict[int, np.ndarray] = {}
+        self._layout = None
+
+    def _use(self, grid: GridSpec, params: PropagationParams):
+        if self._scope != (grid, params):
+            self._scope = (grid, params)
+            self._columns, self._layout = {}, None
+
+    def path_loss(self, state: NetworkState, grid: GridSpec,
+                  params: PropagationParams) -> np.ndarray:
+        """(num_pixels, num_cells) path loss in dB, cells in id order."""
+        self._use(grid, params)
+        pos = pixel_positions(grid)
+        columns = {}
+        for site in state.site_pixels:
+            column = self._columns.get(site)
+            if column is None:
+                column = path_loss(np.sqrt(((pos - pos[site]) ** 2).sum(axis=1)), params)
+            columns[site] = column
+        self._columns = columns
+        return np.stack(list(columns.values()), axis=1)
+
+    def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+        """``(powered state, serving, rx, SINR table, pixel SE)`` of ``state``
+        if it is the last layout remembered, or that layout's powered state
+        (powers depend on the layout alone), else None."""
+        self._use(grid, params)
+        if self._layout is not None and state in self._layout[:2]:
+            return self._layout[1:]
+        return None
+
+    def remember(self, state: NetworkState, powered: NetworkState, serving: ServingMap,
+                 *arrays: np.ndarray):
+        """Keep ``state``'s link state, as returned by ``link``."""
+        for a in arrays:
+            a.flags.writeable = False
+        self._layout = (state, powered, serving, *arrays)
+        return self._layout[1:]
+
+
+def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationParams,
+                    cache: LinkCache | None = None) -> np.ndarray:
     """(num_pixels, num_cells) received power in dBm, cells in id order."""
     if not state.cells:
         raise ValueError("empty network")
-    pos = pixel_positions(grid)
-    sites = _site_positions(state, grid)
-    d = np.sqrt(((pos[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+    pl = (LinkCache() if cache is None else cache).path_loss(state, grid, params)
     powers = np.array([c.power_dbm for c in state.cells])
-    return powers[None, :] + params.antenna_gain_db - path_loss(d, params)
+    return powers[None, :] + params.antenna_gain_db - pl
 
 
 def received_power(cell_id: int, pixel: int, state: NetworkState,
@@ -202,14 +255,12 @@ def _with_powers(state: NetworkState, powers: np.ndarray) -> NetworkState:
     return replace(state, cells=cells)
 
 
-def _sinr_table(state: NetworkState, grid: GridSpec, params: PropagationParams,
-                serving: ServingMap, rx_dbm: np.ndarray) -> np.ndarray:
+def _sinr_table(state: NetworkState, params: PropagationParams,
+                serving_col: np.ndarray, rx_dbm: np.ndarray) -> np.ndarray:
     """(num_pixels, num_channels) serving-link SINR in dB, NaN where the
-    serving cell does not hold the channel."""
+    serving cell does not hold the channel.  ``serving_col`` is each pixel's
+    serving column of ``rx_dbm``."""
     rx_lin = 10.0 ** (rx_dbm / 10.0)
-    ids = np.array(state.cell_ids)
-    col_of = {cid: k for k, cid in enumerate(state.cell_ids)}
-    serving_col = np.array([col_of[c] for c in serving.pixel_cell])
     s_lin = rx_lin[np.arange(rx_lin.shape[0]), serving_col]
     noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
 
@@ -234,14 +285,13 @@ def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
     Interference is the sum of received powers from every other deployed
     cell holding the channel; noise spans one channel bandwidth.
     """
-    serving = serving_assignment(state, grid, params)
-    serving_cell = state.cell(int(serving.pixel_cell[pixel]))
+    rx = rx_power_matrix(state, grid, params)
+    serving_col = np.argmax(rx, axis=1)
+    serving_cell = state.cells[serving_col[pixel]]
     if channel not in serving_cell.channels:
         raise ValueError(f"channel {channel} not allocated at serving cell "
                          f"{serving_cell.cell_id}")
-    rx = rx_power_matrix(state, grid, params)
-    table = _sinr_table(state, grid, params, serving, rx)
-    return float(table[pixel, channel])
+    return float(_sinr_table(state, params, serving_col, rx)[pixel, channel])
 
 
 def spectral_efficiency(sinr_db, params: PropagationParams):
@@ -309,14 +359,15 @@ class RadioSnapshot:
     capacity_mbps: dict[int, float]
 
 
-def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams
+def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
+               cache: LinkCache | None = None
                ) -> tuple[ServingMap, np.ndarray, np.ndarray, np.ndarray]:
     """Weight-independent link quantities: serving map, rx power, SINR table
-    and per-pixel SE."""
-    rx = rx_power_matrix(state, grid, params)
-    ids = np.array(state.cell_ids)
-    serving = ServingMap(state.cell_ids, ids[np.argmax(rx, axis=1)])
-    table = _sinr_table(state, grid, params, serving, rx)
+    and per-pixel SE.  Path loss comes from ``cache`` if given."""
+    rx = rx_power_matrix(state, grid, params, cache)
+    serving_col = np.argmax(rx, axis=1)
+    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col])
+    table = _sinr_table(state, params, serving_col, rx)
     se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
     pixel_se = serving_mean(state, serving, se_table)
     return serving, rx, table, pixel_se

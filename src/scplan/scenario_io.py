@@ -200,6 +200,11 @@ def scenario_from_dict(doc) -> Scenario:
             event = bad.build("", NewTenantEvent, ev["step"], arriving)
 
     # checks that span sections
+    if monitor is not None and planner is not None:
+        bad.check("", (monitor.alpha == planner.alpha, "planner.alpha_matches_monitor",
+                       f"planner alpha {planner.alpha} differs from monitor alpha "
+                       f"{monitor.alpha}; the trigger and the planner share one "
+                       "utilization threshold"))
     everyone = [t for t in tenants + [arriving] if t is not None]
     ids = [t.tenant_id for t in everyone]
     repeated = sorted({i for i in ids if ids.count(i) > 1})

@@ -379,6 +379,36 @@ def test_candidate_redraw_is_not_rechecked(tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
 
 
+def test_seed_on_explicit_pixel_list_is_named(tmp_path, capsys):
+    # a pixel list has no draw for a seed to redo: say so, do not echo it
+    doc = _bundled_doc()
+    scn = load_scenario(BUNDLED)
+    doc["candidate_sites"] = {"pixels": list(scn.candidate_sites.site_pixels)}
+    path = tmp_path / "pixels.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantError) as exc:
+        ExperimentConfig(path, seed=7).scenario()
+    assert _names(exc.value.violations) == ["run.seed_unused"]
+    assert main(["run", "--scenario", str(path), "--seed", "7", "--horizon", "6",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "run.seed_unused" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert (ExperimentConfig(path).scenario().candidate_sites.site_pixels
+            == scn.candidate_sites.site_pixels)
+
+
+def test_monitor_and_planner_alpha_must_agree(tmp_path):
+    doc = _bundled_doc()
+    doc["planner"]["alpha"] = 0.8
+    assert _names(validate(doc)) == ["planner.alpha_matches_monitor"]
+    # a value already out of range is named once, by its own section
+    doc["monitor"]["alpha"] = 2.0
+    assert _names(validate(doc)) == ["monitor.alpha_range"]
+    # --alpha sets both
+    scn = ExperimentConfig(BUNDLED, alpha=0.8).scenario()
+    assert scn.monitor.alpha == scn.planner.alpha == 0.8
+
+
 def test_build_context_honours_horizon(tmp_path, capsys):
     scn = load_scenario(BUNDLED)
     assert build_context(scn, "corr-px").horizon == 24

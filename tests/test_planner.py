@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import oracle_best_channel, random_state
+from scplan import planner
 from scplan.evaluation import EvaluationContext, evaluate_state, make_policy
+from scplan.experiment import build_context
 from scplan.planner import (AddCell, AddChannel, PlannerParams,
                             Relocate, RemoveCell, RemoveChannel,
                             compress_actions, plan, replay_actions,
                             select_channel, select_site)
-from scplan.radio import PropagationParams, configure_powers
+from scplan.presets import bundled_scenario_path
+from scplan.radio import LinkCache, PropagationParams, configure_powers
+from scplan.scenario_io import load_scenario
 from scplan.scenario import (CandidateSiteSet, GridSpec, NetworkState,
                              SmallCell, pixel_positions,
                              select_candidate_sites)
@@ -384,3 +389,53 @@ def test_evaluate_state_hand_computable_case(params):
     ctx.estimate_scale = {"new": 0.5}
     ev2 = evaluate_state(state, ctx)
     assert ev2.required_mhz[1] == pytest.approx((5.0 + 4.5) / 4.4)
+
+
+def _assert_same_evaluation(a, b):
+    """Two evaluations agree bit for bit."""
+    assert a.state == b.state
+    sa, sb = a.snapshot, b.snapshot
+    assert sa.serving.cell_ids == sb.serving.cell_ids
+    for x, y in ((sa.serving.pixel_cell, sb.serving.pixel_cell),
+                 (sa.rx_power_dbm, sb.rx_power_dbm), (sa.sinr_db, sb.sinr_db),
+                 (sa.pixel_se, sb.pixel_se)):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert (sa.avg_se, sa.capacity_mbps) == (sb.avg_se, sb.capacity_mbps)
+    assert (a.cell_demand, a.cell_specs, a.required_mhz) == \
+        (b.cell_demand, b.cell_specs, b.required_mhz)
+
+
+def test_shared_link_cache_matches_fresh_cache(monkeypatch):
+    scn = load_scenario(bundled_scenario_path("urban200m"))
+    ctx = build_context(scn, "corr-px").busy_hour()
+    seen = []
+
+    def check(state):
+        shared = evaluate_state(state, ctx)
+        _assert_same_evaluation(
+            shared, evaluate_state(state, replace(ctx, link_cache=LinkCache())))
+        seen.append(state)
+        return shared
+
+    start = scn.initial_state
+    free = [p for p in scn.candidate_sites.site_pixels if p not in start.site_pixels]
+    powered = check(start).state
+    check(start)                                    # the same layout twice
+    check(powered)                                  # and its powered state
+    grown = start.add_cell(SmallCell(9, free[0], (3,)))
+    check(grown)                                    # a cell added
+    check(grown.add_channel(9, 1))                  # a channel added
+    check(grown.add_channel(9, 1).remove_channel(9, 3))   # and one removed
+    check(grown.remove_cell(2))                     # a cell removed
+    check(grown.remove_cell(3).add_cell(SmallCell(10, free[1], (1,))))  # relocated
+
+    # every trial layout of a site search, in the order the planner makes them
+    before = len(seen)
+    evaluate = planner.evaluate_state
+    monkeypatch.setattr(planner, "evaluate_state",
+                        lambda state, c: check(state) if c is ctx else evaluate(state, c))
+    chosen = select_site(powered, scn.candidate_sites, ctx, 9)
+    assert len(seen) - before == len(free)
+    monkeypatch.undo()
+    assert select_site(powered, scn.candidate_sites,
+                       replace(ctx, link_cache=LinkCache()), 9) == chosen

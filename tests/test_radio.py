@@ -6,10 +6,11 @@ import pytest
 
 from conftest import (oracle_noise_dbm, oracle_path_loss, oracle_serving,
                       oracle_sinr_db, random_state)
-from scplan.radio import (PropagationParams, average_se, cell_capacity,
+from scplan.evaluation import EvaluationContext, evaluate_state
+from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
                           configure_powers, path_loss, radio_snapshot,
-                          received_power, serving_assignment, sinr,
-                          spectral_efficiency)
+                          received_power, rx_power_matrix, serving_assignment,
+                          sinr, spectral_efficiency)
 from scplan.scenario import GridSpec, NetworkState, SmallCell, pixel_positions
 
 
@@ -251,3 +252,38 @@ def test_snapshot_capacity_identity_and_partition(params):
         served += int((snap.serving.pixel_cell == cid).sum())
         assert 0 <= snap.avg_se[cid] <= params.se_max_bps_hz
     assert served == grid.num_pixels
+
+
+def test_cached_path_loss_columns_match_whole_matrix(params):
+    # columns kept across layouts give the same bits as the whole-matrix
+    # broadcast over every pixel and cell, also after a change of radio
+    rng = np.random.default_rng(11)
+    grid = GridSpec(45.0, 30.0, 3.0)
+    pos = pixel_positions(grid)
+    state = random_state(rng, grid, num_cells=4)
+    free = [p for p in range(grid.num_pixels) if p not in state.site_pixels]
+    grown = state.add_cell(SmallCell(9, free[7], (1,), 20.0))
+    layouts = [state, state, grown, grown.remove_cell(2),
+               grown.remove_cell(3).add_cell(SmallCell(10, free[40], (0,), 15.0)), state]
+    cache = LinkCache()
+    for radio in (params, replace(params, pathloss_variant="los"), params):
+        for layout in layouts:
+            sites = pos[list(layout.site_pixels)]
+            d = np.sqrt(((pos[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+            powers = np.array([c.power_dbm for c in layout.cells])
+            whole = powers[None, :] + radio.antenna_gain_db - path_loss(d, radio)
+            assert rx_power_matrix(layout, grid, radio, cache).tobytes() == whole.tobytes()
+            assert rx_power_matrix(layout, grid, radio).tobytes() == whole.tobytes()
+
+
+def test_memoized_link_arrays_are_read_only(params):
+    grid = GridSpec(30.0, 30.0, 3.0)
+    state = random_state(np.random.default_rng(2), grid, num_cells=3)
+    ctx = EvaluationContext(grid=grid, radio=params, policies={},
+                            known_demand={"a": np.ones(grid.num_pixels)})
+    for _ in range(2):          # computed, then taken from the cache
+        snap = evaluate_state(state, ctx).snapshot
+        for arr in (snap.rx_power_dbm, snap.sinr_db, snap.pixel_se,
+                    snap.serving.pixel_cell):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
