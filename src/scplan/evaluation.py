@@ -125,8 +125,8 @@ class NetworkEvaluation:
 
 
 def _per_cell_sums(raster: np.ndarray, serving) -> dict[int, float]:
-    return {cid: float(raster[serving.pixel_cell == cid].sum())
-            for cid in serving.cell_ids}
+    return {cid: float(raster[pixels].sum())
+            for cid, pixels in serving.cell_pixels.items()}
 
 
 def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
@@ -140,10 +140,9 @@ def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
         return policy.pixel_spec * scale
     out = np.zeros(num_pixels)
     for cid, value in cell_specs.items():
-        mask = serving.pixel_cell == cid
-        count = int(mask.sum())
-        if count:
-            out[mask] = value * scale / count
+        pixels = serving.cell_pixels[cid]
+        if pixels.size:
+            out[pixels] = value * scale / pixels.size
     return out
 
 

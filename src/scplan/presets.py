@@ -89,10 +89,10 @@ def build_reference_scenario() -> Scenario:
     mass = np.zeros((4, 4))
     floor_cell = np.zeros(4)
     for c in range(4):
-        mask = serving.pixel_cell == c + 1
-        floor_cell[c] = floor_total[mask].sum()
+        pixels = serving.cell_pixels[c + 1]
+        floor_cell[c] = floor_total[pixels].sum()
         for k in range(4):
-            mass[c, k] = unit[k][mask].sum()
+            mass[c, k] = unit[k][pixels].sum()
     peaks = np.linalg.solve(mass, np.array(INITIAL_DEMAND_MBPS) - floor_cell)
     peaks = np.round(peaks, 8)
     if peaks.min() <= 0:

@@ -312,9 +312,9 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray) ->
     the serving cell's allocated channels."""
     out = np.zeros(table.shape[0])
     for c in state.cells:
-        mask = serving.pixel_cell == c.cell_id
-        if mask.any():
-            out[mask] = table[np.ix_(mask, np.array(c.channels))].mean(axis=1)
+        pixels = serving.cell_pixels[c.cell_id]
+        if pixels.size:
+            out[pixels] = table[np.ix_(pixels, np.array(c.channels))].mean(axis=1)
     return out
 
 
@@ -325,12 +325,14 @@ def average_se(cell_id: int, serving: ServingMap, pixel_se: np.ndarray,
     Falls back to a uniform mean when the served demand totals zero and to
     0 when the cell serves no pixels.
     """
-    mask = serving.mask_of(cell_id)
-    if not mask.any():
+    pixels = serving.cell_pixels.get(cell_id)
+    if pixels is None:
+        raise ValueError(f"unknown cell id {cell_id}")
+    if not pixels.size:
         return 0.0
-    se = pixel_se[mask]
+    se = pixel_se[pixels]
     if pixel_weights is not None:
-        w = pixel_weights[mask]
+        w = pixel_weights[pixels]
         tot = float(w.sum())
         if tot > 0:
             return float((se * w).sum() / tot)

@@ -6,7 +6,9 @@ formatting, no timestamps.  Raster CSVs round-trip value-identically.
 from __future__ import annotations
 
 import csv
+import io
 import json
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +37,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_all(values) -> map:
+    """``_fmt`` of every element, through one conversion to Python floats."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
 def write_raster_csv(path, grid: GridSpec, values: np.ndarray) -> Path:
-    """One row per pixel: index, x_m, y_m, value."""
+    """One row per pixel: index, x_m, y_m, value.
+
+    Lines are formatted as ``csv.writer`` would write them; each distinct
+    coordinate is formatted once.
+    """
     path = Path(path)
     pos = pixel_positions(grid)
+    xs = list(_fmt_all(pos[:grid.nx, 0]))
+    x_col = chain.from_iterable(repeat(xs, grid.ny))
+    y_col = chain.from_iterable(repeat(y, grid.nx) for y in _fmt_all(pos[::grid.nx, 1]))
+    value_col = _fmt_all(np.reshape(values, grid.num_pixels))
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "x_m", "y_m", "value"])
-        for i in range(grid.num_pixels):
-            w.writerow([i, _fmt(pos[i, 0]), _fmt(pos[i, 1]), _fmt(values[i])])
+        fh.write("index,x_m,y_m,value\r\n")
+        fh.writelines(map("{},{},{},{}\r\n".format, count(), x_col, y_col, value_col))
     return path
 
 
@@ -65,8 +78,7 @@ def write_raster_pgm(path, grid: GridSpec, values: np.ndarray,
     gray = np.clip(np.nan_to_num(v, nan=lo, neginf=lo, posinf=hi), lo, hi)
     gray = np.round((gray - lo) / span * 255).astype(int)
     lines = ["P2", f"{grid.nx} {grid.ny}", "255"]
-    for row in gray:
-        lines.append(" ".join(str(g) for g in row))
+    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -201,6 +213,8 @@ def write_spec_csv(path, tenant_id: str, level: str,
             for cell_id in sorted(values):
                 w.writerow([tenant_id, level, cell_id, _fmt(values[cell_id])])
         else:
-            for i, v in enumerate(values):
-                w.writerow([tenant_id, level, i, _fmt(v)])
+            head = io.StringIO()        # tenant and level, quoted as csv.writer does
+            csv.writer(head).writerow([tenant_id, level])
+            fh.writelines(map("{},{},{}\r\n".format, repeat(head.getvalue()[:-2]),
+                              count(), _fmt_all(values)))
     return path

@@ -118,5 +118,5 @@ def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap) -> dict[int
     if specs.level != "pixel":
         raise ValueError("expected a pixel-level spec set")
     values = specs.pixel_values
-    return {cid: float(values[serving.pixel_cell == cid].sum())
-            for cid in serving.cell_ids}
+    return {cid: float(values[pixels].sum())
+            for cid, pixels in serving.cell_pixels.items()}

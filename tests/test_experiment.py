@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -15,8 +16,9 @@ from scplan.monitor import MonitorParams
 from scplan.planner import PlannerParams
 from scplan.presets import build_reference_scenario, bundled_scenario_path
 from scplan.radio import PropagationParams
-from scplan.reporting import read_raster_csv, write_raster_csv
-from scplan.scenario import GridSpec, select_candidate_sites
+from scplan.reporting import (read_raster_csv, write_raster_csv, write_raster_pgm,
+                              write_spec_csv)
+from scplan.scenario import GridSpec, pixel_positions, select_candidate_sites
 from scplan.scenario_io import (InvariantError, ScenarioError, load_scenario,
                                 save_scenario, scenario_from_dict,
                                 scenario_to_dict)
@@ -172,6 +174,43 @@ def test_raster_csv_round_trip(tmp_path):
     path = write_raster_csv(tmp_path / "raster.csv", grid, values)
     again = read_raster_csv(path)
     np.testing.assert_array_equal(values, again)
+
+
+def test_writers_match_csv_writer_reference(tmp_path):
+    grid = GridSpec(21.0, 12.0, 3.0)            # 7 x 4 pixels
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 3.0, 2.0 ** 60]
+    values = np.random.default_rng(9).uniform(-5, 40, grid.num_pixels)
+    values[:len(special)] = special
+
+    pos = pixel_positions(grid)
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "x_m", "y_m", "value"])
+        for i in range(grid.num_pixels):
+            w.writerow([i, repr(float(pos[i, 0])), repr(float(pos[i, 1])),
+                        repr(float(values[i]))])
+    got = write_raster_csv(tmp_path / "raster.csv", grid, values)
+    assert got.read_bytes() == ref.read_bytes()
+    ints = np.arange(grid.num_pixels)           # an integer raster is written as floats
+    assert write_raster_csv(tmp_path / "ints.csv", grid, ints).read_bytes() == \
+        write_raster_csv(tmp_path / "floats.csv", grid, ints.astype(float)).read_bytes()
+    with pytest.raises(ValueError):
+        write_raster_csv(tmp_path / "short.csv", grid, values[:-1])
+
+    with ref.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["tenant", "level", "target", "value_mbps"])
+        for i, v in enumerate(values):
+            w.writerow(['a,"b"', "pixel", i, repr(float(v))])
+    got = write_spec_csv(tmp_path / "spec.csv", 'a,"b"', "pixel", values)
+    assert got.read_bytes() == ref.read_bytes()
+
+    gray = np.round(np.linspace(0, 255, grid.num_pixels)).astype(int).reshape(grid.ny, grid.nx)
+    ref.write_text("\n".join(["P2", f"{grid.nx} {grid.ny}", "255"]
+                             + [" ".join(str(g) for g in row) for row in gray]) + "\n")
+    got = write_raster_pgm(tmp_path / "raster.pgm", grid, gray.ravel().astype(float))
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def test_layout_fragment_chains_into_scenario(tmp_path):

@@ -6,12 +6,15 @@ import pytest
 
 from conftest import (oracle_noise_dbm, oracle_path_loss, oracle_serving,
                       oracle_sinr_db, random_state)
-from scplan.evaluation import EvaluationContext, evaluate_state
+from scplan.evaluation import (EvaluationContext, TenantSpecPolicy, _estimate_raster,
+                               _per_cell_sums, evaluate_state)
 from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
                           configure_powers, path_loss, radio_snapshot,
                           received_power, rx_power_matrix, serving_assignment,
-                          sinr, spectral_efficiency)
-from scplan.scenario import GridSpec, NetworkState, SmallCell, pixel_positions
+                          serving_mean, sinr, spectral_efficiency)
+from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
+                             pixel_positions)
+from scplan.sla import PlanningSpecSet, pixel_specs_to_cell
 
 
 def test_path_loss_nlos_values(params):
@@ -287,3 +290,91 @@ def test_memoized_link_arrays_are_read_only(params):
                     snap.serving.pixel_cell):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+def _random_serving(seed: int):
+    """A serving map over non-contiguous cell ids, one of which serves no
+    pixel, with the network state it belongs to."""
+    rng = np.random.default_rng(seed)
+    num_pixels = int(rng.integers(1, 400))
+    ids = tuple(sorted(int(c) for c in rng.choice(100, size=5, replace=False)))
+    idle = ids[int(rng.integers(len(ids)))]
+    serving = ServingMap(ids, rng.choice([c for c in ids if c != idle], num_pixels))
+    cells = tuple(SmallCell(cid, site, tuple(int(ch) for ch in rng.choice(
+                  4, size=int(rng.integers(1, 4)), replace=False)))
+                  for site, cid in enumerate(ids))
+    return rng, serving, NetworkState(cells), idle
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_pixels_partition_the_grid_in_ascending_groups(seed):
+    _, serving, _, idle = _random_serving(seed)
+    groups = serving.cell_pixels
+    assert tuple(groups) == serving.cell_ids
+    assert groups[idle].size == 0
+    joined = np.concatenate(list(groups.values()))
+    assert np.array_equal(np.sort(joined), np.arange(serving.pixel_cell.size))
+    for cid, pixels in groups.items():
+        assert np.all(np.diff(pixels) > 0)
+        assert np.array_equal(pixels, np.flatnonzero(serving.pixel_cell == cid))
+        with pytest.raises(ValueError, match="read-only"):
+            pixels[:1] = 0
+    assert serving.cell_pixels is groups
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
+    rng, serving, state, idle = _random_serving(seed)
+    num_pixels = serving.pixel_cell.size
+    raster = rng.exponential(1.0, num_pixels)
+    pixel_se = rng.uniform(0.0, 4.4, num_pixels)
+    table = rng.uniform(-10.0, 40.0, (num_pixels, 4))
+    masks = {cid: serving.pixel_cell == cid for cid in serving.cell_ids}
+
+    expected = {cid: float(raster[m].sum()) for cid, m in masks.items()}
+    assert _per_cell_sums(raster, serving) == expected
+    specs = PlanningSpecSet("t", "pixel", "correlated", pixel_values=raster)
+    assert pixel_specs_to_cell(specs, serving) == expected
+
+    spread = np.zeros(num_pixels)
+    for cid, mask in masks.items():
+        if mask.any():
+            spread[mask] = expected[cid] * 0.7 / int(mask.sum())
+    policy = TenantSpecPolicy("t", 1.0, "uniform-sc")
+    assert _estimate_raster(policy, expected, serving, 0.7,
+                            num_pixels).tobytes() == spread.tobytes()
+
+    def mask_average_se(mask, weights):
+        if not mask.any():
+            return 0.0
+        if weights is not None and float(weights[mask].sum()) > 0:
+            return float((pixel_se[mask] * weights[mask]).sum() / float(weights[mask].sum()))
+        return float(pixel_se[mask].mean())
+
+    unweighted = raster.copy()       # one serving cell with no demand
+    unweighted[masks[next(c for c in serving.cell_ids if c != idle)]] = 0.0
+    for weights in (raster, unweighted, np.zeros(num_pixels), None):
+        for cid, mask in masks.items():
+            assert average_se(cid, serving, pixel_se, weights) == \
+                mask_average_se(mask, weights)
+    assert average_se(idle, serving, pixel_se, raster) == 0.0
+    with pytest.raises(ValueError, match="unknown cell id"):
+        average_se(max(serving.cell_ids) + 1, serving, pixel_se, raster)
+
+    reference = np.zeros(num_pixels)
+    for c in state.cells:
+        m = masks[c.cell_id]
+        if m.any():
+            reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
+    assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
+
+
+def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
+    grid = GridSpec(30.0, 30.0, 3.0)
+    state = random_state(np.random.default_rng(4), grid, num_cells=3)
+    ctx = EvaluationContext(grid=grid, radio=params, policies={},
+                            known_demand={"a": np.ones(grid.num_pixels)})
+    first = evaluate_state(state, ctx).snapshot.serving
+    second = evaluate_state(state, ctx).snapshot.serving
+    assert second is first
+    assert second.cell_pixels is first.cell_pixels
