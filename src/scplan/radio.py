@@ -184,8 +184,8 @@ def serving_assignment(state: NetworkState, grid: GridSpec,
                        params: PropagationParams) -> ServingMap:
     """Attach every pixel to the strongest cell; ties go to the lowest cell id."""
     rx = rx_power_matrix(state, grid, params)
-    ids = np.array(state.cell_ids)
-    return ServingMap(state.cell_ids, ids[np.argmax(rx, axis=1)])
+    serving_col = np.argmax(rx, axis=1)
+    return ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
 
 
 def configure_powers(state: NetworkState, grid: GridSpec,
@@ -368,7 +368,7 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     and per-pixel SE.  Path loss comes from ``cache`` if given."""
     rx = rx_power_matrix(state, grid, params, cache)
     serving_col = np.argmax(rx, axis=1)
-    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col])
+    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
     table = _sinr_table(state, params, serving_col, rx)
     se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
     pixel_se = serving_mean(state, serving, se_table)

@@ -6,7 +6,6 @@ formatting, no timestamps.  Raster CSVs round-trip value-identically.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from itertools import chain, count, repeat
 from pathlib import Path
@@ -213,8 +212,6 @@ def write_spec_csv(path, tenant_id: str, level: str,
             for cell_id in sorted(values):
                 w.writerow([tenant_id, level, cell_id, _fmt(values[cell_id])])
         else:
-            head = io.StringIO()        # tenant and level, quoted as csv.writer does
-            csv.writer(head).writerow([tenant_id, level])
-            fh.writelines(map("{},{},{}\r\n".format, repeat(head.getvalue()[:-2]),
-                              count(), _fmt_all(values)))
+            for i, v in enumerate(values):
+                w.writerow([tenant_id, level, i, _fmt(v)])
     return path

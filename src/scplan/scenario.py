@@ -11,7 +11,7 @@ Each dataclass checks its own fields on construction and raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -243,32 +243,50 @@ class TenantProfile:
 
 @dataclass(frozen=True)
 class ServingMap:
-    """Assignment of every pixel to exactly one deployed cell."""
+    """Assignment of every pixel to exactly one deployed cell.
+
+    ``pixel_col`` is each pixel's position in ``cell_ids``, as the smallest
+    unsigned integer type that holds it; it is derived from ``pixel_cell``
+    when not given.
+    """
 
     cell_ids: tuple[int, ...]
     pixel_cell: np.ndarray      # (num_pixels,) of cell ids
+    pixel_col: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixel_cell)
         arr.flags.writeable = False
         object.__setattr__(self, "pixel_cell", arr)
+        col = self.pixel_col
+        if col is None:
+            ids = np.asarray(self.cell_ids, dtype=np.int64)
+            rank = np.argsort(ids)
+            pos = np.searchsorted(ids[rank], arr)
+            if arr.size and (pos.max() >= ids.size or not np.array_equal(ids[rank[pos]], arr)):
+                raise ValueError("pixel_cell holds a cell id that is not in cell_ids")
+            col = rank[pos]
+        col = np.asarray(col).astype(np.min_scalar_type(len(self.cell_ids)))
+        col.flags.writeable = False
+        object.__setattr__(self, "pixel_col", col)
 
     @cached_property
     def cell_pixels(self) -> dict[int, np.ndarray]:
         """Ascending indices of the pixels each cell serves, in ``cell_ids``
         order; empty for a cell that serves none.  Built once per map from
-        one stable argsort; read-only.
+        one stable argsort of ``pixel_col``, whose small unsigned type makes
+        it a radix sort; read-only.
 
         ``a[cell_pixels[c]]`` holds the elements of ``a[pixel_cell == c]`` in
         the same order, so per-cell sums are bit-identical to the mask form
         while one aggregation over all cells costs O(P) instead of O(P*N).
         """
-        order = np.argsort(self.pixel_cell, kind="stable")
+        col = self.pixel_col
+        order = np.argsort(col, kind="stable")
         order.flags.writeable = False
-        ranked = self.pixel_cell[order]
-        lo = np.searchsorted(ranked, self.cell_ids, side="left")
-        hi = np.searchsorted(ranked, self.cell_ids, side="right")
-        return {cid: order[a:b] for cid, a, b in zip(self.cell_ids, lo.tolist(), hi.tolist())}
+        bounds = np.arange(1, len(self.cell_ids) + 1, dtype=col.dtype)
+        ends = np.searchsorted(col[order], bounds).tolist()
+        return {cid: order[a:b] for cid, a, b in zip(self.cell_ids, [0] + ends, ends)}
 
 
 @dataclass(frozen=True)

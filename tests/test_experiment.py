@@ -16,8 +16,7 @@ from scplan.monitor import MonitorParams
 from scplan.planner import PlannerParams
 from scplan.presets import build_reference_scenario, bundled_scenario_path
 from scplan.radio import PropagationParams
-from scplan.reporting import (read_raster_csv, write_raster_csv, write_raster_pgm,
-                              write_spec_csv)
+from scplan.reporting import read_raster_csv, write_raster_csv, write_raster_pgm
 from scplan.scenario import GridSpec, pixel_positions, select_candidate_sites
 from scplan.scenario_io import (InvariantError, ScenarioError, load_scenario,
                                 save_scenario, scenario_from_dict,
@@ -197,14 +196,6 @@ def test_writers_match_csv_writer_reference(tmp_path):
         write_raster_csv(tmp_path / "floats.csv", grid, ints.astype(float)).read_bytes()
     with pytest.raises(ValueError):
         write_raster_csv(tmp_path / "short.csv", grid, values[:-1])
-
-    with ref.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tenant", "level", "target", "value_mbps"])
-        for i, v in enumerate(values):
-            w.writerow(['a,"b"', "pixel", i, repr(float(v))])
-    got = write_spec_csv(tmp_path / "spec.csv", 'a,"b"', "pixel", values)
-    assert got.read_bytes() == ref.read_bytes()
 
     gray = np.round(np.linspace(0, 255, grid.num_pixels)).astype(int).reshape(grid.ny, grid.nx)
     ref.write_text("\n".join(["P2", f"{grid.nx} {grid.ny}", "255"]

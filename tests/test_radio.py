@@ -320,6 +320,15 @@ def test_cell_pixels_partition_the_grid_in_ascending_groups(seed):
         with pytest.raises(ValueError, match="read-only"):
             pixels[:1] = 0
     assert serving.cell_pixels is groups
+    assert np.array_equal(np.array(serving.cell_ids)[serving.pixel_col], serving.pixel_cell)
+    assert serving.pixel_col.dtype == np.uint8
+
+
+def test_serving_map_rejects_a_pixel_of_an_unknown_cell():
+    for ids, pixel_cell in (((3, 1), [1, 3, 2]), ((3, 1), [1, 4]), ((), [0])):
+        with pytest.raises(ValueError, match="not in cell_ids"):
+            ServingMap(ids, np.array(pixel_cell))
+    assert ServingMap((), np.array([], dtype=int)).cell_pixels == {}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -378,3 +387,7 @@ def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
     second = evaluate_state(state, ctx).snapshot.serving
     assert second is first
     assert second.cell_pixels is first.cell_pixels
+    derived = ServingMap(first.cell_ids, first.pixel_cell)     # columns found from the ids
+    assert np.array_equal(derived.pixel_col, first.pixel_col)
+    for cid, pixels in first.cell_pixels.items():
+        assert np.array_equal(derived.cell_pixels[cid], pixels)
