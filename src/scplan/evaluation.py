@@ -161,7 +161,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         powered = configure_powers(state, ctx.grid, ctx.radio)
         link = ctx.link_cache.remember(
             state, powered, *link_state(powered, ctx.grid, ctx.radio, ctx.link_cache))
-    state, serving, rx, sinr_table, pixel_se = link
+    state, serving, sinr_table, pixel_se = link
 
     basis_cell = None
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):
@@ -195,7 +195,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
            for c in state.cells}
     cap = {c.cell_id: cell_capacity(len(c.channels), avg[c.cell_id], ctx.radio)
            for c in state.cells}
-    snap = RadioSnapshot(serving, rx, sinr_table, pixel_se, avg, cap)
+    snap = RadioSnapshot(serving, sinr_table, pixel_se, avg, cap)
 
     tenant_ids = list(demands)
     required = {}

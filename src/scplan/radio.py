@@ -102,49 +102,32 @@ def noise_floor_dbm(params: PropagationParams) -> float:
             + params.noise_figure_db)
 
 
-def _site_positions(state: NetworkState, grid: GridSpec) -> np.ndarray:
-    pos = pixel_positions(grid)
-    return pos[np.array(state.site_pixels, dtype=int)]
-
-
 class LinkCache:
     """Radio quantities of one run that depend on the layout alone.
 
-    It holds the path-loss column of each site of the last layout seen, so
-    a layout that differs from it by a cell computes one new column, and
-    the link state of the last layout evaluated: the input layout, its
-    powered state, serving map, rx power, SINR table and per-pixel SE (see
-    ``evaluation.evaluate_state``).  Both belong to one grid and one set of
-    radio parameters; using the cache with others drops what it holds.
-    Memoized arrays are read-only.
+    For the cells of the last layout seen it holds the path-loss column of
+    each site and the mW received-power column of each (site, power), so a
+    layout that differs from it by a cell or a power computes only that
+    cell's columns (see ``rx_power_matrix``); and the link state of the last
+    layout evaluated: the input layout, its powered state, serving map, SINR
+    table and per-pixel SE (see ``evaluation.evaluate_state``).  Both belong
+    to one grid and one set of radio parameters; using the cache with others
+    drops what it holds.  Memoized arrays and mW columns are read-only.
     """
 
     def __init__(self):
         self._scope = None
-        self._columns: dict[int, np.ndarray] = {}
+        self._path_loss: dict[int, np.ndarray] = {}
+        self._linear: dict[tuple[int, float], np.ndarray] = {}
         self._layout = None
 
     def _use(self, grid: GridSpec, params: PropagationParams):
         if self._scope != (grid, params):
             self._scope = (grid, params)
-            self._columns, self._layout = {}, None
-
-    def path_loss(self, state: NetworkState, grid: GridSpec,
-                  params: PropagationParams) -> np.ndarray:
-        """(num_pixels, num_cells) path loss in dB, cells in id order."""
-        self._use(grid, params)
-        pos = pixel_positions(grid)
-        columns = {}
-        for site in state.site_pixels:
-            column = self._columns.get(site)
-            if column is None:
-                column = path_loss(np.sqrt(((pos - pos[site]) ** 2).sum(axis=1)), params)
-            columns[site] = column
-        self._columns = columns
-        return np.stack(list(columns.values()), axis=1)
+            self._path_loss, self._linear, self._layout = {}, {}, None
 
     def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
-        """``(powered state, serving, rx, SINR table, pixel SE)`` of ``state``
+        """``(powered state, serving, SINR table, pixel SE)`` of ``state``
         if it is the last layout remembered, or that layout's powered state
         (powers depend on the layout alone), else None."""
         self._use(grid, params)
@@ -162,13 +145,32 @@ class LinkCache:
 
 
 def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationParams,
-                    cache: LinkCache | None = None) -> np.ndarray:
-    """(num_pixels, num_cells) received power in dBm, cells in id order."""
+                    cache: LinkCache | None = None
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The (num_pixels, num_cells) received power as its columns, in dBm
+    and in mW, cells in id order; no matrix is built.  A dBm column is
+    ``(power + gain) - pl``, the float the whole-matrix broadcast gives;
+    path-loss and mW columns come from ``cache`` when it holds them."""
     if not state.cells:
         raise ValueError("empty network")
-    pl = (LinkCache() if cache is None else cache).path_loss(state, grid, params)
-    powers = np.array([c.power_dbm for c in state.cells])
-    return powers[None, :] + params.antenna_gain_db - pl
+    cache = LinkCache() if cache is None else cache
+    cache._use(grid, params)
+    pos = pixel_positions(grid)
+    path_loss_by_site, linear, rx_dbm = {}, {}, []
+    for c in state.cells:
+        pl = cache._path_loss.get(c.site_pixel)
+        if pl is None:
+            pl = path_loss(np.sqrt(((pos - pos[c.site_pixel]) ** 2).sum(axis=1)), params)
+        path_loss_by_site[c.site_pixel] = pl
+        rx_dbm.append((c.power_dbm + params.antenna_gain_db) - pl)
+        key = (c.site_pixel, c.power_dbm)
+        lin = cache._linear.get(key)
+        if lin is None:
+            lin = 10.0 ** (rx_dbm[-1] / 10.0)
+            lin.flags.writeable = False
+        linear[key] = lin
+    cache._path_loss, cache._linear = path_loss_by_site, linear
+    return rx_dbm, list(linear.values())
 
 
 def received_power(cell_id: int, pixel: int, state: NetworkState,
@@ -183,9 +185,7 @@ def received_power(cell_id: int, pixel: int, state: NetworkState,
 def serving_assignment(state: NetworkState, grid: GridSpec,
                        params: PropagationParams) -> ServingMap:
     """Attach every pixel to the strongest cell; ties go to the lowest cell id."""
-    rx = rx_power_matrix(state, grid, params)
-    serving_col = np.argmax(rx, axis=1)
-    return ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
+    return link_state(state, grid, params)[0]
 
 
 def configure_powers(state: NetworkState, grid: GridSpec,
@@ -215,7 +215,7 @@ def configure_powers(state: NetworkState, grid: GridSpec,
     if n == 1:
         return _with_powers(state, powers)
 
-    sites = _site_positions(state, grid)
+    sites = pixel_positions(grid)[list(state.site_pixels)]
     pair_d = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
     np.fill_diagonal(pair_d, np.inf)
     nearest = np.argmin(pair_d, axis=1)
@@ -223,11 +223,11 @@ def configure_powers(state: NetworkState, grid: GridSpec,
     edge = sites + (sites[nearest] - sites) * params.edge_fraction
     edge_d = np.sqrt(((edge[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
 
-    co_channel = np.zeros((n, n), dtype=bool)
-    for i, ci in enumerate(cells):
-        for j, cj in enumerate(cells):
-            if i != j and set(ci.channels) & set(cj.channels):
-                co_channel[i, j] = True
+    member = np.zeros((n, 1 + max(max(c.channels) for c in cells)), dtype=bool)
+    for i, c in enumerate(cells):
+        member[i, list(c.channels)] = True
+    co_channel = member @ member.T
+    np.fill_diagonal(co_channel, False)
 
     serving_pl = path_loss(params.edge_fraction * isd, params)
     edge_pl = path_loss(edge_d, params)
@@ -255,29 +255,6 @@ def _with_powers(state: NetworkState, powers: np.ndarray) -> NetworkState:
     return replace(state, cells=cells)
 
 
-def _sinr_table(state: NetworkState, params: PropagationParams,
-                serving_col: np.ndarray, rx_dbm: np.ndarray) -> np.ndarray:
-    """(num_pixels, num_channels) serving-link SINR in dB, NaN where the
-    serving cell does not hold the channel.  ``serving_col`` is each pixel's
-    serving column of ``rx_dbm``."""
-    rx_lin = 10.0 ** (rx_dbm / 10.0)
-    s_lin = rx_lin[np.arange(rx_lin.shape[0]), serving_col]
-    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
-
-    out = np.full((rx_dbm.shape[0], params.num_channels), np.nan)
-    for ch in range(params.num_channels):
-        holders = np.array([ch in c.channels for c in state.cells])
-        if not holders.any():
-            continue
-        total = rx_lin[:, holders].sum(axis=1)
-        serving_holds = holders[serving_col]
-        interference = total - np.where(serving_holds, s_lin, 0.0)
-        sinr_lin = s_lin / (interference + noise_lin)
-        col = 10.0 * np.log10(sinr_lin)
-        out[:, ch] = np.where(serving_holds, col, np.nan)
-    return out
-
-
 def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
          params: PropagationParams) -> float:
     """Serving-link SINR (dB) at a pixel on one channel.
@@ -285,13 +262,12 @@ def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
     Interference is the sum of received powers from every other deployed
     cell holding the channel; noise spans one channel bandwidth.
     """
-    rx = rx_power_matrix(state, grid, params)
-    serving_col = np.argmax(rx, axis=1)
-    serving_cell = state.cells[serving_col[pixel]]
+    serving, table, _ = link_state(state, grid, params)
+    serving_cell = state.cells[serving.pixel_col[pixel]]
     if channel not in serving_cell.channels:
         raise ValueError(f"channel {channel} not allocated at serving cell "
                          f"{serving_cell.cell_id}")
-    return float(_sinr_table(state, params, serving_col, rx)[pixel, channel])
+    return float(table[pixel, channel])
 
 
 def spectral_efficiency(sinr_db, params: PropagationParams):
@@ -354,7 +330,6 @@ class RadioSnapshot:
     """
 
     serving: ServingMap
-    rx_power_dbm: np.ndarray
     sinr_db: np.ndarray
     pixel_se: np.ndarray
     avg_se: dict[int, float]
@@ -363,24 +338,46 @@ class RadioSnapshot:
 
 def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
                cache: LinkCache | None = None
-               ) -> tuple[ServingMap, np.ndarray, np.ndarray, np.ndarray]:
-    """Weight-independent link quantities: serving map, rx power, SINR table
-    and per-pixel SE.  Path loss comes from ``cache`` if given."""
-    rx = rx_power_matrix(state, grid, params, cache)
-    serving_col = np.argmax(rx, axis=1)
+               ) -> tuple[ServingMap, np.ndarray, np.ndarray]:
+    """Weight-independent link quantities from each cell's rx columns (from
+    ``cache`` if given): serving map, SINR table (NaN where the serving cell
+    does not hold the channel) and per-pixel SE.  Serving is a running
+    strict ``>`` in cell order, so ties go to the lowest cell id.  A
+    channel's total adds its holders' mW columns in cell order, the
+    additions numpy makes summing those matrix columns along axis 1.  SE is
+    computed only where the serving cell holds the channel."""
+    rx_dbm, rx_lin = rx_power_matrix(state, grid, params, cache)
+    best = rx_dbm[0].copy()
+    serving_col = np.zeros(best.size, dtype=np.intp)
+    for j, col in enumerate(rx_dbm[1:], start=1):
+        serving_col[col > best] = j
+        np.maximum(best, col, out=best)
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
-    table = _sinr_table(state, params, serving_col, rx)
-    se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
-    pixel_se = serving_mean(state, serving, se_table)
-    return serving, rx, table, pixel_se
+    s_lin = np.empty(best.size)
+    for lin, pixels in zip(rx_lin, serving.cell_pixels.values()):
+        s_lin[pixels] = lin[pixels]
+
+    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
+    table = np.full((best.size, params.num_channels), np.nan)
+    se_table = np.zeros(table.shape)
+    for ch in range(params.num_channels):
+        holders = np.array([ch in c.channels for c in state.cells])
+        if holders.any():
+            lin = [rx_lin[j] for j in np.flatnonzero(holders)]
+            hold = holders[serving_col]
+            s = s_lin[hold]
+            total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
+            sinr_db = 10.0 * np.log10(s / ((total[hold] - s) + noise_lin))
+            table[hold, ch], se_table[hold, ch] = sinr_db, spectral_efficiency(sinr_db, params)
+    return serving, table, serving_mean(state, serving, se_table)
 
 
 def radio_snapshot(state: NetworkState, grid: GridSpec, params: PropagationParams,
                    pixel_weights: np.ndarray | None = None) -> RadioSnapshot:
     """Evaluate serving, SINR, SE and capacity for the whole grid at once."""
-    serving, rx, table, pixel_se = link_state(state, grid, params)
+    serving, table, pixel_se = link_state(state, grid, params)
     avg = {c.cell_id: average_se(c.cell_id, serving, pixel_se, pixel_weights)
            for c in state.cells}
     cap = {c.cell_id: cell_capacity(len(c.channels), avg[c.cell_id], params)
            for c in state.cells}
-    return RadioSnapshot(serving, rx, table, pixel_se, avg, cap)
+    return RadioSnapshot(serving, table, pixel_se, avg, cap)

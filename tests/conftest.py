@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from scplan.radio import PropagationParams
-from scplan.scenario import (GridSpec, NetworkState, SmallCell,
+from scplan.radio import (PropagationParams, noise_floor_dbm, path_loss, serving_mean,
+                          spectral_efficiency)
+from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
 
 
@@ -110,3 +111,32 @@ def random_state(rng: np.random.Generator, grid: GridSpec, num_cells: int,
         power = float(rng.uniform(*power_span))
         cells.append(SmallCell(i, int(site), channels, power))
     return NetworkState(tuple(cells))
+
+
+def matrix_link_state(state: NetworkState, grid: GridSpec, params: PropagationParams):
+    """The link state in its (pixels, cells) matrix form: stacked rx, argmax
+    serving, the holders' columns of ``10 ** (rx / 10)`` summed along axis 1
+    and SE over the whole NaN-filled table.  Returns ``(serving, rx, SINR
+    table, pixel SE)``."""
+    pos = pixel_positions(grid)
+    pl = np.stack([path_loss(np.sqrt(((pos - pos[site]) ** 2).sum(axis=1)), params)
+                   for site in state.site_pixels], axis=1)
+    powers = np.array([c.power_dbm for c in state.cells])
+    rx = powers[None, :] + params.antenna_gain_db - pl
+    serving_col = np.argmax(rx, axis=1)
+    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
+    rx_lin = 10.0 ** (rx / 10.0)
+    s_lin = rx_lin[np.arange(rx_lin.shape[0]), serving_col]
+    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
+    table = np.full((rx.shape[0], params.num_channels), np.nan)
+    for ch in range(params.num_channels):
+        holders = np.array([ch in c.channels for c in state.cells])
+        if not holders.any():
+            continue
+        total = rx_lin[:, holders].sum(axis=1)
+        serving_holds = holders[serving_col]
+        interference = total - np.where(serving_holds, s_lin, 0.0)
+        col = 10.0 * np.log10(s_lin / (interference + noise_lin))
+        table[:, ch] = np.where(serving_holds, col, np.nan)
+    se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
+    return serving, rx, table, serving_mean(state, serving, se_table)

@@ -397,7 +397,7 @@ def _assert_same_evaluation(a, b):
     sa, sb = a.snapshot, b.snapshot
     assert sa.serving.cell_ids == sb.serving.cell_ids
     for x, y in ((sa.serving.pixel_cell, sb.serving.pixel_cell),
-                 (sa.rx_power_dbm, sb.rx_power_dbm), (sa.sinr_db, sb.sinr_db),
+                 (sa.sinr_db, sb.sinr_db),
                  (sa.pixel_se, sb.pixel_se)):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert (sa.avg_se, sa.capacity_mbps) == (sb.avg_se, sb.capacity_mbps)

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (oracle_noise_dbm, oracle_path_loss, oracle_serving,
-                      oracle_sinr_db, random_state)
+from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
+                      oracle_serving, oracle_sinr_db, random_state)
 from scplan.evaluation import (EvaluationContext, TenantSpecPolicy, _estimate_raster,
                                _per_cell_sums, evaluate_state)
 from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
-                          configure_powers, path_loss, radio_snapshot,
+                          configure_powers, link_state, path_loss, radio_snapshot,
                           received_power, rx_power_matrix, serving_assignment,
                           serving_mean, sinr, spectral_efficiency)
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
@@ -258,8 +258,9 @@ def test_snapshot_capacity_identity_and_partition(params):
 
 
 def test_cached_path_loss_columns_match_whole_matrix(params):
-    # columns kept across layouts give the same bits as the whole-matrix
-    # broadcast over every pixel and cell, also after a change of radio
+    # dBm and mW columns kept across layouts give the same bits as the
+    # whole-matrix broadcast over every pixel and cell and its 10 ** (rx / 10),
+    # also after a change of radio
     rng = np.random.default_rng(11)
     grid = GridSpec(45.0, 30.0, 3.0)
     pos = pixel_positions(grid)
@@ -275,8 +276,10 @@ def test_cached_path_loss_columns_match_whole_matrix(params):
             d = np.sqrt(((pos[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
             powers = np.array([c.power_dbm for c in layout.cells])
             whole = powers[None, :] + radio.antenna_gain_db - path_loss(d, radio)
-            assert rx_power_matrix(layout, grid, radio, cache).tobytes() == whole.tobytes()
-            assert rx_power_matrix(layout, grid, radio).tobytes() == whole.tobytes()
+            for c in (cache, None):
+                rx_dbm, rx_lin = rx_power_matrix(layout, grid, radio, c)
+                assert np.stack(rx_dbm, axis=1).tobytes() == whole.tobytes()
+                assert np.stack(rx_lin, axis=1).tobytes() == (10.0 ** (whole / 10.0)).tobytes()
 
 
 def test_memoized_link_arrays_are_read_only(params):
@@ -286,10 +289,74 @@ def test_memoized_link_arrays_are_read_only(params):
                             known_demand={"a": np.ones(grid.num_pixels)})
     for _ in range(2):          # computed, then taken from the cache
         snap = evaluate_state(state, ctx).snapshot
-        for arr in (snap.rx_power_dbm, snap.sinr_db, snap.pixel_se,
-                    snap.serving.pixel_cell):
+        for arr in (snap.sinr_db, snap.pixel_se, snap.serving.pixel_cell):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+def _layouts_with_a_tie(seed: int, grid: GridSpec) -> list[NetworkState]:
+    """Random layouts of 3 to 40 cells on 4 channels, each with two cells at
+    equal power mirrored across the grid's middle column, so the pixels of
+    that column receive them with equal power; the layout grows and shrinks
+    by a cell and one cell's power changes, as in a site search."""
+    rng = np.random.default_rng(seed)
+    row, col = int(rng.integers(grid.ny)), int(rng.integers(grid.nx // 2))
+    mirror = (row * grid.nx + col, row * grid.nx + grid.nx - 1 - col)
+    free = [p for p in range(grid.num_pixels) if p not in mirror]
+    sites = rng.choice(free, size=int(rng.integers(1, 39)) + 1, replace=False)
+    power = float(rng.uniform(10.0, 24.0))
+    cells = [SmallCell(1, mirror[0], (0,), power), SmallCell(2, mirror[1], (0, 2), power)]
+    cells += [SmallCell(i, int(site), tuple(int(ch) for ch in rng.choice(
+                  4, size=int(rng.integers(1, 3)), replace=False)),
+                  float(rng.uniform(10.0, 24.0))) for i, site in enumerate(sites[1:], 3)]
+    state = NetworkState(tuple(cells))
+    last = cells[-1]
+    return [state, state.add_cell(SmallCell(99, int(sites[0]), (1, 3), power)),
+            state, state.remove_cell(last.cell_id),
+            state.remove_cell(last.cell_id).add_cell(replace(last, power_dbm=power))]
+
+
+def test_link_state_equals_the_matrix_form_bit_for_bit(params):
+    grid = GridSpec(63.0, 45.0, 3.0)        # 21 x 15 pixels, a middle column
+    shared = LinkCache()
+    ties = crowded = 0
+    for seed in range(12):
+        for layout in _layouts_with_a_tie(seed, grid):
+            serving, rx, table, pixel_se = matrix_link_state(layout, grid, params)
+            top = rx == rx.max(axis=1, keepdims=True)
+            ties += int((top.sum(axis=1) > 1).sum())
+            crowded += max(sum(ch in c.channels for c in layout.cells) for ch in range(4)) >= 8
+            for cache in (shared, LinkCache()):
+                got = link_state(layout, grid, params, cache)
+                assert got[0].cell_ids == serving.cell_ids
+                for x, y in ((got[0].pixel_cell, serving.pixel_cell),
+                             (got[0].pixel_col, serving.pixel_col),
+                             (got[1], table), (got[2], pixel_se)):
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert ties > 0 and crowded > 0
+
+
+def test_only_a_changed_cell_recomputes_its_mw_column(params):
+    grid = GridSpec(45.0, 30.0, 3.0)
+    state = random_state(np.random.default_rng(6), grid, num_cells=5)
+    cache = LinkCache()
+    _, before = rx_power_matrix(state, grid, params, cache)
+    third = state.cells[2]
+    changed = state.remove_cell(third.cell_id).add_cell(
+        replace(third, power_dbm=third.power_dbm + 1.0))
+    _, after = rx_power_matrix(changed, grid, params, cache)
+    assert [a is b for a, b in zip(after, before)] == [True, True, False, True, True]
+    free = next(p for p in range(grid.num_pixels) if p not in state.site_pixels)
+    _, grown = rx_power_matrix(changed.add_cell(SmallCell(99, free, (1,), 20.0)),
+                               grid, params, cache)
+    assert len(grown) == 6 and all(a is b for a, b in zip(grown, after))
+    for column in grown:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    _, other = rx_power_matrix(changed, grid, replace(params, antenna_gain_db=3.0), cache)
+    _, again = rx_power_matrix(changed, grid, params, cache)
+    assert not any(a is b for a, b in zip(other, after))
+    assert not any(a is b for a, b in zip(again, after + other))
 
 
 def _random_serving(seed: int):
