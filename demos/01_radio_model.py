@@ -3,8 +3,9 @@
 Run:  python demos/01_radio_model.py
 """
 from scplan import (GridSpec, NetworkState, PropagationParams, SmallCell,
-                    configure_powers, path_loss, radio_snapshot,
+                    average_se, cell_capacity, configure_powers, path_loss,
                     spectral_efficiency)
+from scplan.radio import link_state
 from scplan.reporting import write_raster_pgm
 
 params = PropagationParams()
@@ -28,14 +29,15 @@ print("\nauto-configured transmit powers (9 dB target at the cell edge):")
 for cell in state.cells:
     print(f"  cell {cell.cell_id}: {cell.power_dbm:5.2f} dBm on channels {cell.channels}")
 
-snap = radio_snapshot(state, grid, params)
+serving, _, pixel_se = link_state(state, grid, params)
 print("\nper-cell results (uniform SE weighting, no traffic yet):")
 for cell in state.cells:
-    served = int((snap.serving.pixel_cell == cell.cell_id).sum())
+    served = serving.cell_pixels[cell.cell_id].size
+    avg = average_se(cell.cell_id, serving, pixel_se)
     print(f"  cell {cell.cell_id}: serves {served:4d} pixels, "
-          f"avg SE {snap.avg_se[cell.cell_id]:.2f} b/s/Hz, "
-          f"capacity {snap.capacity_mbps[cell.cell_id]:6.1f} Mbps")
+          f"avg SE {avg:.2f} b/s/Hz, "
+          f"capacity {cell_capacity(len(cell.channels), avg, params):6.1f} Mbps")
 
-write_raster_pgm("serving_demo.pgm", grid, snap.serving.pixel_cell.astype(float))
-write_raster_pgm("se_demo.pgm", grid, snap.pixel_se)
+write_raster_pgm("serving_demo.pgm", grid, serving.pixel_cell.astype(float))
+write_raster_pgm("se_demo.pgm", grid, pixel_se)
 print("\nwrote serving_demo.pgm and se_demo.pgm (grayscale rasters)")

@@ -11,11 +11,9 @@ from .scenario import (ScenarioError, InvariantError, GridSpec,
                        SmallCell, NetworkState, select_candidate_sites,
                        pixel_positions)
 from .radio import (PropagationParams, RadioSnapshot, path_loss,
-                    noise_floor_dbm, received_power, serving_assignment,
-                    configure_powers, sinr, spectral_efficiency, average_se,
-                    cell_capacity, radio_snapshot)
-from .sla import (BusyHourSpec, PlanningSpecSet, busy_hour_spec,
-                  translate_sc_level, translate_pixel_level,
+                    noise_floor_dbm, serving_assignment, configure_powers,
+                    sinr, spectral_efficiency, average_se, cell_capacity)
+from .sla import (PlanningSpecSet, translate_sc_level, translate_pixel_level,
                   pixel_specs_to_cell)
 from .monitor import (MonitorParams, DemandHistory, TriggerDecision,
                       SlaExceedNotice, required_bandwidth, busy_hour,
@@ -24,10 +22,9 @@ from .evaluation import (METHODS, TenantSpecPolicy, EvaluationContext,
                          NetworkEvaluation, make_policy, evaluate_state)
 from .planner import (PlannerParams, ActionLedger, AddChannel, RemoveChannel,
                       AddCell, RemoveCell, Relocate, select_channel,
-                      select_site, plan, compress_actions, compress_ledger,
-                      replay_actions)
-from .scenario_io import (Scenario, NewTenantEvent, load_scenario,
-                          save_scenario, validate, validate_file)
+                      select_site, plan, compress_actions, replay_actions)
+from .scenario_io import (Scenario, NewTenantEvent, load_scenario, validate,
+                          validate_file)
 from .experiment import (ExperimentConfig, Report, RunContext, build_context,
                          run_experiment, emit_report, plan_once)
 from .presets import build_reference_scenario, bundled_scenario_path

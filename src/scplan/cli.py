@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from .evaluation import METHODS, evaluate_state
-from .experiment import (ExperimentConfig, build_context, emit_report, plan_once,
-                         run_experiment, validate_file)
+from .experiment import (PARAM_OVERRIDES, ExperimentConfig, build_context, emit_report,
+                         plan_once, run_experiment)
 from .presets import bundled_scenario_path
 from .reporting import (read_bandwidth_table, write_actions_csv,
                         write_bandwidth_table, write_changelog,
                         write_layout_fragment, write_spec_csv)
-from .scenario_io import InvariantError, ScenarioError
+from .scenario_io import InvariantError, ScenarioError, validate_file
 
 __all__ = ["main"]
 
@@ -61,12 +61,8 @@ def _config(args, need_out=False) -> ExperimentConfig:
     return ExperimentConfig(
         scenario_path=_resolve_scenario(args.scenario),
         method=getattr(args, "method", "corr-px"),
-        horizon=args.horizon, seed=args.seed, out_dir=args.out,
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-        k_max=args.k_max, n_max_sc=args.n_max_sc,
-        window_steps=args.window_steps,
-        consecutive_steps=args.consecutive_steps,
-        step4_mode=args.step4_mode)
+        horizon=args.horizon, seed=args.seed,
+        **{name: getattr(args, name) for name in PARAM_OVERRIDES})
 
 
 def _cmd_validate(args) -> int:

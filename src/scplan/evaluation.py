@@ -124,11 +124,6 @@ class NetworkEvaluation:
         return sum(self.required_mhz.values())
 
 
-def _per_cell_sums(raster: np.ndarray, serving) -> dict[int, float]:
-    return {cid: float(raster[pixels].sum())
-            for cid, pixels in serving.cell_pixels.items()}
-
-
 def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
                      serving, scale: float, num_pixels: int) -> np.ndarray:
     """Expected per-pixel traffic of a tenant whose service is not live yet.
@@ -168,7 +163,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         basis = ctx.basis()
         total_basis = (np.sum(list(basis.values()), axis=0) if basis
                        else np.zeros(ctx.grid.num_pixels))
-        basis_cell = _per_cell_sums(total_basis, serving)
+        basis_cell = serving.cell_sums(total_basis)
 
     weights = np.zeros(ctx.grid.num_pixels)
     for raster in ctx.known_demand.values():
@@ -179,7 +174,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         a = policy.cell_specs(state, serving, basis_cell)
         specs[tenant_id] = a
         if tenant_id in ctx.known_demand:
-            demands[tenant_id] = _per_cell_sums(ctx.known_demand[tenant_id], serving)
+            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id])
         else:
             scale = ctx.estimate_scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
@@ -188,7 +183,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     for tenant_id, raster in ctx.known_demand.items():
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
-            demands[tenant_id] = _per_cell_sums(raster, serving)
+            demands[tenant_id] = serving.cell_sums(raster)
             specs[tenant_id] = dict(demands[tenant_id])
 
     avg = {c.cell_id: average_se(c.cell_id, serving, pixel_se, weights)

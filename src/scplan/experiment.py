@@ -22,13 +22,13 @@ import numpy as np
 from . import reporting
 from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
                          evaluate_state, make_policy)
-from .monitor import CellCheck, DemandHistory, SlaExceedNotice, \
+from .monitor import CellCheck, DemandHistory, MonitorParams, SlaExceedNotice, \
     check_trigger, sla_exceed_check
-from .planner import ActionLedger, plan
+from .planner import ActionLedger, PlannerParams, plan
 from .radio import LinkCache, configure_powers, serving_mean
 from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
                        select_candidate_sites)
-from .scenario_io import Scenario, load_scenario, validate, validate_file
+from .scenario_io import Scenario, load_scenario
 
 __all__ = [
     "ExperimentConfig",
@@ -37,8 +37,6 @@ __all__ = [
     "build_context",
     "run_experiment",
     "emit_report",
-    "validate",
-    "validate_file",
     "plan_once",
 ]
 
@@ -49,7 +47,6 @@ class ExperimentConfig:
     method: str = "corr-px"
     horizon: int | None = None
     seed: int | None = None                 # overrides the candidate-site seed
-    out_dir: str | Path | None = None
     alpha: float | None = None
     beta: float | None = None
     gamma: float | None = None
@@ -83,6 +80,12 @@ class ExperimentConfig:
             scn = replace(scn, candidate_sites=select_candidate_sites(
                 scn.grid, scn.candidate_fraction, self.seed))
         return scn
+
+
+# The ExperimentConfig fields that override the monitor or planner parameter
+# of the same name, in field order, which is the order a run summary echoes.
+PARAM_OVERRIDES = tuple(f.name for f in fields(ExperimentConfig) if f.name in
+                        {p.name for p in fields(MonitorParams) + fields(PlannerParams)})
 
 
 @dataclass
@@ -124,14 +127,11 @@ class RunContext:
     policies: dict[str, TenantSpecPolicy]
     link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
 
-    def demand(self, tenant: TenantProfile, t: int) -> np.ndarray:
-        return self.spatial[tenant.tenant_id] * tenant.temporal_weight(t)
-
     def evaluation(self, active, live, t: int) -> EvaluationContext:
         """Model inputs at step ``t``: the ``active`` tenants' policies, the
         observed traffic of those ``live``, and the others estimated from
         their specs scaled by their temporal profile."""
-        known = {tn.tenant_id: self.demand(tn, t) for tn in live}
+        known = {tn.tenant_id: _demand(self.spatial, tn, t) for tn in live}
         ids = {tn.tenant_id for tn in active}
         return EvaluationContext(
             grid=self.scenario.grid, radio=self.scenario.radio,
@@ -150,6 +150,18 @@ class RunContext:
                                  basis_demand=self.basis, link_cache=self.link_cache)
 
 
+def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np.ndarray:
+    """A tenant's traffic at step ``t``: its peak raster scaled by its profile."""
+    return spatial[tenant.tenant_id] * tenant.temporal_weight(t)
+
+
+def _peak_step(spatial: dict[str, np.ndarray], tenants, horizon: int) -> int:
+    """Step of the horizon with the most traffic from ``tenants``; ties go
+    to the latest."""
+    return max(range(horizon), key=lambda t: (
+        sum(float(_demand(spatial, tn, t).sum()) for tn in tenants), t))
+
+
 def build_context(scn: Scenario, method: str, horizon: int | None = None) -> RunContext:
     """Set-up shared by runs, planning passes and spec translation.
 
@@ -164,14 +176,8 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
     grid, existing, event = scn.grid, scn.tenants, scn.event
     arriving = () if event is None else (event.tenant,)
     spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
-
-    def traffic(tn: TenantProfile, t: int) -> np.ndarray:
-        return spatial[tn.tenant_id] * tn.temporal_weight(t)
-
-    busy_step = max(
-        range(horizon),
-        key=lambda t: (sum(float(traffic(tn, t).sum()) for tn in existing), t))
-    basis = {tn.tenant_id: traffic(tn, busy_step) for tn in existing}
+    busy_step = _peak_step(spatial, existing, horizon)
+    basis = {tn.tenant_id: _demand(spatial, tn, busy_step) for tn in existing}
     policies = {}
     for tn in existing:
         own = spatial[tn.tenant_id]
@@ -243,9 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     # evaluate the final layout against actual traffic from every tenant
     all_tenants = existing + ([event.tenant] if event is not None else [])
-    eval_step = max(
-        range(horizon),
-        key=lambda t: (sum(float(run.demand(tn, t).sum()) for tn in all_tenants), t))
+    eval_step = _peak_step(run.spatial, all_tenants, horizon)
     ctx = run.evaluation(all_tenants, all_tenants, eval_step)
     ev = evaluate_state(state, ctx)
     state = ev.state
@@ -259,20 +263,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         "pixel_se": snap.pixel_se,
         "sinr_db": serving_mean(state, snap.serving, snap.sinr_db),
     }
-    echo = {
-        "scenario": str(cfg.scenario_path),
-        "method": cfg.method,
-        "horizon": horizon,
-        "seed": cfg.seed,
-        "alpha": scn.monitor.alpha,
-        "beta": scn.planner.beta,
-        "gamma": scn.planner.gamma,
-        "k_max": scn.planner.k_max,
-        "n_max_sc": scn.planner.n_max_sc,
-        "window_steps": scn.monitor.window_steps,
-        "consecutive_steps": scn.monitor.consecutive_steps,
-        "step4_mode": scn.planner.step4_mode,
-    }
+    echo = {"scenario": str(cfg.scenario_path), "method": cfg.method,
+            "horizon": horizon, "seed": cfg.seed}
+    for name in PARAM_OVERRIDES:
+        echo[name] = getattr(scn.monitor if hasattr(scn.monitor, name) else scn.planner, name)
     return Report(cfg.method, horizon, eval_step, checks, fired_steps, notices,
                   ledgers, initial_state, state, rows, total, len(state.cells),
                   rasters, grid, echo)

@@ -36,7 +36,6 @@ __all__ = [
     "select_site",
     "plan",
     "compress_actions",
-    "compress_ledger",
     "replay_actions",
 ]
 
@@ -122,33 +121,28 @@ class ActionLedger:
     raw_actions: tuple = ()
     notes: tuple[str, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.actions)
 
-
-def _nearest_holder_distance(site_xy, channel: int, state: NetworkState,
+def _nearest_holder_distance(site_pixel: int, channel: int, state: NetworkState,
                              grid: GridSpec, exclude_cell: int | None = None) -> float:
     pos = pixel_positions(grid)
+    x, y = pos[site_pixel]
     best = math.inf
     for c in state.cells:
-        if c.cell_id == exclude_cell or channel not in c.channels:
-            continue
-        sx, sy = pos[c.site_pixel]
-        best = min(best, math.hypot(site_xy[0] - sx, site_xy[1] - sy))
+        if c.cell_id != exclude_cell and channel in c.channels:
+            hx, hy = pos[c.site_pixel]
+            best = min(best, math.hypot(x - hx, y - hy))
     return best
 
 
-def _best_channel(site_xy, held, state: NetworkState, grid: GridSpec,
+def _best_channel(site_pixel: int, held, state: NetworkState, grid: GridSpec,
                   params: PropagationParams, exclude_cell: int | None = None) -> int:
+    """Channel not in ``held`` whose nearest co-channel cell is farthest from
+    ``site_pixel``; with nothing held, the initial channel of a new cell."""
     candidates = [ch for ch in range(params.num_channels) if ch not in held]
     if not candidates:
         raise ValueError("channel-saturated")
-    best_ch, best_d = None, -math.inf
-    for ch in candidates:
-        d = _nearest_holder_distance(site_xy, ch, state, grid, exclude_cell)
-        if d > best_d:
-            best_ch, best_d = ch, d
-    return best_ch
+    return max(candidates, key=lambda ch: _nearest_holder_distance(
+        site_pixel, ch, state, grid, exclude_cell))
 
 
 def select_channel(cell_id: int, state: NetworkState, grid: GridSpec,
@@ -158,29 +152,16 @@ def select_channel(cell_id: int, state: NetworkState, grid: GridSpec,
     Channels unused anywhere win outright; ties go to the lowest index.
     """
     cell = state.cell(cell_id)
-    pos = pixel_positions(grid)[cell.site_pixel]
-    return _best_channel(pos, set(cell.channels), state, grid, params,
+    return _best_channel(cell.site_pixel, cell.channels, state, grid, params,
                          exclude_cell=cell_id)
-
-
-def _channel_for_site(site_pixel: int, state: NetworkState, grid: GridSpec,
-                      params: PropagationParams) -> int:
-    """Initial channel for a cell about to be deployed at a free site."""
-    pos = pixel_positions(grid)[site_pixel]
-    return _best_channel(pos, set(), state, grid, params)
 
 
 def _channel_to_remove(cell_id: int, state: NetworkState, grid: GridSpec) -> int:
     """Channel to release: the one with the closest co-channel neighbor
     (mirror of the add rule); ties go to the lowest index."""
     cell = state.cell(cell_id)
-    pos = pixel_positions(grid)[cell.site_pixel]
-    best_ch, best_d = None, math.inf
-    for ch in cell.channels:
-        d = _nearest_holder_distance(pos, ch, state, grid, exclude_cell=cell_id)
-        if best_ch is None or d < best_d:
-            best_ch, best_d = ch, d
-    return best_ch
+    return min(cell.channels, key=lambda ch: _nearest_holder_distance(
+        cell.site_pixel, ch, state, grid, exclude_cell=cell_id))
 
 
 def select_site(state: NetworkState, candidates: CandidateSiteSet,
@@ -198,7 +179,7 @@ def select_site(state: NetworkState, candidates: CandidateSiteSet,
         raise ValueError("site-saturated")
     best_site, best_total, best_required = None, math.inf, None
     for site in free:
-        ch = _channel_for_site(site, state, ctx.grid, ctx.radio)
+        ch = _best_channel(site, (), state, ctx.grid, ctx.radio)
         trial = state.add_cell(SmallCell(new_cell_id, site, (ch,),
                                          ctx.radio.power_max_dbm))
         ev = evaluate_state(trial, ctx)
@@ -254,7 +235,7 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
             notes.append("saturated: no sites")
             break
         site, _ = select_site(state, candidates, ctx, next_id)
-        ch = _channel_for_site(site, state, ctx.grid, ctx.radio)
+        ch = _best_channel(site, (), state, ctx.grid, ctx.radio)
         state = state.add_cell(SmallCell(next_id, site, (ch,), ctx.radio.power_max_dbm))
         raw.append(AddCell(next_id, site, (ch,), step=5))
         next_id += 1
@@ -301,12 +282,13 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
 def compress_actions(actions) -> list:
     """Cancel opposite actions and fold removal+addition pairs into moves.
 
-    Channel adds and removes on the same (cell, channel) cancel; a cell both
-    created and removed in the ledger vanishes along with its channel edits;
-    a surviving removal paired with a surviving addition becomes a
-    relocation.  Replaying the result yields the same final state as the
-    original sequence.  Assumes cell ids are not reused within one ledger
-    (the planner never reuses them).
+    ``actions`` is a raw ledger: channel and cell additions and removals in
+    execution order, no relocations.  Channel adds and removes on the same
+    (cell, channel) cancel; a cell both created and removed in the ledger
+    vanishes along with its channel edits; a surviving removal paired with a
+    surviving addition becomes a relocation.  Replaying the result yields
+    the same final state as the original sequence.  Assumes cell ids are not
+    reused within one ledger (the planner never reuses them).
     """
     ch_net: dict[tuple[int, int], int] = {}
     ch_last: dict[tuple[int, int], object] = {}
@@ -328,17 +310,6 @@ def compress_actions(actions) -> list:
                 ch_net = {k: v for k, v in ch_net.items() if k[0] != a.cell_id}
             else:
                 removed.append(a)
-        elif isinstance(a, Relocate):
-            if a.from_cell_id in created:
-                del created[a.from_cell_id]
-                order.remove(a.from_cell_id)
-                ch_net = {k: v for k, v in ch_net.items() if k[0] != a.from_cell_id}
-            else:
-                removed.append(RemoveCell(a.from_cell_id, a.from_site_pixel,
-                                          step=a.step))
-            created[a.to_cell_id] = AddCell(a.to_cell_id, a.to_site_pixel,
-                                            a.channels, step=a.step)
-            order.append(a.to_cell_id)
         else:
             raise TypeError(f"unknown action {a!r}")
     # channel edits on removed cells are void; edits on created cells fold
@@ -390,10 +361,6 @@ def compress_actions(actions) -> list:
     for key in sorted(k for k, v in ch_edits.items() if v < 0):
         out.append(ch_last[key])
     return out
-
-
-def compress_ledger(ledger: ActionLedger) -> ActionLedger:
-    return replace(ledger, actions=tuple(compress_actions(ledger.raw_actions or ledger.actions)))
 
 
 def replay_actions(initial: NetworkState, actions, grid: GridSpec,

@@ -24,10 +24,7 @@ from .scenario_io import NewTenantEvent, Scenario
 __all__ = [
     "build_reference_scenario",
     "bundled_scenario_path",
-    "REFERENCE_SCENARIO",
 ]
-
-REFERENCE_SCENARIO = "urban200m"
 
 CANDIDATE_SEED = 12
 INITIAL_DEMAND_MBPS = (22.5, 27.9, 19.3, 16.6)

@@ -26,14 +26,12 @@ __all__ = [
     "path_loss",
     "noise_floor_dbm",
     "rx_power_matrix",
-    "received_power",
     "serving_assignment",
     "configure_powers",
     "sinr",
     "spectral_efficiency",
     "average_se",
     "cell_capacity",
-    "radio_snapshot",
     "serving_mean",
 ]
 
@@ -171,15 +169,6 @@ def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationPara
         linear[key] = lin
     cache._path_loss, cache._linear = path_loss_by_site, linear
     return rx_dbm, list(linear.values())
-
-
-def received_power(cell_id: int, pixel: int, state: NetworkState,
-                   grid: GridSpec, params: PropagationParams) -> float:
-    """Received power (dBm) from one cell at one pixel."""
-    c = state.cell(cell_id)
-    px, py = grid.pixel_xy(pixel)
-    sx, sy = grid.pixel_xy(c.site_pixel)
-    return c.power_dbm + params.antenna_gain_db - path_loss(math.hypot(px - sx, py - sy), params)
 
 
 def serving_assignment(state: NetworkState, grid: GridSpec,
@@ -370,14 +359,3 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
             sinr_db = 10.0 * np.log10(s / ((total[hold] - s) + noise_lin))
             table[hold, ch], se_table[hold, ch] = sinr_db, spectral_efficiency(sinr_db, params)
     return serving, table, serving_mean(state, serving, se_table)
-
-
-def radio_snapshot(state: NetworkState, grid: GridSpec, params: PropagationParams,
-                   pixel_weights: np.ndarray | None = None) -> RadioSnapshot:
-    """Evaluate serving, SINR, SE and capacity for the whole grid at once."""
-    serving, table, pixel_se = link_state(state, grid, params)
-    avg = {c.cell_id: average_se(c.cell_id, serving, pixel_se, pixel_weights)
-           for c in state.cells}
-    cap = {c.cell_id: cell_capacity(len(c.channels), avg[c.cell_id], params)
-           for c in state.cells}
-    return RadioSnapshot(serving, table, pixel_se, avg, cap)

@@ -106,21 +106,27 @@ def write_notifications(path, notices: list[tuple[int, SlaExceedNotice]]) -> Pat
     return path
 
 
-def _action_row(order: int, t: int, a) -> list:
+def _action_entry(a) -> tuple[list, str]:
+    """An action's ``actions.csv`` columns from ``action`` on, and its
+    changelog line."""
     if isinstance(a, AddChannel):
-        return [order, t, a.step, "add_channel", a.cell_id, "", a.channel]
+        return (["add_channel", a.cell_id, "", a.channel],
+                f"add channel {a.channel} to cell {a.cell_id}")
     if isinstance(a, RemoveChannel):
-        return [order, t, a.step, "remove_channel", a.cell_id, "", a.channel]
+        return (["remove_channel", a.cell_id, "", a.channel],
+                f"remove channel {a.channel} from cell {a.cell_id}")
     if isinstance(a, AddCell):
-        return [order, t, a.step, "add_cell", a.cell_id, a.site_pixel,
-                " ".join(str(c) for c in a.channels)]
+        return (["add_cell", a.cell_id, a.site_pixel, " ".join(str(c) for c in a.channels)],
+                f"deploy cell {a.cell_id} at pixel {a.site_pixel} on channel(s) "
+                + ", ".join(str(c) for c in a.channels))
     if isinstance(a, RemoveCell):
-        return [order, t, a.step, "remove_cell", a.cell_id,
-                "" if a.site_pixel is None else a.site_pixel, ""]
+        return (["remove_cell", a.cell_id, "" if a.site_pixel is None else a.site_pixel, ""],
+                f"decommission cell {a.cell_id}")
     if isinstance(a, Relocate):
-        return [order, t, a.step, "relocate",
-                f"{a.from_cell_id}->{a.to_cell_id}", a.to_site_pixel,
-                " ".join(str(c) for c in a.channels)]
+        return (["relocate", f"{a.from_cell_id}->{a.to_cell_id}", a.to_site_pixel,
+                 " ".join(str(c) for c in a.channels)],
+                f"relocate cell {a.from_cell_id} to pixel {a.to_site_pixel} "
+                f"(new cell {a.to_cell_id})")
     raise TypeError(f"unknown action {a!r}")
 
 
@@ -134,25 +140,9 @@ def write_actions_csv(path, ledgers: list[tuple[int, ActionLedger]],
         order = 0
         for t, ledger in ledgers:
             for a in (ledger.raw_actions if raw else ledger.actions):
-                w.writerow(_action_row(order, t, a))
+                w.writerow([order, t, a.step, *_action_entry(a)[0]])
                 order += 1
     return path
-
-
-def _describe(a) -> str:
-    if isinstance(a, AddChannel):
-        return f"add channel {a.channel} to cell {a.cell_id}"
-    if isinstance(a, RemoveChannel):
-        return f"remove channel {a.channel} from cell {a.cell_id}"
-    if isinstance(a, AddCell):
-        chs = ", ".join(str(c) for c in a.channels)
-        return f"deploy cell {a.cell_id} at pixel {a.site_pixel} on channel(s) {chs}"
-    if isinstance(a, RemoveCell):
-        return f"decommission cell {a.cell_id}"
-    if isinstance(a, Relocate):
-        return (f"relocate cell {a.from_cell_id} to pixel {a.to_site_pixel} "
-                f"(new cell {a.to_cell_id})")
-    raise TypeError(f"unknown action {a!r}")
 
 
 def write_changelog(path, ledgers: list[tuple[int, ActionLedger]]) -> Path:
@@ -161,7 +151,7 @@ def write_changelog(path, ledgers: list[tuple[int, ActionLedger]]) -> Path:
     for t, ledger in ledgers:
         lines.append(f"step {t}: {len(ledger.actions)} action(s)")
         for a in ledger.actions:
-            lines.append(f"  - {_describe(a)}")
+            lines.append(f"  - {_action_entry(a)[1]}")
         for note in ledger.notes:
             lines.append(f"  note: {note}")
     path.write_text("\n".join(lines) + "\n")

@@ -288,6 +288,11 @@ class ServingMap:
         ends = np.searchsorted(col[order], bounds).tolist()
         return {cid: order[a:b] for cid, a, b in zip(self.cell_ids, [0] + ends, ends)}
 
+    def cell_sums(self, values: np.ndarray) -> dict[int, float]:
+        """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
+        order; bit-identical to summing ``values[pixel_cell == c]``."""
+        return {cid: float(values[pixels].sum()) for cid, pixels in self.cell_pixels.items()}
+
 
 @dataclass(frozen=True)
 class SmallCell:

@@ -2,8 +2,8 @@
 
 Sections: grid, tenants (with hotspot demand models), candidate_sites
 (fraction+seed or an explicit pixel list), initial_cells, radio, monitor,
-planner, and an optional new-tenant arrival event.  Loading and saving are
-value-exact round trips.
+planner, and an optional new-tenant arrival event.  Loading the JSON of
+``scenario_to_dict`` is a value-exact round trip.
 
 Loading is the one definition of a valid scenario: each dataclass checks
 its own fields, the loader adds the checks that span sections and raises
@@ -28,7 +28,6 @@ __all__ = [
     "ScenarioError",
     "InvariantError",
     "load_scenario",
-    "save_scenario",
     "scenario_to_dict",
     "scenario_from_dict",
     "read_document",
@@ -310,9 +309,3 @@ def validate(doc) -> list[str]:
 
 def validate_file(path) -> list[str]:
     return validate(read_document(path))
-
-
-def save_scenario(scn: Scenario, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(scenario_to_dict(scn), indent=2) + "\n")
-    return path

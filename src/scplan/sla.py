@@ -12,28 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import GridSpec, NetworkState, ServingMap, TenantProfile
+from .scenario import GridSpec, NetworkState, ServingMap
 
 __all__ = [
-    "BusyHourSpec",
     "PlanningSpecSet",
-    "busy_hour_spec",
     "translate_sc_level",
     "translate_pixel_level",
     "pixel_specs_to_cell",
 ]
-
-
-@dataclass(frozen=True)
-class BusyHourSpec:
-    """Capacity a tenant must be able to draw at the busy hour."""
-
-    tenant_id: str
-    a_busy_mbps: float
-
-    def __post_init__(self):
-        if self.a_busy_mbps < 0:
-            raise ValueError("a_busy_mbps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -50,13 +36,6 @@ class PlanningSpecSet:
         if self.level == "sc":
             return float(sum(self.cell_values.values()))
         return float(self.pixel_values.sum())
-
-
-def busy_hour_spec(tenant: TenantProfile, busy_weight: float = 1.0) -> BusyHourSpec:
-    """Scale the contracted capacity by the tenant's busy-hour weight."""
-    if not 0 < busy_weight <= 1:
-        raise ValueError("busy_weight must be in (0, 1]")
-    return BusyHourSpec(tenant.tenant_id, tenant.contracted_capacity_mbps * busy_weight)
 
 
 def translate_sc_level(a_busy: float, state: NetworkState, method: str,
@@ -117,6 +96,4 @@ def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap) -> dict[int
     """Aggregate a pixel-level spec raster to the cells serving the pixels."""
     if specs.level != "pixel":
         raise ValueError("expected a pixel-level spec set")
-    values = specs.pixel_values
-    return {cid: float(values[pixels].sum())
-            for cid, pixels in serving.cell_pixels.items()}
+    return serving.cell_sums(specs.pixel_values)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from scplan.cli import main
 from scplan.evaluation import METHODS
-from scplan.experiment import (ExperimentConfig, build_context, emit_report,
-                               run_experiment, validate, validate_file)
+from scplan.experiment import ExperimentConfig, build_context, emit_report, run_experiment
 from scplan.monitor import MonitorParams
 from scplan.planner import PlannerParams
 from scplan.presets import build_reference_scenario, bundled_scenario_path
@@ -19,8 +18,8 @@ from scplan.radio import PropagationParams
 from scplan.reporting import read_raster_csv, write_raster_csv, write_raster_pgm
 from scplan.scenario import GridSpec, pixel_positions, select_candidate_sites
 from scplan.scenario_io import (InvariantError, ScenarioError, load_scenario,
-                                save_scenario, scenario_from_dict,
-                                scenario_to_dict)
+                                scenario_from_dict, scenario_to_dict, validate,
+                                validate_file)
 
 BUNDLED = bundled_scenario_path("urban200m")
 
@@ -85,7 +84,7 @@ def test_bundled_scenario_initial_demands():
 def test_scenario_round_trip_is_value_identical(tmp_path, mini_path):
     scn = load_scenario(mini_path)
     out = tmp_path / "copy.json"
-    save_scenario(scn, out)
+    out.write_text(json.dumps(scenario_to_dict(scn), indent=2))
     again = load_scenario(out)
     assert scenario_to_dict(scn) == scenario_to_dict(again)
     assert again.grid == scn.grid
@@ -130,9 +129,8 @@ def test_validate_file_parse_error(tmp_path):
         validate_file(bad)
 
 
-def test_run_without_event_is_fixed_point(mini_path, tmp_path):
-    cfg = ExperimentConfig(mini_path, method="uniform-sc", horizon=4,
-                           out_dir=tmp_path)
+def test_run_without_event_is_fixed_point(mini_path):
+    cfg = ExperimentConfig(mini_path, method="uniform-sc", horizon=4)
     report = run_experiment(cfg)
     assert report.fired_steps == []
     assert report.ledgers == []

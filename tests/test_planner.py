@@ -358,16 +358,6 @@ def test_unservable_demand_drives_expansion(params):
     assert all(not math.isinf(v) for v in ev2.required_mhz.values())
 
 
-def test_compress_ledger_wrapper():
-    from scplan.planner import ActionLedger, compress_ledger
-    raw = (AddChannel(1, 2, step=2), RemoveChannel(1, 2, step=8),
-           AddCell(5, 9, (0,), step=5))
-    ledger = ActionLedger(actions=(), raw_actions=raw)
-    squeezed = compress_ledger(ledger)
-    assert squeezed.raw_actions == raw
-    assert squeezed.actions == (AddCell(5, 9, (0,), step=5),)
-
-
 def test_evaluate_state_hand_computable_case(params):
     # one cell on a 15 m x 15 m grid: every pixel sits within 9 m, the SNR
     # saturates the SE cap, and the required bandwidth is exact arithmetic

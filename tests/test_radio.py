@@ -7,11 +7,10 @@ import pytest
 from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
 from scplan.evaluation import (EvaluationContext, TenantSpecPolicy, _estimate_raster,
-                               _per_cell_sums, evaluate_state)
+                               evaluate_state)
 from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
-                          configure_powers, link_state, path_loss, radio_snapshot,
-                          received_power, rx_power_matrix, serving_assignment,
-                          serving_mean, sinr, spectral_efficiency)
+                          configure_powers, link_state, path_loss, rx_power_matrix,
+                          serving_assignment, serving_mean, sinr, spectral_efficiency)
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
 from scplan.sla import PlanningSpecSet, pixel_specs_to_cell
@@ -46,12 +45,11 @@ def test_received_power_link_budget(params):
     target = site + 20
     assert pos[target, 0] - pos[site, 0] == pytest.approx(20.0)
     state = NetworkState((SmallCell(1, site, (0,), 24.0),))
-    rx = received_power(1, target, state, grid, params)
-    assert rx == pytest.approx(24 + 2 - oracle_path_loss(20.0))
-    assert rx == pytest.approx(-55.81, abs=0.005)
+    rx = rx_power_matrix(state, grid, params)[0][0]
+    assert rx[target] == pytest.approx(24 + 2 - oracle_path_loss(20.0))
+    assert rx[target] == pytest.approx(-55.81, abs=0.005)
     # at the cell's own pixel the distance clamp applies
-    own = received_power(1, site, state, grid, params)
-    assert own == pytest.approx(0.52, abs=0.005)
+    assert rx[site] == pytest.approx(0.52, abs=0.005)
 
 
 def test_serving_single_cell(params):
@@ -225,12 +223,12 @@ def test_average_se_bounds(params):
     grid = GridSpec(30.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
-    snap = radio_snapshot(state, grid, params, weights)
+    serving, _, pixel_se = link_state(state, grid, params)
     for cid in state.cell_ids:
-        mask = snap.serving.pixel_cell == cid
+        mask = serving.pixel_cell == cid
         if mask.any():
-            assert snap.pixel_se[mask].min() - 1e-12 <= snap.avg_se[cid] \
-                <= snap.pixel_se[mask].max() + 1e-12
+            assert pixel_se[mask].min() - 1e-12 <= average_se(cid, serving, pixel_se, weights) \
+                <= pixel_se[mask].max() + 1e-12
 
 
 def test_cell_capacity_product(params):
@@ -246,14 +244,15 @@ def test_snapshot_capacity_identity_and_partition(params):
     grid = GridSpec(45.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=4)
     weights = rng.uniform(0, 2, grid.num_pixels)
-    snap = radio_snapshot(state, grid, params, weights)
+    serving, _, pixel_se = link_state(state, grid, params)
     served = 0
     for cell in state.cells:
         cid = cell.cell_id
-        assert snap.capacity_mbps[cid] == len(cell.channels) * \
-            params.channel_bandwidth_mhz * snap.avg_se[cid]
-        served += int((snap.serving.pixel_cell == cid).sum())
-        assert 0 <= snap.avg_se[cid] <= params.se_max_bps_hz
+        avg_se = average_se(cid, serving, pixel_se, weights)
+        assert cell_capacity(len(cell.channels), avg_se, params) == len(cell.channels) * \
+            params.channel_bandwidth_mhz * avg_se
+        served += int((serving.pixel_cell == cid).sum())
+        assert 0 <= avg_se <= params.se_max_bps_hz
     assert served == grid.num_pixels
 
 
@@ -408,7 +407,7 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     masks = {cid: serving.pixel_cell == cid for cid in serving.cell_ids}
 
     expected = {cid: float(raster[m].sum()) for cid, m in masks.items()}
-    assert _per_cell_sums(raster, serving) == expected
+    assert serving.cell_sums(raster) == expected
     specs = PlanningSpecSet("t", "pixel", "correlated", pixel_values=raster)
     assert pixel_specs_to_cell(specs, serving) == expected
 

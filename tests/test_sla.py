@@ -1,24 +1,12 @@
 import numpy as np
 import pytest
 
-from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
-                             TenantProfile)
-from scplan.sla import (busy_hour_spec, pixel_specs_to_cell,
-                        translate_pixel_level, translate_sc_level)
+from scplan.scenario import GridSpec, NetworkState, ServingMap, SmallCell
+from scplan.sla import pixel_specs_to_cell, translate_pixel_level, translate_sc_level
 
 
 def _state(n):
     return NetworkState(tuple(SmallCell(i + 1, i * 3, (0,)) for i in range(n)))
-
-
-def test_busy_hour_spec_scaling():
-    tenant = TenantProfile("m", 100.0)
-    assert busy_hour_spec(tenant, 1.0).a_busy_mbps == pytest.approx(100.0)
-    assert busy_hour_spec(tenant, 0.5).a_busy_mbps == pytest.approx(50.0)
-    zero = TenantProfile("z", 0.0)
-    assert busy_hour_spec(zero, 1.0).a_busy_mbps == 0.0
-    with pytest.raises(ValueError):
-        busy_hour_spec(tenant, 0.0)
 
 
 def test_sc_uniform_split():
