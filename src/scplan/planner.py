@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .evaluation import EvaluationContext, evaluate_state
+from .evaluation import EvaluationContext, NetworkEvaluation, evaluate_state
 from .radio import PropagationParams, configure_powers
 from .scenario import (CandidateSiteSet, GridSpec, NetworkState, SmallCell, in_unit,
                        is_count, pixel_positions, require_fields)
@@ -165,28 +165,32 @@ def _channel_to_remove(cell_id: int, state: NetworkState, grid: GridSpec) -> int
 
 
 def select_site(state: NetworkState, candidates: CandidateSiteSet,
-                ctx: EvaluationContext, new_cell_id: int) -> tuple[int, dict[int, float]]:
+                ctx: EvaluationContext, new_cell_id: int
+                ) -> tuple[int, NetworkEvaluation]:
     """Exhaustively evaluate every free candidate site for one new cell.
 
     Each site is tried with a tentative cell (initial channel chosen by the
     max-min co-channel distance rule, powers reconfigured, serving re-derived
     and specs re-expressed) and the site minimizing the summed requirement
-    wins; ties go to the lowest pixel index.
+    wins; ties go to the lowest pixel index.  Returns the site and its
+    trial's evaluation.  ``ctx.link_cache`` pins ``state`` while the search
+    runs, so each trial's link state is built as a delta on it.
     """
     occupied = set(state.site_pixels)
     free = [p for p in candidates.site_pixels if p not in occupied]
     if not free:
         raise ValueError("site-saturated")
-    best_site, best_total, best_required = None, math.inf, None
-    for site in free:
-        ch = _best_channel(site, (), state, ctx.grid, ctx.radio)
-        trial = state.add_cell(SmallCell(new_cell_id, site, (ch,),
-                                         ctx.radio.power_max_dbm))
-        ev = evaluate_state(trial, ctx)
-        total = ev.total_required()
-        if best_site is None or total < best_total:
-            best_site, best_total, best_required = site, total, dict(ev.required_mhz)
-    return best_site, best_required
+    best = None
+    with ctx.link_cache.pinned(state, ctx.grid, ctx.radio):
+        for site in free:
+            ch = _best_channel(site, (), state, ctx.grid, ctx.radio)
+            ev = evaluate_state(state.add_cell(SmallCell(new_cell_id, site, (ch,),
+                                                         ctx.radio.power_max_dbm)), ctx)
+            key = (ev.total_required(), site)
+            if best is None or key < best[0]:
+                best = key, ev
+    (_, site), ev = best
+    return site, ev
 
 
 def plan(state: NetworkState, candidates: CandidateSiteSet,
@@ -234,13 +238,10 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
         if not set(candidates.site_pixels) - set(state.site_pixels):
             notes.append("saturated: no sites")
             break
-        site, _ = select_site(state, candidates, ctx, next_id)
-        ch = _best_channel(site, (), state, ctx.grid, ctx.radio)
-        state = state.add_cell(SmallCell(next_id, site, (ch,), ctx.radio.power_max_dbm))
-        raw.append(AddCell(next_id, site, (ch,), step=5))
-        next_id += 1
-        ev = evaluate_state(state, ctx)
+        site, ev = select_site(state, candidates, ctx, next_id)
         state = ev.state
+        raw.append(AddCell(next_id, site, state.cell(next_id).channels, step=5))
+        next_id += 1
 
     # trim channels that are clearly over-provisioned
     while True:

@@ -12,7 +12,9 @@ reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,21 +110,33 @@ class LinkCache:
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); and the link state of the last
     layout evaluated: the input layout, its powered state, serving map, SINR
-    table and per-pixel SE (see ``evaluation.evaluate_state``).  Both belong
-    to one grid and one set of radio parameters; using the cache with others
-    drops what it holds.  Memoized arrays and mW columns are read-only.
+    table and per-pixel SE (see ``evaluation.evaluate_state``).
+
+    While a site search runs (``pinned``), it also pins the search's base
+    layout: its powered state and its full build's running max, serving
+    column, served mW, channel totals, SINR and SE tables, pixel SE and
+    path-loss and mW columns.  ``link_state`` builds a layout that is the
+    pinned one plus one trailing cell as a delta on them, with the bytes of
+    the full build.  Nothing is pinned outside a search.
+
+    All of it belongs to one grid and one set of radio parameters; using the
+    cache with others drops what it holds.  Memoized arrays and mW columns
+    are read-only.
     """
 
     def __init__(self):
         self._scope = None
+        self._xy = None
         self._path_loss: dict[int, np.ndarray] = {}
         self._linear: dict[tuple[int, float], np.ndarray] = {}
         self._layout = None
+        self._pin = None
 
     def _use(self, grid: GridSpec, params: PropagationParams):
         if self._scope != (grid, params):
             self._scope = (grid, params)
-            self._path_loss, self._linear, self._layout = {}, {}, None
+            self._xy = np.ascontiguousarray(pixel_positions(grid).T)
+            self._path_loss, self._linear, self._layout, self._pin = {}, {}, None, None
 
     def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
         """``(powered state, serving, SINR table, pixel SE)`` of ``state``
@@ -141,6 +155,42 @@ class LinkCache:
         self._layout = (state, powered, serving, *arrays)
         return self._layout[1:]
 
+    @contextmanager
+    def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+        """Pin ``state``, the base of a site search, for the ``with`` block:
+        its powered state and full build, on which ``link_state`` builds each
+        trial.  The pin is dropped when the block exits, also on an
+        exception."""
+        link = self.link(state, grid, params)
+        powered = configure_powers(state, grid, params) if link is None else link[0]
+        self._pin = powered, _build(powered, grid, params, self)
+        try:
+            yield
+        finally:
+            self._pin = None
+
+
+class _Build(NamedTuple):
+    """A layout's link state and the intermediates a site search reuses."""
+
+    serving: ServingMap
+    table: np.ndarray           # SINR (pixels, channels)
+    pixel_se: np.ndarray
+    best: np.ndarray            # serving rx, dBm
+    s_lin: np.ndarray           # serving rx, mW
+    totals: list                # each channel's mW total, None without holders
+    se_table: np.ndarray
+    path_loss: list             # per cell
+    linear: list                # per cell, mW
+
+
+def _site_path_loss(site: int, params: PropagationParams, cache: LinkCache) -> np.ndarray:
+    """Path-loss column of one site, from contiguous x and y columns; the
+    floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``."""
+    x, y = cache._xy
+    dx, dy = x - x[site], y - y[site]
+    return path_loss(np.sqrt(dx * dx + dy * dy), params)
+
 
 def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationParams,
                     cache: LinkCache | None = None
@@ -153,12 +203,11 @@ def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationPara
         raise ValueError("empty network")
     cache = LinkCache() if cache is None else cache
     cache._use(grid, params)
-    pos = pixel_positions(grid)
     path_loss_by_site, linear, rx_dbm = {}, {}, []
     for c in state.cells:
         pl = cache._path_loss.get(c.site_pixel)
         if pl is None:
-            pl = path_loss(np.sqrt(((pos - pos[c.site_pixel]) ** 2).sum(axis=1)), params)
+            pl = _site_path_loss(c.site_pixel, params, cache)
         path_loss_by_site[c.site_pixel] = pl
         rx_dbm.append((c.power_dbm + params.antenna_gain_db) - pl)
         key = (c.site_pixel, c.power_dbm)
@@ -240,7 +289,12 @@ def configure_powers(state: NetworkState, grid: GridSpec,
 
 
 def _with_powers(state: NetworkState, powers: np.ndarray) -> NetworkState:
-    cells = tuple(replace(c, power_dbm=float(p)) for c, p in zip(state.cells, powers))
+    """``state`` with its cells at ``powers``: a cell whose power keeps its
+    ``repr`` is kept, and so is ``state`` when every cell is."""
+    cells = tuple(c if repr(c.power_dbm) == repr(p) else replace(c, power_dbm=p)
+                  for c, p in zip(state.cells, powers.tolist()))
+    if all(a is b for a, b in zip(cells, state.cells)):
+        return state
     return replace(state, cells=cells)
 
 
@@ -272,14 +326,26 @@ def spectral_efficiency(sinr_db, params: PropagationParams):
     return float(se) if np.isscalar(sinr_db) else se
 
 
-def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray) -> np.ndarray:
+def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
+                 pixels: np.ndarray | None = None) -> np.ndarray:
     """Per-pixel mean of a (pixel, channel) table, such as SE or SINR, over
-    the serving cell's allocated channels."""
-    out = np.zeros(table.shape[0])
-    for c in state.cells:
-        pixels = serving.cell_pixels[c.cell_id]
-        if pixels.size:
-            out[pixels] = table[np.ix_(pixels, np.array(c.channels))].mean(axis=1)
+    the serving cell's allocated channels, at ``pixels`` (every pixel by
+    default).  One gather per distinct channel count; each mean has the bits
+    of ``table[np.ix_(pixels, channels)].mean(axis=1)`` over a cell's
+    pixels."""
+    cols = serving.pixel_col if pixels is None else serving.pixel_col[pixels]
+    counts = [len(c.channels) for c in state.cells]
+    pixel_count = np.array(counts)[cols]
+    flat = table.reshape(-1)
+    out = np.empty(cols.size)
+    for k in sorted(set(counts)):
+        at = np.flatnonzero(pixel_count == k)
+        if at.size:
+            channels = np.array([c.channels if n == k else (0,) * k
+                                 for c, n in zip(state.cells, counts)])
+            index = channels[cols[at]]
+            index += ((at if pixels is None else pixels[at]) * table.shape[1])[:, None]
+            out[at] = flat[index].mean(axis=1)
     return out
 
 
@@ -334,28 +400,142 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     strict ``>`` in cell order, so ties go to the lowest cell id.  A
     channel's total adds its holders' mW columns in cell order, the
     additions numpy makes summing those matrix columns along axis 1.  SE is
-    computed only where the serving cell holds the channel."""
+    computed only where the serving cell holds the channel.
+
+    A layout that is the base pinned in ``cache`` (see ``LinkCache.pinned``)
+    plus one trailing cell is built as a delta on the base's build, with
+    the same bytes; any other layout gets the full build."""
+    cache = LinkCache() if cache is None else cache
+    cache._use(grid, params)
+    if cache._pin is not None and _extends(cache._pin[0], state):
+        return _trial_link(*cache._pin, state, params, cache)
+    return _build(state, grid, params, cache)[:3]
+
+
+def _running_max(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise max of ``columns`` and the index of the first column
+    holding it: a running strict ``>``, so ties go to the lowest index."""
+    best = columns[0].copy()
+    col = np.zeros(best.size, dtype=np.intp)
+    for j, column in enumerate(columns[1:], start=1):
+        col[column > best] = j
+        np.maximum(best, column, out=best)
+    return best, col
+
+
+def _holders(state: NetworkState, params: PropagationParams) -> list[np.ndarray]:
+    """For each channel, which cells hold it, in cell order."""
+    return [np.array([ch in c.channels for c in state.cells])
+            for ch in range(params.num_channels)]
+
+
+def _fill(table: np.ndarray, se_table: np.ndarray, ch: int, pixels, s_lin: np.ndarray,
+          total: np.ndarray, params: PropagationParams):
+    """SINR and SE on channel ``ch`` at ``pixels`` (a mask or ascending
+    indices), whose serving cells hold it."""
+    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
+    s = s_lin[pixels]
+    sinr_db = 10.0 * np.log10(s / ((total[pixels] - s) + noise_lin))
+    table[pixels, ch], se_table[pixels, ch] = sinr_db, spectral_efficiency(sinr_db, params)
+
+
+def _build(state: NetworkState, grid: GridSpec, params: PropagationParams,
+           cache: LinkCache) -> _Build:
+    """The full link state of ``state``, see ``link_state``."""
     rx_dbm, rx_lin = rx_power_matrix(state, grid, params, cache)
-    best = rx_dbm[0].copy()
-    serving_col = np.zeros(best.size, dtype=np.intp)
-    for j, col in enumerate(rx_dbm[1:], start=1):
-        serving_col[col > best] = j
-        np.maximum(best, col, out=best)
+    best, serving_col = _running_max(rx_dbm)
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
     s_lin = np.empty(best.size)
     for lin, pixels in zip(rx_lin, serving.cell_pixels.values()):
         s_lin[pixels] = lin[pixels]
 
-    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
     table = np.full((best.size, params.num_channels), np.nan)
     se_table = np.zeros(table.shape)
-    for ch in range(params.num_channels):
-        holders = np.array([ch in c.channels for c in state.cells])
+    totals = []
+    for ch, holders in enumerate(_holders(state, params)):
+        total = None
         if holders.any():
             lin = [rx_lin[j] for j in np.flatnonzero(holders)]
-            hold = holders[serving_col]
-            s = s_lin[hold]
             total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
-            sinr_db = 10.0 * np.log10(s / ((total[hold] - s) + noise_lin))
-            table[hold, ch], se_table[hold, ch] = sinr_db, spectral_efficiency(sinr_db, params)
-    return serving, table, serving_mean(state, serving, se_table)
+            _fill(table, se_table, ch, holders[serving_col], s_lin, total, params)
+        totals.append(total)
+    return _Build(serving, table, serving_mean(state, serving, se_table), best, s_lin,
+                  totals, se_table, [cache._path_loss[p] for p in state.site_pixels], rx_lin)
+
+
+def _extends(base: NetworkState, state: NetworkState) -> bool:
+    """Whether ``state`` is ``base`` plus one trailing cell, powers aside."""
+    return len(state.cells) == len(base.cells) + 1 and all(
+        (c.cell_id, c.site_pixel, c.channels) == (b.cell_id, b.site_pixel, b.channels)
+        for c, b in zip(state.cells, base.cells))
+
+
+def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
+                params: PropagationParams, cache: LinkCache
+                ) -> tuple[ServingMap, np.ndarray, np.ndarray]:
+    """``link_state`` of ``state``, the pinned ``base`` plus one trailing
+    cell, as a delta on ``b``, the base's full build.
+
+    Columns are computed for the touched cells only: the new one and those
+    whose power moved.  Every value is the full build's float, from the
+    same operands in the same order, so the bytes are the same."""
+    cells, n = state.cells, len(base.cells)
+    gain = params.antenna_gain_db
+    touched = [c.power_dbm != o.power_dbm for c, o in zip(cells, base.cells)] + [True]
+    is_touched = np.array(touched)
+    pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, params, cache)]
+    dbm, linear = {}, [*b.linear, None]
+    for j in np.flatnonzero(touched).tolist():
+        dbm[j] = (cells[j].power_dbm + gain) - pl[j]
+        linear[j] = 10.0 ** (dbm[j] / 10.0)
+
+    # Where the base winner kept its power, the running max over the other
+    # untouched columns stands, and the winner is the first maximal column
+    # among it and the touched ones.  Where it moved, the max starts over.
+    best = b.best.copy()
+    col = b.serving.pixel_col.astype(np.min_scalar_type(n + 1))
+    for j, d in dbm.items():
+        take = d > best
+        if j < n:
+            take |= (d == best) & (col > j)
+        col[take] = j
+        np.maximum(best, d, out=best)
+    if len(dbm) > 1:
+        lost = np.flatnonzero(is_touched[b.serving.pixel_col])
+        if lost.size:
+            col[lost] = _running_max([(c.power_dbm + gain) - pl[j][lost]
+                                      for j, c in enumerate(cells)])[1]
+    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
+
+    # rows whose serving cell changed or was touched
+    rows = np.flatnonzero((col != b.serving.pixel_col) | is_touched[col])
+    rows_col = col[rows]
+    s_lin = b.s_lin.copy()
+    for j in np.flatnonzero(np.bincount(rows_col)).tolist():
+        at = rows[rows_col == j]
+        s_lin[at] = linear[j][at]
+
+    table, se_table = b.table.copy(), b.se_table.copy()
+    table[rows], se_table[rows] = np.nan, 0.0
+    redo = np.zeros(col.size, dtype=bool)
+    redo[rows] = True
+    for ch, holders in enumerate(_holders(state, params)):
+        hs = np.flatnonzero(holders).tolist()
+        if not any(touched[j] for j in hs):
+            # same total: only the changed rows
+            if hs:
+                _fill(table, se_table, ch, rows[holders[rows_col]], s_lin, b.totals[ch],
+                      params)
+            continue
+        if hs[-1] == n and len(hs) > 1 and not any(touched[j] for j in hs[:-1]):
+            total = b.totals[ch] + linear[n]            # the full build's last addition
+        else:
+            lin = [linear[j] for j in hs]
+            total = sum(lin[1:], lin[0])
+        hold = holders[col]
+        redo |= hold
+        _fill(table, se_table, ch, hold, s_lin, total, params)
+    at = np.flatnonzero(redo)
+    pixel_se = b.pixel_se.copy()
+    pixel_se[at] = serving_mean(state, serving, se_table, at)
+    return serving, table, pixel_se

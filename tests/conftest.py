@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from scplan.radio import (PropagationParams, noise_floor_dbm, path_loss, serving_mean,
-                          spectral_efficiency)
+from scplan.radio import PropagationParams, noise_floor_dbm, path_loss, spectral_efficiency
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
 
@@ -116,8 +115,9 @@ def random_state(rng: np.random.Generator, grid: GridSpec, num_cells: int,
 def matrix_link_state(state: NetworkState, grid: GridSpec, params: PropagationParams):
     """The link state in its (pixels, cells) matrix form: stacked rx, argmax
     serving, the holders' columns of ``10 ** (rx / 10)`` summed along axis 1
-    and SE over the whole NaN-filled table.  Returns ``(serving, rx, SINR
-    table, pixel SE)``."""
+    and SE over the whole NaN-filled table, averaged over each cell's block
+    of pixels and channels.  Returns ``(serving, rx, SINR table, pixel
+    SE)``."""
     pos = pixel_positions(grid)
     pl = np.stack([path_loss(np.sqrt(((pos - pos[site]) ** 2).sum(axis=1)), params)
                    for site in state.site_pixels], axis=1)
@@ -139,4 +139,9 @@ def matrix_link_state(state: NetworkState, grid: GridSpec, params: PropagationPa
         col = 10.0 * np.log10(s_lin / (interference + noise_lin))
         table[:, ch] = np.where(serving_holds, col, np.nan)
     se_table = spectral_efficiency(np.nan_to_num(table, nan=-np.inf), params)
-    return serving, rx, table, serving_mean(state, serving, se_table)
+    pixel_se = np.zeros(rx.shape[0])
+    for j, c in enumerate(state.cells):
+        pixels = np.flatnonzero(serving_col == j)
+        if pixels.size:
+            pixel_se[pixels] = se_table[np.ix_(pixels, np.array(c.channels))].mean(axis=1)
+    return serving, rx, table, pixel_se

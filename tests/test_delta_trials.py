@@ -1,0 +1,185 @@
+"""Site-search trials built as deltas on the pinned base layout.
+
+While ``select_site`` runs, ``LinkCache`` pins the search's base layout and
+``link_state`` builds each trial (the base plus one trailing cell) from the
+base's intermediates.  Every trial must equal the matrix form of
+``tests/conftest.py`` byte for byte, whether the search runs in the run's
+shared cache or in a fresh one.
+"""
+import hashlib
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import matrix_link_state
+from scplan import evaluation, planner, radio
+from scplan.evaluation import METHODS
+from scplan.experiment import ExperimentConfig, run_experiment
+from scplan.presets import bundled_scenario_path
+from scplan.radio import LinkCache, link_state
+from scplan.scenario import GridSpec, NetworkState, SmallCell
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _digest(serving, table, pixel_se) -> str:
+    h = hashlib.sha256(repr(serving.cell_ids).encode())
+    for a in (serving.pixel_cell, serving.pixel_col, table, pixel_se):
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _matrix_digest(state, grid, params) -> str:
+    serving, _, table, pixel_se = matrix_link_state(state, grid, params)
+    return _digest(serving, table, pixel_se)
+
+
+def _check_every_trial(monkeypatch, run) -> int:
+    """Call ``run`` with every ``select_site`` call repeated on a fresh
+    ``LinkCache``, and check each trial of both searches against the
+    matrix form.  Returns the number of trials checked."""
+    expected = {}           # trial layout -> digest of its matrix form
+    trials = []
+    searching = []
+    full_builds = []
+    build, select, columns = evaluation.link_state, planner.select_site, radio.rx_power_matrix
+
+    def counted_columns(*args, **kwargs):
+        full_builds.append(1)
+        return columns(*args, **kwargs)
+
+    def checked_link_state(state, grid, params, cache=None):
+        if not searching:
+            return build(state, grid, params, cache)
+        before = len(full_builds)
+        got = build(state, grid, params, cache)
+        assert len(full_builds) == before, "a trial took the full build"
+        if state not in expected:
+            expected[state] = _matrix_digest(state, grid, params)
+        assert _digest(*got) == expected[state]
+        trials.append(state)
+        return got
+
+    def select_twice(state, candidates, ctx, new_cell_id):
+        searching.append(1)
+        try:
+            start = len(trials)
+            site, ev = select(state, candidates, ctx, new_cell_id)
+            shared = len(trials) - start
+            again, fresh_ev = select(state, candidates,
+                                     replace(ctx, link_cache=LinkCache()), new_cell_id)
+        finally:
+            searching.pop()
+        assert ctx.link_cache._pin is None
+        assert shared > 0 and len(trials) - start == 2 * shared
+        assert again == site
+        assert _digest(*_link_of(fresh_ev)) == _digest(*_link_of(ev))
+        return site, ev
+
+    monkeypatch.setattr(radio, "rx_power_matrix", counted_columns)
+    monkeypatch.setattr(evaluation, "link_state", checked_link_state)
+    monkeypatch.setattr(planner, "select_site", select_twice)
+    run()
+    return len(trials)
+
+
+def _link_of(ev):
+    snap = ev.snapshot
+    return snap.serving, snap.sinr_db, snap.pixel_se
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_urban200m_trial_matches_the_matrix_form(method, monkeypatch):
+    cfg = ExperimentConfig(bundled_scenario_path("urban200m"), method=method, horizon=24)
+    assert _check_every_trial(monkeypatch, lambda: run_experiment(cfg)) > 0
+
+
+def test_every_arrival_trial_matches_the_matrix_form(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("scenarios",
+                                                  ROOT / "benchmarks" / "scenarios.py")
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    doc, problems = scenarios.arrival_doc(ROOT, scenarios.DEFAULT_SEED)
+    assert problems == []
+    path = tmp_path / "arrival.json"
+    path.write_text(json.dumps(doc))
+    cfg = ExperimentConfig(path, method="corr-px", horizon=24)
+    assert _check_every_trial(monkeypatch, lambda: run_experiment(cfg)) > 0
+
+
+def _random_trials(seed: int, grid: GridSpec):
+    """A base layout of 9 to 16 fixed-power cells, at least 8 of them on
+    channel 0 and none on channel 3, with cells 1 and 2 mirrored across the
+    grid's middle column; and trials that add a cell, some mirroring a base
+    cell at its power (rx ties with the new column), some moving base powers
+    (cell 1 to cell 2's power: rx ties with a moved column)."""
+    rng = np.random.default_rng(seed)
+    levels = (12.0, 17.0, 24.0)
+    row, col = int(rng.integers(grid.ny)), int(rng.integers(grid.nx // 2 - 1))
+    mirror = (row * grid.nx + col, row * grid.nx + grid.nx - 1 - col)
+    free = [p for p in range(grid.num_pixels) if p not in mirror]
+    n = int(rng.integers(9, 17))
+    sites = [*mirror, *(int(p) for p in rng.choice(free, size=n - 2, replace=False))]
+    cells = [SmallCell(i, site, (0,) if i <= 8 or rng.random() < 0.5
+                       else (int(rng.integers(1, 3)),) if rng.random() < 0.5
+                       else (0, int(rng.integers(1, 3))),
+                       levels[0] if i == 1 else levels[int(rng.integers(3))],
+                       power_fixed=True)
+             for i, site in enumerate(sites, start=1)]
+    base = NetworkState(tuple(cells))
+
+    def mirrored(cell):
+        r, c = divmod(cell.site_pixel, grid.nx)
+        return r * grid.nx + grid.nx - 1 - c
+
+    trials = []
+    for t in range(8):
+        source = cells[int(rng.integers(len(cells)))]
+        site = mirrored(source)
+        if site in sites or t % 4 == 3:
+            site = int(rng.choice([p for p in range(grid.num_pixels) if p not in sites]))
+        channels = ((0,), (3,), (0, 3), source.channels)[t % 4]
+        powers = [c.power_dbm for c in cells]
+        if t % 2:
+            for j in rng.choice(len(cells), size=int(rng.integers(1, 4)), replace=False):
+                powers[j] = levels[int(rng.integers(3))]
+            if t % 4 == 1:
+                powers[0] = cells[1].power_dbm
+        trial = tuple(replace(c, power_dbm=p) for c, p in zip(cells, powers))
+        trials.append(NetworkState(trial + (SmallCell(n + 1, site, channels,
+                                                      source.power_dbm),)))
+    return base, trials
+
+
+def test_random_trials_match_the_matrix_form(params, monkeypatch):
+    grid = GridSpec(63.0, 45.0, 3.0)        # 21 x 15 pixels, a middle column
+    full_builds = []
+    columns = radio.rx_power_matrix
+    monkeypatch.setattr(radio, "rx_power_matrix",
+                        lambda *a: full_builds.append(1) or columns(*a))
+    shared = LinkCache()
+    ties = moved = 0
+    for seed in range(12):
+        base, trials = _random_trials(seed, grid)
+        assert max(sum(0 in c.channels for c in t.cells) for t in trials) >= 9
+        for cache in (shared, LinkCache()):
+            with cache.pinned(base, grid, params):
+                for trial in trials:
+                    serving, rx, table, pixel_se = matrix_link_state(trial, grid, params)
+                    top = rx == rx.max(axis=1, keepdims=True)
+                    ties += int((top[:, -1] & (top.sum(axis=1) > 1)).sum())
+                    moved += any(c.power_dbm != b.power_dbm
+                                 for c, b in zip(trial.cells, base.cells))
+                    before = len(full_builds)
+                    got = link_state(trial, grid, params, cache)
+                    assert len(full_builds) == before
+                    expected = _digest(serving, table, pixel_se)
+                    assert _digest(*got) == expected
+                    assert _digest(*link_state(trial, grid, params, LinkCache())) == expected
+            assert cache._pin is None
+    assert ties > 0 and moved > 0

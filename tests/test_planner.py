@@ -101,9 +101,9 @@ def test_select_site_single_candidate(params):
     state = NetworkState((SmallCell(1, 0, (0,)),))
     ctx = _simple_ctx(grid, params, demand)
     candidates = CandidateSiteSet((0, 57))     # only pixel 57 is free
-    site, required = select_site(state, candidates, ctx, new_cell_id=2)
+    site, ev = select_site(state, candidates, ctx, new_cell_id=2)
     assert site == 57
-    assert set(required) == {1, 2}
+    assert set(ev.required_mhz) == {1, 2}
 
 
 def test_select_site_site_saturated(params):
@@ -140,7 +140,43 @@ def test_select_site_deterministic(params):
     ctx = _simple_ctx(grid, params, demand)
     first = select_site(state, candidates, ctx, new_cell_id=2)
     second = select_site(state, candidates, ctx, new_cell_id=2)
-    assert first[0] == second[0] and first[1] == second[1]
+    assert first[0] == second[0]
+    _assert_same_evaluation(first[1], second[1])
+
+
+def test_select_site_ties_go_to_the_lowest_pixel(params):
+    # one centre cell under uniform demand: the mirror-image sites 56 and 64
+    # give the same total, so the lower pixel wins whatever the list order
+    grid = GridSpec(33.0, 33.0, 3.0)                # 11 x 11, centre pixel 60
+    state = NetworkState((SmallCell(1, 60, (0,)),))
+    ctx = _simple_ctx(grid, params, np.full(grid.num_pixels, 0.1))
+    totals = {}
+    for order in ((64, 56), (56, 64)):
+        site, ev = select_site(state, CandidateSiteSet(order), ctx, new_cell_id=2)
+        assert site == 56
+        totals[order] = ev.total_required()
+    assert len(set(totals.values())) == 1
+
+
+def test_select_site_pins_its_base_only_while_it_runs(params, monkeypatch):
+    grid = GridSpec(30.0, 30.0, 3.0)
+    state = NetworkState((SmallCell(1, 4, (0,)),))
+    ctx = _simple_ctx(grid, params, np.ones(grid.num_pixels))
+    candidates = CandidateSiteSet((4, 40, 77))
+    select_site(state, candidates, ctx, new_cell_id=2)
+    assert ctx.link_cache._pin is None
+    evaluate = planner.evaluate_state
+
+    def fail_second(trial, c):
+        assert c.link_cache._pin is not None
+        if trial.cell(2).site_pixel == 77:
+            raise RuntimeError("trial failed")
+        return evaluate(trial, c)
+
+    monkeypatch.setattr(planner, "evaluate_state", fail_second)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        select_site(state, candidates, ctx, new_cell_id=2)
+    assert ctx.link_cache._pin is None
 
 
 def _planning_setup(demand_scale=1.0, mode="corr-px", grid_m=42.0,
@@ -424,8 +460,9 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     evaluate = planner.evaluate_state
     monkeypatch.setattr(planner, "evaluate_state",
                         lambda state, c: check(state) if c is ctx else evaluate(state, c))
-    chosen = select_site(powered, scn.candidate_sites, ctx, 9)
+    site, chosen = select_site(powered, scn.candidate_sites, ctx, 9)
     assert len(seen) - before == len(free)
     monkeypatch.undo()
-    assert select_site(powered, scn.candidate_sites,
-                       replace(ctx, link_cache=LinkCache()), 9) == chosen
+    again = select_site(powered, scn.candidate_sites, replace(ctx, link_cache=LinkCache()), 9)
+    assert again[0] == site
+    _assert_same_evaluation(again[1], chosen)

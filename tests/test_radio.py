@@ -120,6 +120,22 @@ def test_configure_powers_hits_edge_target_when_in_range(params):
         assert achieved == pytest.approx(params.edge_sinr_target_db, abs=0.1)
 
 
+def test_configure_powers_rebuilds_only_the_cells_whose_power_moved(params):
+    grid = GridSpec(90.0, 90.0, 3.0)
+    powered = configure_powers(random_state(np.random.default_rng(8), grid, num_cells=5),
+                               grid, params)
+    assert configure_powers(powered, grid, params) is powered
+    second = powered.cells[1]
+    off = replace(powered, cells=(powered.cells[0], replace(second, power_dbm=11.0),
+                                  *powered.cells[2:]))
+    again = configure_powers(off, grid, params)
+    assert again == powered
+    assert [a is b for a, b in zip(again.cells, off.cells)] == [True, False, True, True, True]
+    # an equal power of another repr is replaced: the float is what is kept
+    single = configure_powers(NetworkState((SmallCell(1, 10, (0,), 24),)), grid, params)
+    assert repr(single.cell(1).power_dbm) == "24.0"
+
+
 def test_configure_powers_respects_fixed_and_bounds(params):
     rng = np.random.default_rng(23)
     grid = GridSpec(90.0, 90.0, 3.0)
@@ -442,6 +458,8 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
         if m.any():
             reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
     assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
+    some = np.flatnonzero(rng.random(num_pixels) < 0.3)
+    assert serving_mean(state, serving, table, some).tobytes() == reference[some].tobytes()
 
 
 def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
