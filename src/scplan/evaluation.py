@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radio import (LinkCache, PropagationParams, RadioSnapshot, average_se,
-                    cell_capacity, configure_powers, link_state)
+                    cell_capacity, link_state)
 from .scenario import GridSpec, NetworkState
 from .monitor import required_bandwidth
 from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, translate_sc_level
@@ -149,11 +149,12 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     evaluated.  The SE average is weighted by the total expected traffic:
     observable demand plus the estimated rasters of tenants that are not
     live yet.  Powers and link state depend on the layout alone, so they
-    are taken from ``ctx.link_cache`` when it holds this layout.
+    are taken from ``ctx.link_cache`` when it holds this layout, and a site
+    search's trial takes the powers solved in its search's batch.
     """
     link = ctx.link_cache.link(state, ctx.grid, ctx.radio)
     if link is None:
-        powered = configure_powers(state, ctx.grid, ctx.radio)
+        powered = ctx.link_cache.powered(state, ctx.grid, ctx.radio)
         link = ctx.link_cache.remember(
             state, powered, *link_state(powered, ctx.grid, ctx.radio, ctx.link_cache))
     state, serving, sinr_table, pixel_se = link

@@ -30,6 +30,7 @@ __all__ = [
     "rx_power_matrix",
     "serving_assignment",
     "configure_powers",
+    "solve_powers",
     "sinr",
     "spectral_efficiency",
     "average_se",
@@ -115,9 +116,10 @@ class LinkCache:
     While a site search runs (``pinned``), it also pins the search's base
     layout: its powered state and its full build's running max, serving
     column, served mW, channel totals, SINR and SE tables, pixel SE and
-    path-loss and mW columns.  ``link_state`` builds a layout that is the
-    pinned one plus one trailing cell as a delta on them, with the bytes of
-    the full build.  Nothing is pinned outside a search.
+    path-loss and mW columns; and its trials' powers, solved in one batch.
+    ``link_state`` builds a layout that is the pinned one plus one trailing
+    cell as a delta on them, with the bytes of the full build.  Nothing is
+    pinned outside a search.
 
     All of it belongs to one grid and one set of radio parameters; using the
     cache with others drops what it holds.  Memoized arrays and mW columns
@@ -155,15 +157,25 @@ class LinkCache:
         self._layout = (state, powered, serving, *arrays)
         return self._layout[1:]
 
+    def powered(self, state: NetworkState, grid: GridSpec,
+                params: PropagationParams) -> NetworkState:
+        """``state`` at its configured powers: as solved for the pinned
+        search if it is one of its trials, else by ``configure_powers``."""
+        solved = None if self._pin is None else self._pin[2].get(state)
+        return configure_powers(state, grid, params) if solved is None else solved
+
     @contextmanager
-    def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+    def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams,
+               trials=()):
         """Pin ``state``, the base of a site search, for the ``with`` block:
         its powered state and full build, on which ``link_state`` builds each
-        trial.  The pin is dropped when the block exits, also on an
-        exception."""
+        trial, and the powers of ``trials``, the search's layouts, solved in
+        one batch by ``solve_powers`` for ``powered``.  The pin is dropped
+        when the block exits, also on an exception."""
         link = self.link(state, grid, params)
         powered = configure_powers(state, grid, params) if link is None else link[0]
-        self._pin = powered, _build(powered, grid, params, self)
+        solved = solve_powers(trials, grid, params) if trials else []
+        self._pin = powered, _build(powered, grid, params, self), dict(zip(trials, solved))
         try:
             yield
         finally:
@@ -242,50 +254,64 @@ def configure_powers(state: NetworkState, grid: GridSpec,
     never on the incoming power values.
 
     A single deployed cell (no interferer, no ISD) gets maximum power.
-    Cells with ``power_fixed`` keep their power but still interfere.
+    Cells with ``power_fixed`` keep their power but still interfere.  This is
+    ``solve_powers`` of the one layout.
     """
-    cells = state.cells
-    if not cells:
+    return solve_powers([state], grid, params, tol_db, max_iter)[0]
+
+
+def solve_powers(states, grid: GridSpec, params: PropagationParams,
+                 tol_db: float = 0.01, max_iter: int = 50) -> list[NetworkState]:
+    """``configure_powers`` of each of ``states``, layouts of one cell count
+    (else ``ValueError``), in one fixed-point loop over all of them.  Each
+    layout iterates on its own floats, with the one-layout arithmetic, and
+    leaves the loop when it meets ``tol_db``, so it gets the bits it gets
+    alone; geometry and co-channel pairs are computed once per batch."""
+    n = len(states[0].cells)
+    if not n:
         raise ValueError("empty network")
-    n = len(cells)
-    fixed = np.array([c.power_fixed for c in cells])
-    powers = np.where(fixed, [c.power_dbm for c in cells], params.power_max_dbm).astype(float)
-    if n == 1:
-        return _with_powers(state, powers)
-
-    sites = pixel_positions(grid)[list(state.site_pixels)]
-    pair_d = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(pair_d, np.inf)
-    nearest = np.argmin(pair_d, axis=1)
-    isd = pair_d[np.arange(n), nearest]
-    edge = sites + (sites[nearest] - sites) * params.edge_fraction
-    edge_d = np.sqrt(((edge[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
-
-    member = np.zeros((n, 1 + max(max(c.channels) for c in cells)), dtype=bool)
-    for i, c in enumerate(cells):
-        member[i, list(c.channels)] = True
-    co_channel = member @ member.T
-    np.fill_diagonal(co_channel, False)
-
-    serving_pl = path_loss(params.edge_fraction * isd, params)
-    edge_pl = path_loss(edge_d, params)
-    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
-
-    for _ in range(max_iter):
-        rx_edge = powers[None, :] + params.antenna_gain_db - edge_pl
-        rx_lin = np.where(co_channel, 10.0 ** (rx_edge / 10.0), 0.0)
-        strongest = rx_lin.max(axis=1)
-        required = (params.edge_sinr_target_db
-                    + 10.0 * np.log10(strongest + noise_lin)
-                    + serving_pl - params.antenna_gain_db)
-        new_powers = np.where(
-            fixed, powers,
-            np.clip(required, params.power_min_dbm, params.power_max_dbm))
-        if np.max(np.abs(new_powers - powers)) < tol_db:
-            powers = new_powers
-            break
-        powers = new_powers
-    return _with_powers(state, powers)
+    if any(len(s.cells) != n for s in states):
+        raise ValueError("layouts of unequal cell counts")
+    fixed = np.array([[c.power_fixed for c in s.cells] for s in states])
+    powers = np.where(fixed, [[c.power_dbm for c in s.cells] for s in states],
+                      params.power_max_dbm).astype(float)
+    if n > 1:
+        # (layout, cell) arrays, and (other cell, layout, cell) ones, so a
+        # cell's strongest interferer is a max over the leading axis
+        sites = pixel_positions(grid)[np.array([s.site_pixels for s in states])]
+        pair_d = np.sqrt(((sites[:, :, None] - sites[:, None]) ** 2).sum(axis=3))
+        pair_d[:, np.arange(n), np.arange(n)] = np.inf
+        isd, nearest = pair_d.min(axis=2), np.argmin(pair_d, axis=2)[..., None]
+        edge = np.take_along_axis(sites, nearest, axis=1)
+        edge = sites + (edge - sites) * params.edge_fraction
+        edge_d = np.sqrt(((edge[None] - sites.swapaxes(0, 1)[:, :, None]) ** 2).sum(axis=3))
+        held = [(t, i, ch) for t, s in enumerate(states) for i, c in enumerate(s.cells)
+                for ch in c.channels]
+        member = np.zeros((*fixed.shape, 1 + max(ch for *_, ch in held)), dtype=bool)
+        member[tuple(zip(*held))] = True
+        co_channel = (member @ member.transpose(0, 2, 1)).swapaxes(0, 1).copy()
+        co_channel[np.arange(n), :, np.arange(n)] = False
+        serving_pl = path_loss(params.edge_fraction * isd, params)
+        edge_pl = path_loss(edge_d, params)
+        noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
+        live, p, fix = np.arange(len(states)), powers, fixed
+        for _ in range(max_iter):
+            rx_edge = p.T[:, :, None] + params.antenna_gain_db - edge_pl
+            rx_lin = np.where(co_channel, 10.0 ** (rx_edge / 10.0), 0.0)
+            strongest = rx_lin.max(axis=0)
+            required = (params.edge_sinr_target_db
+                        + 10.0 * np.log10(strongest + noise_lin)
+                        + serving_pl - params.antenna_gain_db)
+            new = np.where(fix, p, np.clip(required, params.power_min_dbm,
+                                           params.power_max_dbm))
+            going = ~(np.abs(new - p).max(axis=1) < tol_db)
+            powers[live], p = new, new
+            if not going.all():         # freeze the layouts that converged
+                live, p, fix, serving_pl = (a[going] for a in (live, p, fix, serving_pl))
+                co_channel, edge_pl = co_channel[:, going], edge_pl[:, going]
+                if not live.size:
+                    break
+    return [_with_powers(s, row) for s, row in zip(states, powers)]
 
 
 def _with_powers(state: NetworkState, powers: np.ndarray) -> NetworkState:
@@ -332,7 +358,7 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
     the serving cell's allocated channels, at ``pixels`` (every pixel by
     default).  One gather per distinct channel count; each mean has the bits
     of ``table[np.ix_(pixels, channels)].mean(axis=1)`` over a cell's
-    pixels."""
+    pixels, which below 8 channels adds them left to right and divides."""
     cols = serving.pixel_col if pixels is None else serving.pixel_col[pixels]
     counts = [len(c.channels) for c in state.cells]
     pixel_count = np.array(counts)[cols]
@@ -345,7 +371,8 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
                                  for c, n in zip(state.cells, counts)])
             index = channels[cols[at]]
             index += ((at if pixels is None else pixels[at]) * table.shape[1])[:, None]
-            out[at] = flat[index].mean(axis=1)
+            out[at] = (sum((flat[index[:, i]] for i in range(1, k)), flat[index[:, 0]]) / k
+                       if k < 8 else flat[index].mean(axis=1))
     return out
 
 
@@ -408,7 +435,7 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     cache = LinkCache() if cache is None else cache
     cache._use(grid, params)
     if cache._pin is not None and _extends(cache._pin[0], state):
-        return _trial_link(*cache._pin, state, params, cache)
+        return _trial_link(*cache._pin[:2], state, params, cache)
     return _build(state, grid, params, cache)[:3]
 
 

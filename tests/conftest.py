@@ -145,3 +145,52 @@ def matrix_link_state(state: NetworkState, grid: GridSpec, params: PropagationPa
         if pixels.size:
             pixel_se[pixels] = se_table[np.ix_(pixels, np.array(c.channels))].mean(axis=1)
     return serving, rx, table, pixel_se
+
+
+def oracle_configure_powers(state: NetworkState, grid: GridSpec,
+                            params: PropagationParams,
+                            tol_db: float = 0.01, max_iter: int = 50) -> np.ndarray:
+    """The powers ``configure_powers`` solved one layout at a time, before
+    site searches solved their trials in one batch: this loop, verbatim."""
+    cells = state.cells
+    if not cells:
+        raise ValueError("empty network")
+    n = len(cells)
+    fixed = np.array([c.power_fixed for c in cells])
+    powers = np.where(fixed, [c.power_dbm for c in cells], params.power_max_dbm).astype(float)
+    if n == 1:
+        return powers
+
+    sites = pixel_positions(grid)[list(state.site_pixels)]
+    pair_d = np.sqrt(((sites[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(pair_d, np.inf)
+    nearest = np.argmin(pair_d, axis=1)
+    isd = pair_d[np.arange(n), nearest]
+    edge = sites + (sites[nearest] - sites) * params.edge_fraction
+    edge_d = np.sqrt(((edge[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
+
+    member = np.zeros((n, 1 + max(max(c.channels) for c in cells)), dtype=bool)
+    for i, c in enumerate(cells):
+        member[i, list(c.channels)] = True
+    co_channel = member @ member.T
+    np.fill_diagonal(co_channel, False)
+
+    serving_pl = path_loss(params.edge_fraction * isd, params)
+    edge_pl = path_loss(edge_d, params)
+    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
+
+    for _ in range(max_iter):
+        rx_edge = powers[None, :] + params.antenna_gain_db - edge_pl
+        rx_lin = np.where(co_channel, 10.0 ** (rx_edge / 10.0), 0.0)
+        strongest = rx_lin.max(axis=1)
+        required = (params.edge_sinr_target_db
+                    + 10.0 * np.log10(strongest + noise_lin)
+                    + serving_pl - params.antenna_gain_db)
+        new_powers = np.where(
+            fixed, powers,
+            np.clip(required, params.power_min_dbm, params.power_max_dbm))
+        if np.max(np.abs(new_powers - powers)) < tol_db:
+            powers = new_powers
+            break
+        powers = new_powers
+    return powers

@@ -1,10 +1,12 @@
 """Site-search trials built as deltas on the pinned base layout.
 
 While ``select_site`` runs, ``LinkCache`` pins the search's base layout and
-``link_state`` builds each trial (the base plus one trailing cell) from the
-base's intermediates.  Every trial must equal the matrix form of
-``tests/conftest.py`` byte for byte, whether the search runs in the run's
-shared cache or in a fresh one.
+the powers of all its trials, solved in one batch, and ``link_state``
+builds each trial (the base plus one trailing cell) from the base's
+intermediates.  Every trial must equal the matrix form of
+``tests/conftest.py`` byte for byte, and every power the one-layout loop
+kept there, whether the search runs in the run's shared cache or in a fresh
+one.
 """
 import hashlib
 import importlib.util
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import matrix_link_state
+from conftest import matrix_link_state, oracle_configure_powers
 from scplan import evaluation, planner, radio
 from scplan.evaluation import METHODS
 from scplan.experiment import ExperimentConfig, run_experiment
@@ -42,12 +44,23 @@ def _matrix_digest(state, grid, params) -> str:
 def _check_every_trial(monkeypatch, run) -> int:
     """Call ``run`` with every ``select_site`` call repeated on a fresh
     ``LinkCache``, and check each trial of both searches against the
-    matrix form.  Returns the number of trials checked."""
+    matrix form, and every power solved against the one-layout loop.
+    Returns the number of trials checked."""
     expected = {}           # trial layout -> digest of its matrix form
     trials = []
     searching = []
     full_builds = []
+    batches = []            # (layouts, cells per layout) of each power solve
     build, select, columns = evaluation.link_state, planner.select_site, radio.rx_power_matrix
+    solve = radio.solve_powers
+
+    def checked_powers(states, grid, params, *args):
+        got = solve(states, grid, params, *args)
+        for state, powered in zip(states, got):
+            assert [repr(c.power_dbm) for c in powered.cells] == \
+                [repr(p) for p in oracle_configure_powers(state, grid, params, *args).tolist()]
+        batches.append((len(states), len(states[0].cells)))
+        return got
 
     def counted_columns(*args, **kwargs):
         full_builds.append(1)
@@ -68,7 +81,7 @@ def _check_every_trial(monkeypatch, run) -> int:
     def select_twice(state, candidates, ctx, new_cell_id):
         searching.append(1)
         try:
-            start = len(trials)
+            start, solves = len(trials), len(batches)
             site, ev = select(state, candidates, ctx, new_cell_id)
             shared = len(trials) - start
             again, fresh_ev = select(state, candidates,
@@ -77,11 +90,14 @@ def _check_every_trial(monkeypatch, run) -> int:
             searching.pop()
         assert ctx.link_cache._pin is None
         assert shared > 0 and len(trials) - start == 2 * shared
+        # each search solved all its trials' powers in one batch
+        assert [k for k, n in batches[solves:] if n == len(state.cells) + 1] == [shared] * 2
         assert again == site
         assert _digest(*_link_of(fresh_ev)) == _digest(*_link_of(ev))
         return site, ev
 
     monkeypatch.setattr(radio, "rx_power_matrix", counted_columns)
+    monkeypatch.setattr(radio, "solve_powers", checked_powers)
     monkeypatch.setattr(evaluation, "link_state", checked_link_state)
     monkeypatch.setattr(planner, "select_site", select_twice)
     run()

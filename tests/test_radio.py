@@ -452,14 +452,22 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     with pytest.raises(ValueError, match="unknown cell id"):
         average_se(max(serving.cell_ids) + 1, serving, pixel_se, raster)
 
-    reference = np.zeros(num_pixels)
-    for c in state.cells:
-        m = masks[c.cell_id]
-        if m.any():
-            reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
-    assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
+    # and with two served cells widened to 8 and 9 channels, where numpy's
+    # mean(axis=1) no longer adds left to right
+    served = [c.cell_id for c in state.cells if c.cell_id != idle]
+    wide = {served[0]: tuple(range(9)), served[1]: tuple(range(1, 9))}
+    wide_state = replace(state, cells=tuple(replace(c, channels=wide.get(c.cell_id, c.channels))
+                                            for c in state.cells))
+    wide_table = rng.uniform(-10.0, 40.0, (num_pixels, 10))
     some = np.flatnonzero(rng.random(num_pixels) < 0.3)
-    assert serving_mean(state, serving, table, some).tobytes() == reference[some].tobytes()
+    for state, table in ((state, table), (wide_state, wide_table)):
+        reference = np.zeros(num_pixels)
+        for c in state.cells:
+            m = masks[c.cell_id]
+            if m.any():
+                reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
+        assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
+        assert serving_mean(state, serving, table, some).tobytes() == reference[some].tobytes()
 
 
 def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
