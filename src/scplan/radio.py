@@ -260,7 +260,7 @@ def configure_powers(state: NetworkState, grid: GridSpec,
     return solve_powers([state], grid, params, tol_db, max_iter)[0]
 
 
-def solve_powers(states, grid: GridSpec, params: PropagationParams,
+def solve_powers(states: list[NetworkState], grid: GridSpec, params: PropagationParams,
                  tol_db: float = 0.01, max_iter: int = 50) -> list[NetworkState]:
     """``configure_powers`` of each of ``states``, layouts of one cell count
     (else ``ValueError``), in one fixed-point loop over all of them.  Each
