@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, count, repeat
+from functools import lru_cache
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 
+_ROWS_PER_WRITE = 4096
+_GRAY_LEVELS = [str(g) for g in range(256)]
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -41,21 +46,31 @@ def _fmt_all(values) -> map:
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
+@lru_cache(maxsize=1)
+def _row_blocks(grid: GridSpec) -> tuple[str, ...]:
+    """The CSV text of each block of ``_ROWS_PER_WRITE`` pixels, ``%r`` in
+    place of every value: each row is ``\\r\\n``, ``index,x_m,y_m,`` and ``%r``."""
+    pos = pixel_positions(grid)
+    rows = enumerate(product(_fmt_all(pos[::grid.nx, 1]), list(_fmt_all(pos[:grid.nx, 0]))))
+    return tuple("".join(f"\r\n{i},{x},{y},%r" for i, (y, x) in islice(rows, _ROWS_PER_WRITE))
+                 for _ in range(0, grid.num_pixels, _ROWS_PER_WRITE))
+
+
 def write_raster_csv(path, grid: GridSpec, values: np.ndarray) -> Path:
     """One row per pixel: index, x_m, y_m, value.
 
-    Lines are formatted as ``csv.writer`` would write them; each distinct
-    coordinate is formatted once.
+    Lines are formatted as ``csv.writer`` would write them.  The text before
+    each value depends on the grid alone and is formatted once per grid (the
+    last grid is kept); each raster formats its values only, one block of
+    ``_ROWS_PER_WRITE`` rows per ``%`` and ``write``.
     """
     path = Path(path)
-    pos = pixel_positions(grid)
-    xs = list(_fmt_all(pos[:grid.nx, 0]))
-    x_col = chain.from_iterable(repeat(xs, grid.ny))
-    y_col = chain.from_iterable(repeat(y, grid.nx) for y in _fmt_all(pos[::grid.nx, 1]))
-    value_col = _fmt_all(np.reshape(values, grid.num_pixels))
+    flat = np.asarray(values, dtype=float).reshape(grid.num_pixels)
     with path.open("w", newline="") as fh:
-        fh.write("index,x_m,y_m,value\r\n")
-        fh.writelines(map("{},{},{},{}\r\n".format, count(), x_col, y_col, value_col))
+        fh.write("index,x_m,y_m,value")
+        for start, rows in zip(range(0, grid.num_pixels, _ROWS_PER_WRITE), _row_blocks(grid)):
+            fh.write(rows % tuple(flat[start:start + _ROWS_PER_WRITE].tolist()))
+        fh.write("\r\n")
     return path
 
 
@@ -71,13 +86,15 @@ def write_raster_pgm(path, grid: GridSpec, values: np.ndarray,
     path = Path(path)
     v = np.asarray(values, dtype=float).reshape(grid.ny, grid.nx)
     finite = v[np.isfinite(v)]
-    lo = float(finite.min()) if lo is None and finite.size else (lo or 0.0)
-    hi = float(finite.max()) if hi is None and finite.size else (hi or 1.0)
+    if lo is None:
+        lo = float(finite.min()) if finite.size else 0.0
+    if hi is None:
+        hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo if hi > lo else 1.0
     gray = np.clip(np.nan_to_num(v, nan=lo, neginf=lo, posinf=hi), lo, hi)
     gray = np.round((gray - lo) / span * 255).astype(int)
     lines = ["P2", f"{grid.nx} {grid.ny}", "255"]
-    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
+    lines.extend(" ".join([_GRAY_LEVELS[g] for g in row]) for row in gray.tolist())
     path.write_text("\n".join(lines) + "\n")
     return path
 

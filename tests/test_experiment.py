@@ -173,33 +173,77 @@ def test_raster_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(values, again)
 
 
+def _csv_writer_raster(path, grid, values):
+    """The raster CSV as ``csv.writer`` writes it, one row at a time."""
+    pos = pixel_positions(grid)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "x_m", "y_m", "value"])
+        for i in range(grid.num_pixels):
+            w.writerow([i, repr(float(pos[i, 0])), repr(float(pos[i, 1])),
+                        repr(float(values[i]))])
+    return path.read_bytes()
+
+
+def _pgm_reference(grid, gray):
+    return ("\n".join(["P2", f"{grid.nx} {grid.ny}", "255"]
+                      + [" ".join(str(g) for g in row)
+                         for row in np.reshape(gray, (grid.ny, grid.nx)).tolist()])
+            + "\n").encode()
+
+
 def test_writers_match_csv_writer_reference(tmp_path):
     grid = GridSpec(21.0, 12.0, 3.0)            # 7 x 4 pixels
     special = [np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 3.0, 2.0 ** 60]
     values = np.random.default_rng(9).uniform(-5, 40, grid.num_pixels)
     values[:len(special)] = special
 
-    pos = pixel_positions(grid)
-    ref = tmp_path / "ref.csv"
-    with ref.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "x_m", "y_m", "value"])
-        for i in range(grid.num_pixels):
-            w.writerow([i, repr(float(pos[i, 0])), repr(float(pos[i, 1])),
-                        repr(float(values[i]))])
     got = write_raster_csv(tmp_path / "raster.csv", grid, values)
-    assert got.read_bytes() == ref.read_bytes()
+    assert got.read_bytes() == _csv_writer_raster(tmp_path / "ref.csv", grid, values)
     ints = np.arange(grid.num_pixels)           # an integer raster is written as floats
     assert write_raster_csv(tmp_path / "ints.csv", grid, ints).read_bytes() == \
         write_raster_csv(tmp_path / "floats.csv", grid, ints.astype(float)).read_bytes()
     with pytest.raises(ValueError):
         write_raster_csv(tmp_path / "short.csv", grid, values[:-1])
 
-    gray = np.round(np.linspace(0, 255, grid.num_pixels)).astype(int).reshape(grid.ny, grid.nx)
-    ref.write_text("\n".join(["P2", f"{grid.nx} {grid.ny}", "255"]
-                             + [" ".join(str(g) for g in row) for row in gray]) + "\n")
-    got = write_raster_pgm(tmp_path / "raster.pgm", grid, gray.ravel().astype(float))
-    assert got.read_bytes() == ref.read_bytes()
+    # nx != ny and more rows than one joined write: 134 x 67 = 8 978 pixels
+    wide = GridSpec(400.0, 200.0, 3.0)
+    big = np.random.default_rng(4).uniform(-90, 30, wide.num_pixels)
+    got = write_raster_csv(tmp_path / "wide.csv", wide, big)
+    assert got.read_bytes() == _csv_writer_raster(tmp_path / "wide_ref.csv", wide, big)
+
+    # grids of one pixel count but other coordinates, written alternately:
+    # row heads of one grid must never be reused for another
+    tall = GridSpec(12.0, 21.0, 3.0)            # 4 x 7 pixels
+    coarse = GridSpec(42.0, 24.0, 6.0)          # 7 x 4 pixels, other pitch
+    for k, g in enumerate([grid, tall, grid, coarse, grid]):
+        got = write_raster_csv(tmp_path / f"alt{k}.csv", g, values)
+        assert got.read_bytes() == _csv_writer_raster(tmp_path / f"alt{k}_ref.csv", g, values)
+
+    gray = np.round(np.linspace(0, 255, grid.num_pixels)).astype(int)
+    got = write_raster_pgm(tmp_path / "raster.pgm", grid, gray.astype(float))
+    assert got.read_bytes() == _pgm_reference(grid, gray)
+    # every gray level once, then NaN and -inf at the bottom, +inf at the top
+    levels = GridSpec(60.0, 42.0, 3.0)          # 20 x 14 = 280 pixels
+    raster = np.full(levels.num_pixels, 7.0)
+    raster[:256] = np.arange(256)
+    raster[256:259] = [np.nan, np.inf, -np.inf]
+    gray = raster.copy()
+    gray[256:259] = [0, 255, 0]
+    got = write_raster_pgm(tmp_path / "levels.pgm", levels, raster)
+    assert got.read_bytes() == _pgm_reference(levels, gray.astype(int))
+
+
+def test_write_raster_pgm_keeps_explicit_zero_bounds(tmp_path):
+    grid = GridSpec(12.0, 3.0, 3.0)             # 4 x 1 pixels
+    negative = np.array([-20.0, -10.0, -5.0, -30.0])
+    got = write_raster_pgm(tmp_path / "hi.pgm", grid, negative, lo=-20.0, hi=0.0)
+    assert got.read_bytes() == _pgm_reference(grid, [0, 128, 191, 0])
+    got = write_raster_pgm(tmp_path / "hi_only.pgm", grid, negative, hi=0.0)
+    assert got.read_bytes() == _pgm_reference(grid, [85, 170, 212, 0])
+    positive = np.array([-1.0, 2.0, 4.0, 1.0])
+    got = write_raster_pgm(tmp_path / "lo.pgm", grid, positive, lo=0.0)
+    assert got.read_bytes() == _pgm_reference(grid, [0, 128, 255, 64])
 
 
 def test_layout_fragment_chains_into_scenario(tmp_path):
