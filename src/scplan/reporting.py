@@ -90,6 +90,8 @@ def write_raster_pgm(path, grid: GridSpec, values: np.ndarray,
         lo = float(finite.min()) if finite.size else 0.0
     if hi is None:
         hi = float(finite.max()) if finite.size else 1.0
+    if hi < lo:
+        raise ValueError(f"PGM bounds lo={lo!r} above hi={hi!r}")
     span = hi - lo if hi > lo else 1.0
     gray = np.clip(np.nan_to_num(v, nan=lo, neginf=lo, posinf=hi), lo, hi)
     gray = np.round((gray - lo) / span * 255).astype(int)

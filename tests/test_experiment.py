@@ -206,7 +206,7 @@ def test_writers_match_csv_writer_reference(tmp_path):
     with pytest.raises(ValueError):
         write_raster_csv(tmp_path / "short.csv", grid, values[:-1])
 
-    # nx != ny and more rows than one joined write: 134 x 67 = 8 978 pixels
+    # nx != ny and more rows than one block of the writer: 134 x 67 = 8 978 pixels
     wide = GridSpec(400.0, 200.0, 3.0)
     big = np.random.default_rng(4).uniform(-90, 30, wide.num_pixels)
     got = write_raster_csv(tmp_path / "wide.csv", wide, big)
@@ -241,6 +241,8 @@ def test_write_raster_pgm_keeps_explicit_zero_bounds(tmp_path):
     assert got.read_bytes() == _pgm_reference(grid, [0, 128, 191, 0])
     got = write_raster_pgm(tmp_path / "hi_only.pgm", grid, negative, hi=0.0)
     assert got.read_bytes() == _pgm_reference(grid, [85, 170, 212, 0])
+    with pytest.raises(ValueError, match="above hi"):   # lo=0.0 over data whose max is -5
+        write_raster_pgm(tmp_path / "crossed.pgm", grid, negative, lo=0.0)
     positive = np.array([-1.0, 2.0, 4.0, 1.0])
     got = write_raster_pgm(tmp_path / "lo.pgm", grid, positive, lo=0.0)
     assert got.read_bytes() == _pgm_reference(grid, [0, 128, 255, 64])
