@@ -10,9 +10,9 @@ from .scenario import (ScenarioError, InvariantError, GridSpec,
                        CandidateSiteSet, Hotspot, TenantProfile, ServingMap,
                        SmallCell, NetworkState, select_candidate_sites,
                        pixel_positions)
-from .radio import (PropagationParams, RadioSnapshot, path_loss,
-                    noise_floor_dbm, serving_assignment, configure_powers,
-                    sinr, spectral_efficiency, average_se, cell_capacity)
+from .radio import (PropagationParams, path_loss, noise_floor_dbm,
+                    serving_assignment, configure_powers, sinr,
+                    spectral_efficiency, average_se, cell_capacity)
 from .sla import (PlanningSpecSet, translate_sc_level, translate_pixel_level,
                   pixel_specs_to_cell)
 from .monitor import (MonitorParams, DemandHistory, TriggerDecision,
@@ -27,6 +27,6 @@ from .scenario_io import (Scenario, NewTenantEvent, load_scenario, validate,
                           validate_file)
 from .experiment import (ExperimentConfig, Report, RunContext, build_context,
                          run_experiment, emit_report, plan_once)
-from .presets import build_reference_scenario, bundled_scenario_path
+from .presets import bundled_scenario_path
 
 __version__ = "0.1.0"

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radio import (LinkCache, PropagationParams, RadioSnapshot, average_se,
-                    cell_capacity, link_state)
-from .scenario import GridSpec, NetworkState
+from .radio import LinkCache, PropagationParams, average_se
+from .scenario import GridSpec, NetworkState, ServingMap
 from .monitor import required_bandwidth
 from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, translate_sc_level
 
@@ -112,10 +111,16 @@ class EvaluationContext:
 
 @dataclass
 class NetworkEvaluation:
-    """Per-cell demands, specs and required bandwidth for one layout."""
+    """One layout's link state and per-cell demands, specs and required
+    bandwidth.  ``sinr_db`` is (pixels, channels), NaN on channels the
+    serving cell does not hold; ``pixel_se`` is the mean SE over the serving
+    cell's channels, and ``avg_se`` each cell's demand-weighted mean of it."""
 
     state: NetworkState
-    snapshot: RadioSnapshot
+    serving: ServingMap
+    sinr_db: np.ndarray
+    pixel_se: np.ndarray
+    avg_se: dict[int, float]
     cell_demand: dict[str, dict[int, float]]
     cell_specs: dict[str, dict[int, float]]
     required_mhz: dict[int, float]
@@ -152,12 +157,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     are taken from ``ctx.link_cache`` when it holds this layout, and a site
     search's trial takes the powers solved in its search's batch.
     """
-    link = ctx.link_cache.link(state, ctx.grid, ctx.radio)
-    if link is None:
-        powered = ctx.link_cache.powered(state, ctx.grid, ctx.radio)
-        link = ctx.link_cache.remember(
-            state, powered, *link_state(powered, ctx.grid, ctx.radio, ctx.link_cache))
-    state, serving, sinr_table, pixel_se = link
+    state, serving, sinr_table, pixel_se = ctx.link_cache.link(state, ctx.grid, ctx.radio)
 
     basis_cell = None
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):
@@ -187,17 +187,13 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
             demands[tenant_id] = serving.cell_sums(raster)
             specs[tenant_id] = dict(demands[tenant_id])
 
-    avg = {c.cell_id: average_se(c.cell_id, serving, pixel_se, weights)
-           for c in state.cells}
-    cap = {c.cell_id: cell_capacity(len(c.channels), avg[c.cell_id], ctx.radio)
-           for c in state.cells}
-    snap = RadioSnapshot(serving, sinr_table, pixel_se, avg, cap)
-
+    avg = {cid: average_se(cid, serving, pixel_se, weights) for cid in state.cell_ids}
     tenant_ids = list(demands)
     required = {}
     for cid in state.cell_ids:
         required[cid] = required_bandwidth(
             {m: demands[m][cid] for m in tenant_ids},
             {m: specs[m][cid] for m in tenant_ids},
-            snap.avg_se[cid])
-    return NetworkEvaluation(state, snap, demands, specs, required)
+            avg[cid])
+    return NetworkEvaluation(state, serving, sinr_table, pixel_se, avg, demands, specs,
+                             required)

@@ -256,12 +256,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     total = float(sum(v for _, v in rows))
-    snap = ev.snapshot
     rasters = {
         "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
-        "serving_cell": snap.serving.pixel_cell.astype(float),
-        "pixel_se": snap.pixel_se,
-        "sinr_db": serving_mean(state, snap.serving, snap.sinr_db),
+        "serving_cell": ev.serving.pixel_cell.astype(float),
+        "pixel_se": ev.pixel_se,
+        "sinr_db": serving_mean(state, ev.serving, ev.sinr_db),
     }
     echo = {"scenario": str(cfg.scenario_path), "method": cfg.method,
             "horizon": horizon, "seed": cfg.seed}

@@ -23,7 +23,6 @@ from .scenario import (GridSpec, NetworkState, ServingMap, is_count, is_real,
 
 __all__ = [
     "PropagationParams",
-    "RadioSnapshot",
     "LinkCache",
     "path_loss",
     "noise_floor_dbm",
@@ -110,8 +109,8 @@ class LinkCache:
     each site and the mW received-power column of each (site, power), so a
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); and the link state of the last
-    layout evaluated: the input layout, its powered state, serving map, SINR
-    table and per-pixel SE (see ``evaluation.evaluate_state``).
+    layout asked for: the input layout, its powered state, serving map, SINR
+    table and per-pixel SE (see ``link``).
 
     While a site search runs (``pinned``), it also pins the search's base
     layout: its powered state and its full build's running max, serving
@@ -131,38 +130,32 @@ class LinkCache:
         self._xy = None
         self._path_loss: dict[int, np.ndarray] = {}
         self._linear: dict[tuple[int, float], np.ndarray] = {}
-        self._layout = None
+        self._layout = ()
         self._pin = None
 
     def _use(self, grid: GridSpec, params: PropagationParams):
         if self._scope != (grid, params):
             self._scope = (grid, params)
             self._xy = np.ascontiguousarray(pixel_positions(grid).T)
-            self._path_loss, self._linear, self._layout, self._pin = {}, {}, None, None
+            self._path_loss, self._linear, self._layout, self._pin = {}, {}, (), None
 
     def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
-        """``(powered state, serving, SINR table, pixel SE)`` of ``state``
-        if it is the last layout remembered, or that layout's powered state
-        (powers depend on the layout alone), else None."""
+        """``(powered state, serving, SINR table, pixel SE)`` of ``state``:
+        the kept one if ``state`` is the kept layout or its powered state
+        (powers depend on the layout alone); else ``state`` is powered (as
+        solved for the pinned search if it is one of its trials, else by
+        ``configure_powers``), built by ``link_state`` and kept."""
         self._use(grid, params)
-        if self._layout is not None and state in self._layout[:2]:
+        if state in self._layout[:2]:
             return self._layout[1:]
-        return None
-
-    def remember(self, state: NetworkState, powered: NetworkState, serving: ServingMap,
-                 *arrays: np.ndarray):
-        """Keep ``state``'s link state, as returned by ``link``."""
+        powered = None if self._pin is None else self._pin[2].get(state)
+        if powered is None:
+            powered = configure_powers(state, grid, params)
+        serving, *arrays = link_state(powered, grid, params, self)
         for a in arrays:
             a.flags.writeable = False
         self._layout = (state, powered, serving, *arrays)
         return self._layout[1:]
-
-    def powered(self, state: NetworkState, grid: GridSpec,
-                params: PropagationParams) -> NetworkState:
-        """``state`` at its configured powers: as solved for the pinned
-        search if it is one of its trials, else by ``configure_powers``."""
-        solved = None if self._pin is None else self._pin[2].get(state)
-        return configure_powers(state, grid, params) if solved is None else solved
 
     @contextmanager
     def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams,
@@ -172,8 +165,9 @@ class LinkCache:
         trial, and the powers of ``trials``, the search's layouts, solved in
         one batch by ``solve_powers`` for ``powered``.  The pin is dropped
         when the block exits, also on an exception."""
-        link = self.link(state, grid, params)
-        powered = configure_powers(state, grid, params) if link is None else link[0]
+        self._use(grid, params)         # not ``link``: a second full build of the base
+        powered = (self._layout[1] if state in self._layout[:2]
+                   else configure_powers(state, grid, params))
         solved = solve_powers(trials, grid, params) if trials else []
         self._pin = powered, _build(powered, grid, params, self), dict(zip(trials, solved))
         try:
@@ -400,22 +394,6 @@ def average_se(cell_id: int, serving: ServingMap, pixel_se: np.ndarray,
 def cell_capacity(num_channels: int, avg_se: float, params: PropagationParams) -> float:
     """Capacity in Mbps: allocated bandwidth (MHz) times average SE."""
     return num_channels * params.channel_bandwidth_mhz * avg_se
-
-
-@dataclass(frozen=True)
-class RadioSnapshot:
-    """Derived radio state for one network layout.
-
-    ``sinr_db`` is (num_pixels, num_channels) for the serving link, NaN on
-    channels the serving cell does not hold; ``pixel_se`` is the mean SE over
-    the serving cell's channels.
-    """
-
-    serving: ServingMap
-    sinr_db: np.ndarray
-    pixel_se: np.ndarray
-    avg_se: dict[int, float]
-    capacity_mbps: dict[int, float]
 
 
 def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,

@@ -16,11 +16,10 @@ import numpy as np
 from .monitor import CellCheck, SlaExceedNotice
 from .planner import (ActionLedger, AddCell, AddChannel, Relocate, RemoveCell,
                       RemoveChannel)
-from .scenario import GridSpec, NetworkState, pixel_positions
+from .scenario import GridSpec, NetworkState, ScenarioError, pixel_positions
 
 __all__ = [
     "write_raster_csv",
-    "read_raster_csv",
     "write_raster_pgm",
     "write_monitor_log",
     "write_notifications",
@@ -72,12 +71,6 @@ def write_raster_csv(path, grid: GridSpec, values: np.ndarray) -> Path:
             fh.write(rows % tuple(flat[start:start + _ROWS_PER_WRITE].tolist()))
         fh.write("\r\n")
     return path
-
-
-def read_raster_csv(path) -> np.ndarray:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([float(r[3]) for r in rows[1:]])
 
 
 def write_raster_pgm(path, grid: GridSpec, values: np.ndarray,
@@ -192,11 +185,17 @@ def write_bandwidth_table(path, rows: list[tuple[int, float]]) -> Path:
 
 
 def read_bandwidth_table(path) -> tuple[list[tuple[str, float]], float]:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = [(r[0], float(r[1])) for r in rows[1:-1]]
-    total = float(rows[-1][1])
-    return body, total
+    """The cell rows and the total of a ``write_bandwidth_table`` file;
+    ``ScenarioError`` naming the file if it is not one."""
+    path = Path(path)
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        if rows[:1] != [["cell", "required_mhz"]] or rows[-1][:1] != ["total"]:
+            raise ValueError("want a 'cell,required_mhz' header and a final 'total' row")
+        return [(r[0], float(r[1])) for r in rows[1:-1]], float(rows[-1][1])
+    except (IndexError, ValueError, csv.Error) as exc:
+        raise ScenarioError(f"bad bandwidth table {path}: {exc}") from exc
 
 
 def write_layout_fragment(path, state: NetworkState) -> Path:

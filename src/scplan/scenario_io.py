@@ -2,8 +2,7 @@
 
 Sections: grid, tenants (with hotspot demand models), candidate_sites
 (fraction+seed or an explicit pixel list), initial_cells, radio, monitor,
-planner, and an optional new-tenant arrival event.  Loading the JSON of
-``scenario_to_dict`` is a value-exact round trip.
+planner, and an optional new-tenant arrival event.
 
 Loading is the one definition of a valid scenario: each dataclass checks
 its own fields, the loader adds the checks that span sections and raises
@@ -12,7 +11,7 @@ one InvariantError listing every violation, and ``validate`` returns it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .monitor import MonitorParams
@@ -28,7 +27,6 @@ __all__ = [
     "ScenarioError",
     "InvariantError",
     "load_scenario",
-    "scenario_to_dict",
     "scenario_from_dict",
     "read_document",
     "validate",
@@ -242,44 +240,6 @@ def scenario_from_dict(doc) -> Scenario:
         raise InvariantError(bad)
     return Scenario(grid, tuple(tenants), sites, state, radio, monitor, planner,
                     event, fraction)
-
-
-def _tenant_to_dict(t: TenantProfile) -> dict:
-    return {
-        "id": t.tenant_id,
-        "contracted_capacity_mbps": t.contracted_capacity_mbps,
-        "temporal_profile": list(t.temporal_profile),
-        "hotspots": [{"x_m": h.x_m, "y_m": h.y_m, "spread_m": h.spread_m,
-                      "peak_mbps": h.peak_mbps} for h in t.hotspots],
-        "uniform_floor_mbps": t.uniform_floor_mbps,
-    }
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    doc: dict = {
-        "grid": {"width_m": scn.grid.width_m, "height_m": scn.grid.height_m,
-                 "resolution_m": scn.grid.resolution_m},
-        "tenants": [_tenant_to_dict(t) for t in scn.tenants],
-    }
-    if scn.candidate_fraction is not None:
-        doc["candidate_sites"] = {"fraction": scn.candidate_fraction,
-                                  "seed": scn.candidate_sites.seed}
-    else:
-        doc["candidate_sites"] = {"pixels": list(scn.candidate_sites.site_pixels)}
-        if scn.candidate_sites.seed is not None:
-            doc["candidate_sites"]["seed"] = scn.candidate_sites.seed
-    doc["initial_cells"] = [
-        {"id": c.cell_id, "site_pixel": c.site_pixel,
-         "channels": list(c.channels),
-         **({"power_dbm": c.power_dbm} if c.power_fixed else {})}
-        for c in scn.initial_state.cells]
-    doc["radio"] = asdict(scn.radio)
-    doc["monitor"] = asdict(scn.monitor)
-    doc["planner"] = asdict(scn.planner)
-    if scn.event is not None:
-        doc["event"] = {"step": scn.event.step,
-                        "tenant": _tenant_to_dict(scn.event.tenant)}
-    return doc
 
 
 def read_document(path):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix_link_state, oracle_configure_powers
-from scplan import evaluation, planner, radio
+from scplan import planner, radio
 from scplan.evaluation import METHODS
 from scplan.experiment import ExperimentConfig, run_experiment
 from scplan.presets import bundled_scenario_path
@@ -51,7 +51,7 @@ def _check_every_trial(monkeypatch, run) -> int:
     searching = []
     full_builds = []
     batches = []            # (layouts, cells per layout) of each power solve
-    build, select, columns = evaluation.link_state, planner.select_site, radio.rx_power_matrix
+    build, select, columns = radio.link_state, planner.select_site, radio.rx_power_matrix
     solve = radio.solve_powers
 
     def checked_powers(states, grid, params, *args):
@@ -98,15 +98,14 @@ def _check_every_trial(monkeypatch, run) -> int:
 
     monkeypatch.setattr(radio, "rx_power_matrix", counted_columns)
     monkeypatch.setattr(radio, "solve_powers", checked_powers)
-    monkeypatch.setattr(evaluation, "link_state", checked_link_state)
+    monkeypatch.setattr(radio, "link_state", checked_link_state)
     monkeypatch.setattr(planner, "select_site", select_twice)
     run()
     return len(trials)
 
 
 def _link_of(ev):
-    snap = ev.snapshot
-    return snap.serving, snap.sinr_db, snap.pixel_se
+    return ev.serving, ev.sinr_db, ev.pixel_se
 
 
 @pytest.mark.parametrize("method", METHODS)

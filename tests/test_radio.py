@@ -303,8 +303,8 @@ def test_memoized_link_arrays_are_read_only(params):
     ctx = EvaluationContext(grid=grid, radio=params, policies={},
                             known_demand={"a": np.ones(grid.num_pixels)})
     for _ in range(2):          # computed, then taken from the cache
-        snap = evaluate_state(state, ctx).snapshot
-        for arr in (snap.sinr_db, snap.pixel_se, snap.serving.pixel_cell):
+        ev = evaluate_state(state, ctx)
+        for arr in (ev.sinr_db, ev.pixel_se, ev.serving.pixel_cell):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
@@ -475,8 +475,8 @@ def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
     state = random_state(np.random.default_rng(4), grid, num_cells=3)
     ctx = EvaluationContext(grid=grid, radio=params, policies={},
                             known_demand={"a": np.ones(grid.num_pixels)})
-    first = evaluate_state(state, ctx).snapshot.serving
-    second = evaluate_state(state, ctx).snapshot.serving
+    first = evaluate_state(state, ctx).serving
+    second = evaluate_state(state, ctx).serving
     assert second is first
     assert second.cell_pixels is first.cell_pixels
     derived = ServingMap(first.cell_ids, first.pixel_cell)     # columns found from the ids
