@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 invariant violation, 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -16,9 +17,7 @@ from .evaluation import METHODS, evaluate_state
 from .experiment import (PARAM_OVERRIDES, ExperimentConfig, build_context, emit_report,
                          plan_once, run_experiment)
 from .presets import bundled_scenario_path
-from .reporting import (read_bandwidth_table, write_actions_csv,
-                        write_bandwidth_table, write_changelog,
-                        write_layout_fragment, write_spec_csv)
+from .reporting import read_bandwidth_table, write_plan_files, write_spec_csv
 from .scenario_io import InvariantError, ScenarioError, validate_file
 
 __all__ = ["main"]
@@ -34,13 +33,12 @@ def _resolve_scenario(name: str) -> Path:
     raise ScenarioError(f"scenario not found: {name}")
 
 
-def _add_common(p: argparse.ArgumentParser, with_method=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scenario", required=True,
                    help="scenario file path or bundled scenario name")
-    if with_method:
-        p.add_argument("--method", choices=METHODS, default="corr-px",
-                       help="translation method for the arriving tenant")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--method", choices=METHODS, default="corr-px",
+                   help="translation method for the arriving tenant")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="override the candidate-site seed")
@@ -55,12 +53,9 @@ def _add_common(p: argparse.ArgumentParser, with_method=True):
                    default=None, dest="step4_mode")
 
 
-def _config(args, need_out=False) -> ExperimentConfig:
-    if need_out and args.out is None:
-        raise ScenarioError("--out is required")
+def _config(args) -> ExperimentConfig:
     return ExperimentConfig(
-        scenario_path=_resolve_scenario(args.scenario),
-        method=getattr(args, "method", "corr-px"),
+        scenario_path=_resolve_scenario(args.scenario), method=args.method,
         horizon=args.horizon, seed=args.seed,
         **{name: getattr(args, name) for name in PARAM_OVERRIDES})
 
@@ -74,7 +69,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    cfg = _config(args, need_out=True)
+    cfg = _config(args)
     scn = cfg.scenario()
     if scn.event is None:
         print("scenario has no arriving tenant to translate for")
@@ -95,25 +90,20 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    cfg = _config(args, need_out=True)
-    scn = cfg.scenario()
-    state, ledger, ctx = plan_once(scn, cfg.method, cfg.horizon)
+    cfg = _config(args)
+    state, ledger, ctx = plan_once(cfg.scenario(), cfg.method, cfg.horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_actions_csv(out / "actions.csv", [(0, ledger)])
-    write_actions_csv(out / "actions_raw.csv", [(0, ledger)], raw=True)
-    write_changelog(out / "changelog.txt", [(0, ledger)])
-    write_layout_fragment(out / "layout.json", state)
     ev = evaluate_state(state, ctx)
-    write_bandwidth_table(out / "bandwidth_table.csv",
-                          [(cid, ev.required_mhz[cid]) for cid in state.cell_ids])
+    write_plan_files(out, [(0, ledger)], state,
+                     [(cid, ev.required_mhz[cid]) for cid in state.cell_ids])
     print(f"planned {len(state.cells)} cells with {len(ledger.actions)} "
           f"action(s); outputs in {out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args, need_out=True)
+    cfg = _config(args)
     report = run_experiment(cfg)
     emit_report(report, args.out)
     print(f"method={report.method} cells={report.cell_count} "
@@ -139,10 +129,12 @@ def _cmd_report(args) -> int:
         return 1
     summary = run_dir / "summary.json"
     if summary.exists():
-        import json
-        doc = json.loads(summary.read_text())
-        print(f"method={doc['method']} cells={doc['cell_count']} "
-              f"actions={doc['actions']} fired_steps={doc['fired_steps']}")
+        try:
+            doc = json.loads(summary.read_text())
+            print(f"method={doc['method']} cells={doc['cell_count']} "
+                  f"actions={doc['actions']} fired_steps={doc['fired_steps']}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ScenarioError(f"bad run summary {summary}: {exc!r}") from exc
     return 0
 
 
@@ -156,17 +148,12 @@ def main(argv=None) -> int:
     p.add_argument("--scenario", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("translate", help="emit planning specs only")
-    _add_common(p)
-    p.set_defaults(func=_cmd_translate)
-
-    p = sub.add_parser("plan", help="run one planner invocation")
-    _add_common(p)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("run", help="run a full experiment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_run)
+    for name, func, text in (("translate", _cmd_translate, "emit planning specs only"),
+                             ("plan", _cmd_plan, "run one planner invocation"),
+                             ("run", _cmd_run, "run a full experiment")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", required=True, help="run output directory")
@@ -179,10 +166,7 @@ def main(argv=None) -> int:
         for line in exc.violations:
             print(f"invariant violation: {line}", file=sys.stderr)
         return 1
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -23,7 +23,7 @@ from . import reporting
 from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
                          evaluate_state, make_policy)
 from .monitor import CellCheck, DemandHistory, MonitorParams, SlaExceedNotice, \
-    check_trigger, sla_exceed_check
+    check_trigger, latest_max, sla_exceed_check
 from .planner import ActionLedger, PlannerParams, plan
 from .radio import LinkCache, configure_powers, serving_mean
 from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
@@ -158,8 +158,8 @@ def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np
 def _peak_step(spatial: dict[str, np.ndarray], tenants, horizon: int) -> int:
     """Step of the horizon with the most traffic from ``tenants``; ties go
     to the latest."""
-    return max(range(horizon), key=lambda t: (
-        sum(float(_demand(spatial, tn, t).sum()) for tn in tenants), t))
+    return latest_max((t, sum(float(_demand(spatial, tn, t).sum()) for tn in tenants))
+                      for t in range(horizon))[0]
 
 
 def build_context(scn: Scenario, method: str, horizon: int | None = None) -> RunContext:
@@ -255,7 +255,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     state = ev.state
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
-    total = float(sum(v for _, v in rows))
     rasters = {
         "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
@@ -267,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     for name in PARAM_OVERRIDES:
         echo[name] = getattr(scn.monitor if hasattr(scn.monitor, name) else scn.planner, name)
     return Report(cfg.method, horizon, eval_step, checks, fired_steps, notices,
-                  ledgers, initial_state, state, rows, total, len(state.cells),
+                  ledgers, initial_state, state, rows, ev.total_required(), len(state.cells),
                   rasters, grid, echo)
 
 
@@ -275,13 +274,10 @@ def _planning_step(history: DemandHistory, state: NetworkState) -> int:
     """Window step with the highest total requirement; ties go most recent."""
     totals: dict[int, float] = {}
     for cell in state.cells:
-        try:
-            window = history.window(cell.cell_id)
-        except ValueError:
-            continue
-        for t, v in window:
-            totals[t] = totals.get(t, 0.0) + v
-    return max(totals, key=lambda t: (totals[t], t))
+        if history.has(cell.cell_id):
+            for t, v in history.window(cell.cell_id):
+                totals[t] = totals.get(t, 0.0) + v
+    return latest_max(totals.items())[0]
 
 
 def plan_once(scn: Scenario, method: str, horizon: int | None = None
@@ -300,13 +296,8 @@ def emit_report(report: Report, out_dir) -> list[Path]:
         reporting.write_monitor_log(out / "monitor_log.csv", report.checks,
                                     set(report.fired_steps)),
         reporting.write_notifications(out / "notifications.csv", report.notices),
-        reporting.write_actions_csv(out / "actions.csv", report.ledgers),
-        reporting.write_actions_csv(out / "actions_raw.csv", report.ledgers,
-                                    raw=True),
-        reporting.write_changelog(out / "changelog.txt", report.ledgers),
-        reporting.write_bandwidth_table(out / "bandwidth_table.csv",
-                                        report.bandwidth_rows),
-        reporting.write_layout_fragment(out / "layout.json", report.final_state),
+        *reporting.write_plan_files(out, report.ledgers, report.final_state,
+                                    report.bandwidth_rows),
     ]
     for name, raster in report.rasters.items():
         files.append(reporting.write_raster_csv(out / f"{name}.csv",

@@ -22,6 +22,7 @@ __all__ = [
     "TriggerDecision",
     "SlaExceedNotice",
     "required_bandwidth",
+    "latest_max",
     "busy_hour",
     "check_trigger",
     "sla_exceed_check",
@@ -91,19 +92,20 @@ def required_bandwidth(tenant_demands: Mapping[str, float],
     return capped / avg_se
 
 
+def latest_max(samples):
+    """The ``(t, value)`` pair of ``samples`` with the largest value, ties to
+    the latest ``t``: the one busy-step rule of the monitor and of runs."""
+    (best_t, best), *rest = samples
+    for t, v in rest:
+        if v > best or (v == best and t > best_t):
+            best_t, best = t, v
+    return best_t, best
+
+
 def busy_hour(history: DemandHistory, cell_id: int) -> int:
     """Time index in the window with the highest requirement; ties go to the
     most recent step."""
-    best_t, best_v = None, -math.inf
-    for t, v in history.window(cell_id):
-        if v >= best_v:
-            best_t, best_v = t, v
-    return best_t
-
-
-def _busy_value(history: DemandHistory, cell_id: int) -> tuple[int, float]:
-    t_b = busy_hour(history, cell_id)
-    return t_b, dict(history.window(cell_id))[t_b]
+    return latest_max(history.window(cell_id))[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ def check_trigger(history: DemandHistory, state: NetworkState,
     for cell in state.cells:
         if not history.has(cell.cell_id):
             continue        # just deployed: first sample arrives next step
-        t_b, value = _busy_value(history, cell.cell_id)
+        t_b, value = latest_max(history.window(cell.cell_id))
         threshold = params.alpha * len(cell.channels) * channel_bandwidth_mhz
         violation = value > threshold
         counter = history.counters.get(cell.cell_id, 0)

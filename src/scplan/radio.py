@@ -103,7 +103,8 @@ def noise_floor_dbm(params: PropagationParams) -> float:
 
 
 class LinkCache:
-    """Radio quantities of one run that depend on the layout alone.
+    """Radio quantities of one run that depend on the layout alone, kept so
+    an unchanged layout skips the radio model; nothing is process-global.
 
     For the cells of the last layout seen it holds the path-loss column of
     each site and the mW received-power column of each (site, power), so a
@@ -256,11 +257,12 @@ def configure_powers(state: NetworkState, grid: GridSpec,
 
 def solve_powers(states: list[NetworkState], grid: GridSpec, params: PropagationParams,
                  tol_db: float = 0.01, max_iter: int = 50) -> list[NetworkState]:
-    """``configure_powers`` of each of ``states``, layouts of one cell count
-    (else ``ValueError``), in one fixed-point loop over all of them.  Each
-    layout iterates on its own floats, with the one-layout arithmetic, and
-    leaves the loop when it meets ``tol_db``, so it gets the bits it gets
-    alone; geometry and co-channel pairs are computed once per batch."""
+    """``configure_powers`` of each of ``states`` in one fixed-point loop,
+    with geometry and co-channel pairs computed once per batch.  Each layout
+    iterates on its own floats with the one-layout arithmetic (a row max is
+    order-free) until it meets ``tol_db`` or ``max_iter``, so it gets the
+    bits it gets alone.  Layouts of unequal cell counts raise ``ValueError``:
+    a site search's trials all have one cell more than its base."""
     n = len(states[0].cells)
     if not n:
         raise ValueError("empty network")
@@ -352,7 +354,8 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
     the serving cell's allocated channels, at ``pixels`` (every pixel by
     default).  One gather per distinct channel count; each mean has the bits
     of ``table[np.ix_(pixels, channels)].mean(axis=1)`` over a cell's
-    pixels, which below 8 channels adds them left to right and divides."""
+    pixels, which below 8 channels adds them left to right and divides, and
+    from 8 on, where numpy switches to pairwise blocks, is that ``mean``."""
     cols = serving.pixel_col if pixels is None else serving.pixel_col[pixels]
     counts = [len(c.channels) for c in state.cells]
     pixel_count = np.array(counts)[cols]
@@ -403,13 +406,16 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     ``cache`` if given): serving map, SINR table (NaN where the serving cell
     does not hold the channel) and per-pixel SE.  Serving is a running
     strict ``>`` in cell order, so ties go to the lowest cell id.  A
-    channel's total adds its holders' mW columns in cell order, the
-    additions numpy makes summing those matrix columns along axis 1.  SE is
-    computed only where the serving cell holds the channel.
+    channel's total adds its holders' mW columns in cell order, as numpy
+    sums the Fortran-ordered ``rx[:, holders]`` along axis 1; a C-ordered
+    stack sums pairwise from 8 holders on and moves bits the week's report
+    hashes see.  SE is computed only where the serving cell holds the
+    channel, the only entries the per-pixel mean reads.
 
     A layout that is the base pinned in ``cache`` (see ``LinkCache.pinned``)
-    plus one trailing cell is built as a delta on the base's build, with
-    the same bytes; any other layout gets the full build."""
+    plus one trailing cell, as every site-search trial is (cells sort by id
+    and a new cell's id is the largest), is built as a delta on the base's
+    build, with the same bytes; any other layout gets the full build."""
     cache = LinkCache() if cache is None else cache
     cache._use(grid, params)
     if cache._pin is not None and _extends(cache._pin[0], state):

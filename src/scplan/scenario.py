@@ -290,7 +290,8 @@ class ServingMap:
 
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
         """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
-        order; bit-identical to summing ``values[pixel_cell == c]``."""
+        order; bit-identical to summing ``values[pixel_cell == c]``, unlike a
+        weighted ``np.bincount``, whose order can flip a planner tie."""
         return {cid: float(values[pixels].sum()) for cid, pixels in self.cell_pixels.items()}
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -314,6 +315,28 @@ def test_cli_report_rejects_a_damaged_bandwidth_table(text, tmp_path, capsys):
     assert "bandwidth_table.csv" in err[0]
 
 
+@pytest.mark.parametrize("text", ["{ not json", "{}", "[]"],
+                         ids=["not-json", "no-keys", "not-an-object"])
+def test_cli_report_rejects_a_damaged_summary(text, tmp_path, capsys):
+    (tmp_path / "bandwidth_table.csv").write_text(
+        "cell,required_mhz\r\n1,2.5\r\ntotal,2.5\r\n", newline="")
+    (tmp_path / "summary.json").write_text(text)
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "summary.json" in err[0]
+
+
+# sha256 of what ``plan --method uniform-sc`` writes on urban200m
+PLAN_SHA256 = {
+    "actions.csv": "d97c549ba482fdfd8910911a6e629b524a825cd920dfe5eb6fe5f0cd248206ec",
+    "actions_raw.csv": "36d730c0fb92ec984da005018f68dfb7c7f0d27856b5c8e998f5c21b60306518",
+    "bandwidth_table.csv": "15845f95ba0e244b1d87809be8370576d330bcfbfe89c145655dae4348552a73",
+    "changelog.txt": "fa2d23fda0287622dea20acdb2e118906ee9d9e1debd92d8ff0bb4e0e2720c07",
+    "layout.json": "f67547a38cacbbae7e683fbd3c07fbc04d881b2cb74d74fac6bdca9ad752a018",
+}
+
+
 def test_cli_translate_and_plan(tmp_path):
     out = tmp_path / "tr"
     assert main(["translate", "--scenario", str(BUNDLED), "--method",
@@ -323,8 +346,9 @@ def test_cli_translate_and_plan(tmp_path):
     out2 = tmp_path / "plan"
     assert main(["plan", "--scenario", str(BUNDLED), "--method", "uniform-sc",
                  "--out", str(out2)]) == 0
-    assert (out2 / "actions.csv").exists()
-    assert (out2 / "layout.json").exists()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out2.iterdir()} == PLAN_SHA256
+    assert main(["report", "--run", str(out2)]) == 0
 
 
 def test_cli_param_overrides(tmp_path):

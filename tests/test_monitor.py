@@ -47,7 +47,15 @@ def test_busy_hour_argmax_and_ties():
     single.record(7, {1: 2.0})
     assert busy_hour(single, 1) == 7
     with pytest.raises(ValueError):
-        busy_hour(single, 99)
+        busy_hour(single, 99)               # a cell with no history
+    apart = DemandHistory(window_steps=8)
+    for t, v in enumerate([9.0, 3.0, 1.0, 9.0, 4.0]):
+        apart.record(t, {1: v})
+    assert busy_hour(apart, 1) == 3         # equal maxima apart: the later one
+    unservable = DemandHistory(window_steps=8)
+    for t, v in enumerate([5.0, math.inf, 7.0]):
+        unservable.record(t, {1: v})
+    assert busy_hour(unservable, 1) == 1    # an un-servable cell's inf wins
 
 
 def test_busy_hour_window_evicts_old_samples():
