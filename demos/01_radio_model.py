@@ -29,7 +29,7 @@ print("\nauto-configured transmit powers (9 dB target at the cell edge):")
 for cell in state.cells:
     print(f"  cell {cell.cell_id}: {cell.power_dbm:5.2f} dBm on channels {cell.channels}")
 
-serving, _, pixel_se = link_state(state, grid, params)
+serving, pixel_se = link_state(state, grid, params)
 print("\nper-cell results (uniform SE weighting, no traffic yet):")
 for cell in state.cells:
     served = serving.cell_pixels[cell.cell_id].size

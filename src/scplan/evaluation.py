@@ -47,7 +47,8 @@ class TenantSpecPolicy:
     mode: str
     pixel_spec: np.ndarray | None = None
 
-    def cell_specs(self, state: NetworkState, serving, basis_cell_demand) -> dict[int, float]:
+    def cell_specs(self, state: NetworkState, serving, basis_cell_demand,
+                   given: dict[int, float] | None = None) -> dict[int, float]:
         if self.mode == "uniform-sc":
             return translate_sc_level(self.a_busy_mbps, state, "uniform",
                                       tenant_id=self.tenant_id).cell_values
@@ -57,7 +58,7 @@ class TenantSpecPolicy:
                                       tenant_id=self.tenant_id).cell_values
         specs = PlanningSpecSet(self.tenant_id, "pixel", self.mode,
                                 pixel_values=self.pixel_spec)
-        return pixel_specs_to_cell(specs, serving)
+        return pixel_specs_to_cell(specs, serving, given)
 
 
 def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
@@ -65,22 +66,17 @@ def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
                 own_map_px: np.ndarray | None = None) -> TenantSpecPolicy:
     """Build the spec policy for a tenant under one translation method.
 
-    ``basis_px`` is the other tenants' per-pixel demand (correlated pixel
-    split); ``own_map_px`` is the tenant's real traffic (oracle).
+    ``corr-px`` and ``oracle`` are one correlated pixel split, over ``basis_px``
+    (the other tenants' per-pixel demand) and ``own_map_px`` (the tenant's own).
     """
     if mode not in METHODS:
         raise ValueError(f"unknown method {mode!r}")
     pixel_spec = None
     if mode == "uniform-px":
         pixel_spec = translate_pixel_level(a_busy_mbps, grid, "uniform").pixel_values
-    elif mode == "corr-px":
-        pixel_spec = translate_pixel_level(a_busy_mbps, grid, "correlated",
-                                           basis_px).pixel_values
-    elif mode == "oracle":
-        if own_map_px is None:
-            raise ValueError("oracle mode needs the tenant's own traffic map")
-        pixel_spec = translate_pixel_level(a_busy_mbps, grid, "correlated",
-                                           own_map_px).pixel_values
+    elif mode in ("corr-px", "oracle"):
+        basis = basis_px if mode == "corr-px" else own_map_px
+        pixel_spec = translate_pixel_level(a_busy_mbps, grid, "correlated", basis).pixel_values
     return TenantSpecPolicy(tenant_id, a_busy_mbps, mode, pixel_spec)
 
 
@@ -112,18 +108,18 @@ class EvaluationContext:
 @dataclass
 class NetworkEvaluation:
     """One layout's link state and per-cell demands, specs and required
-    bandwidth.  ``sinr_db`` is (pixels, channels), NaN on channels the
-    serving cell does not hold; ``pixel_se`` is the mean SE over the serving
-    cell's channels, and ``avg_se`` each cell's demand-weighted mean of it."""
+    bandwidth.  ``pixel_se`` is the mean SE over the serving cell's
+    channels, and ``avg_se`` each cell's demand-weighted mean of it;
+    ``basis_cell`` is each cell's sum of the corr-sc basis, {} without."""
 
     state: NetworkState
     serving: ServingMap
-    sinr_db: np.ndarray
     pixel_se: np.ndarray
     avg_se: dict[int, float]
     cell_demand: dict[str, dict[int, float]]
     cell_specs: dict[str, dict[int, float]]
     required_mhz: dict[int, float]
+    basis_cell: dict[int, float]
 
     def total_required(self) -> float:
         return sum(self.required_mhz.values())
@@ -146,7 +142,18 @@ def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
     return out
 
 
-def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvaluation:
+def _kept_cells(serving: ServingMap, base: NetworkEvaluation | None) -> list[int]:
+    """Cells that serve exactly the pixels they serve in ``base``'s map."""
+    if base is None:
+        return []
+    was, now = base.serving.pixel_cell, serving.pixel_cell
+    moved = np.flatnonzero(now != was)
+    touched = set(np.concatenate((was[moved], now[moved])).tolist())
+    return [c for c in base.serving.cell_ids if c in serving.cell_pixels and c not in touched]
+
+
+def evaluate_state(state: NetworkState, ctx: EvaluationContext,
+                   base: NetworkEvaluation | None = None) -> NetworkEvaluation:
     """Run the performance model for one layout.
 
     Powers are re-configured, the serving map re-derived, every tenant's
@@ -154,17 +161,28 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     evaluated.  The SE average is weighted by the total expected traffic:
     observable demand plus the estimated rasters of tenants that are not
     live yet.  Powers and link state depend on the layout alone, so they
-    are taken from ``ctx.link_cache`` when it holds this layout, and a site
-    search's trial takes the powers solved in its search's batch.
-    """
-    state, serving, sinr_table, pixel_se = ctx.link_cache.link(state, ctx.grid, ctx.radio)
+    are taken from ``ctx.link_cache`` when it holds this layout; a site
+    search's trial takes its batch-solved powers and builds no SINR table.
 
-    basis_cell = None
+    ``base``, an evaluation under the same ``ctx``, lends its per-cell sums:
+    a cell that serves exactly the pixels it serves there (the same indices
+    in the same order, so the same float) takes its sums of the known-demand
+    rasters, the pixel-level specs and the corr-sc basis from it.
+    """
+    state, serving, pixel_se = ctx.link_cache.link(state, ctx.grid, ctx.radio)
+    kept = _kept_cells(serving, base)
+    was_basis, was_demand, was_specs = ((base.basis_cell, base.cell_demand, base.cell_specs)
+                                        if base is not None else ({}, {}, {}))
+
+    def given(sums):            # the base's sums of one raster, on the kept cells
+        return {cid: sums[cid] for cid in kept}
+
+    basis_cell = {}
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):
         basis = ctx.basis()
         total_basis = (np.sum(list(basis.values()), axis=0) if basis
                        else np.zeros(ctx.grid.num_pixels))
-        basis_cell = serving.cell_sums(total_basis)
+        basis_cell = serving.cell_sums(total_basis, given(was_basis))
 
     weights = np.zeros(ctx.grid.num_pixels)
     for raster in ctx.known_demand.values():
@@ -172,10 +190,11 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     demands: dict[str, dict[int, float]] = {}
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():
-        a = policy.cell_specs(state, serving, basis_cell)
+        a = policy.cell_specs(state, serving, basis_cell, given(was_specs.get(tenant_id)))
         specs[tenant_id] = a
         if tenant_id in ctx.known_demand:
-            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id])
+            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id],
+                                                   given(was_demand.get(tenant_id)))
         else:
             scale = ctx.estimate_scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
@@ -184,16 +203,12 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     for tenant_id, raster in ctx.known_demand.items():
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
-            demands[tenant_id] = serving.cell_sums(raster)
+            demands[tenant_id] = serving.cell_sums(raster, given(was_demand.get(tenant_id)))
             specs[tenant_id] = dict(demands[tenant_id])
 
     avg = {cid: average_se(cid, serving, pixel_se, weights) for cid in state.cell_ids}
-    tenant_ids = list(demands)
-    required = {}
-    for cid in state.cell_ids:
-        required[cid] = required_bandwidth(
-            {m: demands[m][cid] for m in tenant_ids},
-            {m: specs[m][cid] for m in tenant_ids},
-            avg[cid])
-    return NetworkEvaluation(state, serving, sinr_table, pixel_se, avg, demands, specs,
-                             required)
+    required = {cid: required_bandwidth({m: demands[m][cid] for m in demands},
+                                        {m: specs[m][cid] for m in demands}, avg[cid])
+                for cid in state.cell_ids}
+    return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs, required,
+                             basis_cell)

@@ -259,7 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,
-        "sinr_db": serving_mean(state, ev.serving, ev.sinr_db),
+        "sinr_db": serving_mean(state, ev.serving,
+                                run.link_cache.sinr_table(state, grid, scn.radio)),
     }
     echo = {"scenario": str(cfg.scenario_path), "method": cfg.method,
             "horizon": horizon, "seed": cfg.seed}

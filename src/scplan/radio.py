@@ -109,17 +109,17 @@ class LinkCache:
     For the cells of the last layout seen it holds the path-loss column of
     each site and the mW received-power column of each (site, power), so a
     layout that differs from it by a cell or a power computes only that
-    cell's columns (see ``rx_power_matrix``); and the link state of the last
-    layout asked for: the input layout, its powered state, serving map, SINR
-    table and per-pixel SE (see ``link``).
+    cell's columns (see ``rx_power_matrix``); the link state of the last
+    layout asked for (see ``link``); and the last full build, SINR table
+    included (see ``sinr_table``).
 
     While a site search runs (``pinned``), it also pins the search's base
     layout: its powered state and its full build's running max, serving
-    column, served mW, channel totals, SINR and SE tables, pixel SE and
-    path-loss and mW columns; and its trials' powers, solved in one batch.
-    ``link_state`` builds a layout that is the pinned one plus one trailing
-    cell as a delta on them, with the bytes of the full build.  Nothing is
-    pinned outside a search.
+    column, served mW, channel totals, SE table, pixel SE and path-loss and
+    mW columns; and its trials' powers, solved in one batch.  ``link_state``
+    builds a layout that is the pinned one plus one trailing cell as a delta
+    on them, with the bytes of the full build but no SINR table, which a
+    search never reads.  Nothing is pinned outside a search.
 
     All of it belongs to one grid and one set of radio parameters; using the
     cache with others drops what it holds.  Memoized arrays and mW columns
@@ -128,23 +128,21 @@ class LinkCache:
 
     def __init__(self):
         self._scope = None
-        self._xy = None
-        self._path_loss: dict[int, np.ndarray] = {}
-        self._linear: dict[tuple[int, float], np.ndarray] = {}
-        self._layout = ()
-        self._pin = None
 
     def _use(self, grid: GridSpec, params: PropagationParams):
+        """Hold nothing but what belongs to ``grid`` and ``params``."""
         if self._scope != (grid, params):
             self._scope = (grid, params)
             self._xy = np.ascontiguousarray(pixel_positions(grid).T)
-            self._path_loss, self._linear, self._layout, self._pin = {}, {}, (), None
+            self._path_loss: dict[int, np.ndarray] = {}
+            self._linear: dict[tuple[int, float], np.ndarray] = {}
+            self._layout, self._built, self._pin = (), (), None
 
     def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
-        """``(powered state, serving, SINR table, pixel SE)`` of ``state``:
-        the kept one if ``state`` is the kept layout or its powered state
-        (powers depend on the layout alone); else ``state`` is powered (as
-        solved for the pinned search if it is one of its trials, else by
+        """``(powered state, serving, pixel SE)`` of ``state``: the kept one
+        if ``state`` is the kept layout or its powered state (powers depend
+        on the layout alone); else ``state`` is powered (as solved for the
+        pinned search if it is one of its trials, else by
         ``configure_powers``), built by ``link_state`` and kept."""
         self._use(grid, params)
         if state in self._layout[:2]:
@@ -152,11 +150,22 @@ class LinkCache:
         powered = None if self._pin is None else self._pin[2].get(state)
         if powered is None:
             powered = configure_powers(state, grid, params)
-        serving, *arrays = link_state(powered, grid, params, self)
-        for a in arrays:
-            a.flags.writeable = False
-        self._layout = (state, powered, serving, *arrays)
+        serving, pixel_se = link_state(powered, grid, params, self)
+        pixel_se.flags.writeable = False
+        self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
+
+    def sinr_table(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+        """SINR (pixels, channels) of the powered layout ``state``, NaN where
+        its serving cell does not hold the channel; read-only."""
+        return self._full(state, grid, params).table
+
+    def _full(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+        """The full build of ``state``: the kept one, else one made now and kept."""
+        self._use(grid, params)
+        if state not in self._built[:1]:
+            self._built = state, _build(state, grid, params, self)
+        return self._built[1]
 
     @contextmanager
     def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams,
@@ -166,11 +175,11 @@ class LinkCache:
         trial, and the powers of ``trials``, the search's layouts, solved in
         one batch by ``solve_powers`` for ``powered``.  The pin is dropped
         when the block exits, also on an exception."""
-        self._use(grid, params)         # not ``link``: a second full build of the base
+        self._use(grid, params)
         powered = (self._layout[1] if state in self._layout[:2]
                    else configure_powers(state, grid, params))
         solved = solve_powers(trials, grid, params) if trials else []
-        self._pin = powered, _build(powered, grid, params, self), dict(zip(trials, solved))
+        self._pin = powered, self._full(powered, grid, params), dict(zip(trials, solved))
         try:
             yield
         finally:
@@ -181,8 +190,8 @@ class _Build(NamedTuple):
     """A layout's link state and the intermediates a site search reuses."""
 
     serving: ServingMap
-    table: np.ndarray           # SINR (pixels, channels)
     pixel_se: np.ndarray
+    table: np.ndarray           # SINR (pixels, channels), read-only
     best: np.ndarray            # serving rx, dBm
     s_lin: np.ndarray           # serving rx, mW
     totals: list                # each channel's mW total, None without holders
@@ -327,12 +336,12 @@ def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
     Interference is the sum of received powers from every other deployed
     cell holding the channel; noise spans one channel bandwidth.
     """
-    serving, table, _ = link_state(state, grid, params)
-    serving_cell = state.cells[serving.pixel_col[pixel]]
+    b = _build(state, grid, params, LinkCache())
+    serving_cell = state.cells[b.serving.pixel_col[pixel]]
     if channel not in serving_cell.channels:
         raise ValueError(f"channel {channel} not allocated at serving cell "
                          f"{serving_cell.cell_id}")
-    return float(table[pixel, channel])
+    return float(b.table[pixel, channel])
 
 
 def spectral_efficiency(sinr_db, params: PropagationParams):
@@ -400,11 +409,9 @@ def cell_capacity(num_channels: int, avg_se: float, params: PropagationParams) -
 
 
 def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
-               cache: LinkCache | None = None
-               ) -> tuple[ServingMap, np.ndarray, np.ndarray]:
+               cache: LinkCache | None = None) -> tuple[ServingMap, np.ndarray]:
     """Weight-independent link quantities from each cell's rx columns (from
-    ``cache`` if given): serving map, SINR table (NaN where the serving cell
-    does not hold the channel) and per-pixel SE.  Serving is a running
+    ``cache`` if given): serving map and per-pixel SE.  Serving is a running
     strict ``>`` in cell order, so ties go to the lowest cell id.  A
     channel's total adds its holders' mW columns in cell order, as numpy
     sums the Fortran-ordered ``rx[:, holders]`` along axis 1; a C-ordered
@@ -415,12 +422,13 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     A layout that is the base pinned in ``cache`` (see ``LinkCache.pinned``)
     plus one trailing cell, as every site-search trial is (cells sort by id
     and a new cell's id is the largest), is built as a delta on the base's
-    build, with the same bytes; any other layout gets the full build."""
+    build, with the same bytes; any other layout gets the full build, kept
+    in ``cache`` with its SINR table (see ``LinkCache.sinr_table``)."""
     cache = LinkCache() if cache is None else cache
     cache._use(grid, params)
     if cache._pin is not None and _extends(cache._pin[0], state):
         return _trial_link(*cache._pin[:2], state, params, cache)
-    return _build(state, grid, params, cache)[:3]
+    return cache._full(state, grid, params)[:2]
 
 
 def _running_max(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -440,14 +448,15 @@ def _holders(state: NetworkState, params: PropagationParams) -> list[np.ndarray]
             for ch in range(params.num_channels)]
 
 
-def _fill(table: np.ndarray, se_table: np.ndarray, ch: int, pixels, s_lin: np.ndarray,
-          total: np.ndarray, params: PropagationParams):
-    """SINR and SE on channel ``ch`` at ``pixels`` (a mask or ascending
-    indices), whose serving cells hold it."""
+def _fill(se_table: np.ndarray, ch: int, pixels, s_lin: np.ndarray, total: np.ndarray,
+          params: PropagationParams) -> np.ndarray:
+    """SE on channel ``ch`` at ``pixels``, ascending indices (a mask gathers
+    slower) of pixels whose serving cells hold it; returns their SINR, dB."""
     noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
     s = s_lin[pixels]
     sinr_db = 10.0 * np.log10(s / ((total[pixels] - s) + noise_lin))
-    table[pixels, ch], se_table[pixels, ch] = sinr_db, spectral_efficiency(sinr_db, params)
+    se_table[pixels, ch] = spectral_efficiency(sinr_db, params)
+    return sinr_db
 
 
 def _build(state: NetworkState, grid: GridSpec, params: PropagationParams,
@@ -468,9 +477,11 @@ def _build(state: NetworkState, grid: GridSpec, params: PropagationParams,
         if holders.any():
             lin = [rx_lin[j] for j in np.flatnonzero(holders)]
             total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
-            _fill(table, se_table, ch, holders[serving_col], s_lin, total, params)
+            at = np.flatnonzero(holders[serving_col])
+            table[at, ch] = _fill(se_table, ch, at, s_lin, total, params)
         totals.append(total)
-    return _Build(serving, table, serving_mean(state, serving, se_table), best, s_lin,
+    table.flags.writeable = False
+    return _Build(serving, serving_mean(state, serving, se_table), table, best, s_lin,
                   totals, se_table, [cache._path_loss[p] for p in state.site_pixels], rx_lin)
 
 
@@ -483,9 +494,9 @@ def _extends(base: NetworkState, state: NetworkState) -> bool:
 
 def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
                 params: PropagationParams, cache: LinkCache
-                ) -> tuple[ServingMap, np.ndarray, np.ndarray]:
+                ) -> tuple[ServingMap, np.ndarray]:
     """``link_state`` of ``state``, the pinned ``base`` plus one trailing
-    cell, as a delta on ``b``, the base's full build.
+    cell, as a delta on ``b``, the base's full build, with no SINR table.
 
     Columns are computed for the touched cells only: the new one and those
     whose power moved.  Every value is the full build's float, from the
@@ -526,8 +537,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
         at = rows[rows_col == j]
         s_lin[at] = linear[j][at]
 
-    table, se_table = b.table.copy(), b.se_table.copy()
-    table[rows], se_table[rows] = np.nan, 0.0
+    se_table = b.se_table.copy()     # each entry of a changed row that is read is refilled
     redo = np.zeros(col.size, dtype=bool)
     redo[rows] = True
     for ch, holders in enumerate(_holders(state, params)):
@@ -535,8 +545,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
         if not any(touched[j] for j in hs):
             # same total: only the changed rows
             if hs:
-                _fill(table, se_table, ch, rows[holders[rows_col]], s_lin, b.totals[ch],
-                      params)
+                _fill(se_table, ch, rows[holders[rows_col]], s_lin, b.totals[ch], params)
             continue
         if hs[-1] == n and len(hs) > 1 and not any(touched[j] for j in hs[:-1]):
             total = b.totals[ch] + linear[n]            # the full build's last addition
@@ -545,8 +554,8 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
             total = sum(lin[1:], lin[0])
         hold = holders[col]
         redo |= hold
-        _fill(table, se_table, ch, hold, s_lin, total, params)
+        _fill(se_table, ch, np.flatnonzero(hold), s_lin, total, params)
     at = np.flatnonzero(redo)
     pixel_se = b.pixel_se.copy()
     pixel_se[at] = serving_mean(state, serving, se_table, at)
-    return serving, table, pixel_se
+    return serving, pixel_se

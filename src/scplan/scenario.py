@@ -288,11 +288,14 @@ class ServingMap:
         ends = np.searchsorted(col[order], bounds).tolist()
         return {cid: order[a:b] for cid, a, b in zip(self.cell_ids, [0] + ends, ends)}
 
-    def cell_sums(self, values: np.ndarray) -> dict[int, float]:
+    def cell_sums(self, values: np.ndarray, given: dict | None = None) -> dict[int, float]:
         """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
         order; bit-identical to summing ``values[pixel_cell == c]``, unlike a
-        weighted ``np.bincount``, whose order can flip a planner tie."""
-        return {cid: float(values[pixels].sum()) for cid, pixels in self.cell_pixels.items()}
+        weighted ``np.bincount``, whose order can flip a planner tie.  A cell
+        in ``given``, a caller's sums of ``values``, takes its sum there."""
+        given = given or {}
+        return {cid: given[cid] if cid in given else float(values[pixels].sum())
+                for cid, pixels in self.cell_pixels.items()}
 
 
 @dataclass(frozen=True)

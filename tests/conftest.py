@@ -147,6 +147,19 @@ def matrix_link_state(state: NetworkState, grid: GridSpec, params: PropagationPa
     return serving, rx, table, pixel_se
 
 
+def assert_same_evaluation(a, b):
+    """Two evaluations agree bit for bit: layout, serving map and pixel SE
+    by their bytes, and every per-cell number by its ``repr``."""
+    assert a.state == b.state
+    assert a.serving.cell_ids == b.serving.cell_ids
+    for x, y in ((a.serving.pixel_cell, b.serving.pixel_cell),
+                 (a.serving.pixel_col, b.serving.pixel_col),
+                 (a.pixel_se, b.pixel_se)):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert repr((a.avg_se, a.cell_demand, a.cell_specs, a.required_mhz, a.basis_cell)) == \
+        repr((b.avg_se, b.cell_demand, b.cell_specs, b.required_mhz, b.basis_cell))
+
+
 def oracle_configure_powers(state: NetworkState, grid: GridSpec,
                             params: PropagationParams,
                             tol_db: float = 0.01, max_iter: int = 50) -> np.ndarray:

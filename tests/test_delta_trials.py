@@ -3,10 +3,12 @@
 While ``select_site`` runs, ``LinkCache`` pins the search's base layout and
 the powers of all its trials, solved in one batch, and ``link_state``
 builds each trial (the base plus one trailing cell) from the base's
-intermediates.  Every trial must equal the matrix form of
-``tests/conftest.py`` byte for byte, and every power the one-layout loop
-kept there, whether the search runs in the run's shared cache or in a fresh
-one.
+intermediates, without a SINR table; ``evaluate_state`` takes the per-cell
+sums of the cells a trial leaves alone from the base's evaluation.  Every
+trial must equal the matrix form of ``tests/conftest.py`` byte for byte,
+and a fresh, unpinned evaluation of its layout, and every power the
+one-layout loop kept there, whether the search runs in the run's shared
+cache or in a fresh one.
 """
 import hashlib
 import importlib.util
@@ -17,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import matrix_link_state, oracle_configure_powers
-from scplan import planner, radio
+from conftest import assert_same_evaluation, matrix_link_state, oracle_configure_powers
+from scplan import evaluation, planner, radio
 from scplan.evaluation import METHODS
 from scplan.experiment import ExperimentConfig, run_experiment
 from scplan.presets import bundled_scenario_path
@@ -28,46 +30,58 @@ from scplan.scenario import GridSpec, NetworkState, SmallCell
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _digest(serving, table, pixel_se) -> str:
+def _digest(serving, pixel_se) -> str:
     h = hashlib.sha256(repr(serving.cell_ids).encode())
-    for a in (serving.pixel_cell, serving.pixel_col, table, pixel_se):
+    for a in (serving.pixel_cell, serving.pixel_col, pixel_se):
         h.update(repr((a.dtype.str, a.shape)).encode())
         h.update(a.tobytes())
     return h.hexdigest()
 
 
 def _matrix_digest(state, grid, params) -> str:
-    serving, _, table, pixel_se = matrix_link_state(state, grid, params)
-    return _digest(serving, table, pixel_se)
+    serving, _, _, pixel_se = matrix_link_state(state, grid, params)
+    return _digest(serving, pixel_se)
 
 
 def _check_every_trial(monkeypatch, run) -> int:
     """Call ``run`` with every ``select_site`` call repeated on a fresh
     ``LinkCache``, and check each trial of both searches against the
-    matrix form, and every power solved against the one-layout loop.
-    Returns the number of trials checked."""
+    matrix form and against a fresh, unpinned ``evaluate_state`` of its
+    layout; every power solved against the one-layout loop; and the SINR
+    table of every full build against the matrix form.  Some trial must
+    have taken sums from its base.  Returns the number of trials checked."""
     expected = {}           # trial layout -> digest of its matrix form
+    unpinned = {}           # trial layout -> its evaluation in a fresh cache
     trials = []
     searching = []
+    aside = []              # an unpinned evaluation runs: nothing is checked
     full_builds = []
     batches = []            # (layouts, cells per layout) of each power solve
-    build, select, columns = radio.link_state, planner.select_site, radio.rx_power_matrix
-    solve = radio.solve_powers
+    kept = []               # cells each trial took from its base
+    build, select, full = radio.link_state, planner.select_site, radio._build
+    solve, evaluate, kept_cells = radio.solve_powers, planner.evaluate_state, \
+        evaluation._kept_cells
 
     def checked_powers(states, grid, params, *args):
         got = solve(states, grid, params, *args)
+        if aside:
+            return got
         for state, powered in zip(states, got):
             assert [repr(c.power_dbm) for c in powered.cells] == \
                 [repr(p) for p in oracle_configure_powers(state, grid, params, *args).tolist()]
         batches.append((len(states), len(states[0].cells)))
         return got
 
-    def counted_columns(*args, **kwargs):
+    def checked_build(state, grid, params, cache):
         full_builds.append(1)
-        return columns(*args, **kwargs)
+        got = full(state, grid, params, cache)
+        if not aside:
+            table = matrix_link_state(state, grid, params)[2]
+            assert got.table.tobytes() == table.tobytes()
+        return got
 
     def checked_link_state(state, grid, params, cache=None):
-        if not searching:
+        if not searching or aside:
             return build(state, grid, params, cache)
         before = len(full_builds)
         got = build(state, grid, params, cache)
@@ -78,14 +92,32 @@ def _check_every_trial(monkeypatch, run) -> int:
         trials.append(state)
         return got
 
-    def select_twice(state, candidates, ctx, new_cell_id):
+    def counted_kept(serving, base):
+        got = kept_cells(serving, base)
+        if searching and not aside:
+            kept.append(len(got))
+        return got
+
+    def checked_evaluate(state, ctx, base=None):
+        got = evaluate(state, ctx, base)
+        if searching:
+            if state not in unpinned:
+                aside.append(1)
+                try:
+                    unpinned[state] = evaluate(state, replace(ctx, link_cache=LinkCache()))
+                finally:
+                    aside.pop()
+            assert_same_evaluation(got, unpinned[state])
+        return got
+
+    def select_twice(state, candidates, ctx, new_cell_id, base=None):
         searching.append(1)
         try:
             start, solves = len(trials), len(batches)
-            site, ev = select(state, candidates, ctx, new_cell_id)
+            site, ev = select(state, candidates, ctx, new_cell_id, base)
             shared = len(trials) - start
             again, fresh_ev = select(state, candidates,
-                                     replace(ctx, link_cache=LinkCache()), new_cell_id)
+                                     replace(ctx, link_cache=LinkCache()), new_cell_id, base)
         finally:
             searching.pop()
         assert ctx.link_cache._pin is None
@@ -93,19 +125,18 @@ def _check_every_trial(monkeypatch, run) -> int:
         # each search solved all its trials' powers in one batch
         assert [k for k, n in batches[solves:] if n == len(state.cells) + 1] == [shared] * 2
         assert again == site
-        assert _digest(*_link_of(fresh_ev)) == _digest(*_link_of(ev))
+        assert_same_evaluation(fresh_ev, ev)
         return site, ev
 
-    monkeypatch.setattr(radio, "rx_power_matrix", counted_columns)
+    monkeypatch.setattr(radio, "_build", checked_build)
     monkeypatch.setattr(radio, "solve_powers", checked_powers)
     monkeypatch.setattr(radio, "link_state", checked_link_state)
+    monkeypatch.setattr(evaluation, "_kept_cells", counted_kept)
+    monkeypatch.setattr(planner, "evaluate_state", checked_evaluate)
     monkeypatch.setattr(planner, "select_site", select_twice)
     run()
+    assert len(kept) == len(trials) and sum(kept) > 0
     return len(trials)
-
-
-def _link_of(ev):
-    return ev.serving, ev.sinr_db, ev.pixel_se
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -182,10 +213,12 @@ def test_random_trials_match_the_matrix_form(params, monkeypatch):
     for seed in range(12):
         base, trials = _random_trials(seed, grid)
         assert max(sum(0 in c.channels for c in t.cells) for t in trials) >= 9
+        base_table = matrix_link_state(base, grid, params)[2]
         for cache in (shared, LinkCache()):
             with cache.pinned(base, grid, params):
+                assert cache.sinr_table(base, grid, params).tobytes() == base_table.tobytes()
                 for trial in trials:
-                    serving, rx, table, pixel_se = matrix_link_state(trial, grid, params)
+                    serving, rx, _, pixel_se = matrix_link_state(trial, grid, params)
                     top = rx == rx.max(axis=1, keepdims=True)
                     ties += int((top[:, -1] & (top.sum(axis=1) > 1)).sum())
                     moved += any(c.power_dbm != b.power_dbm
@@ -193,7 +226,7 @@ def test_random_trials_match_the_matrix_form(params, monkeypatch):
                     before = len(full_builds)
                     got = link_state(trial, grid, params, cache)
                     assert len(full_builds) == before
-                    expected = _digest(serving, table, pixel_se)
+                    expected = _digest(serving, pixel_se)
                     assert _digest(*got) == expected
                     assert _digest(*link_state(trial, grid, params, LinkCache())) == expected
             assert cache._pin is None

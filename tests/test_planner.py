@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import oracle_best_channel, random_state
+from conftest import assert_same_evaluation, oracle_best_channel, random_state
 from scplan import planner
 from scplan.evaluation import EvaluationContext, evaluate_state, make_policy
 from scplan.experiment import build_context
@@ -141,7 +141,7 @@ def test_select_site_deterministic(params):
     first = select_site(state, candidates, ctx, new_cell_id=2)
     second = select_site(state, candidates, ctx, new_cell_id=2)
     assert first[0] == second[0]
-    _assert_same_evaluation(first[1], second[1])
+    assert_same_evaluation(first[1], second[1])
 
 
 def test_select_site_ties_go_to_the_lowest_pixel(params):
@@ -167,11 +167,11 @@ def test_select_site_pins_its_base_only_while_it_runs(params, monkeypatch):
     assert ctx.link_cache._pin is None
     evaluate = planner.evaluate_state
 
-    def fail_second(trial, c):
+    def fail_second(trial, c, base=None):
         assert c.link_cache._pin is not None
         if trial.cell(2).site_pixel == 77:
             raise RuntimeError("trial failed")
-        return evaluate(trial, c)
+        return evaluate(trial, c, base)
 
     monkeypatch.setattr(planner, "evaluate_state", fail_second)
     with pytest.raises(RuntimeError, match="trial failed"):
@@ -417,28 +417,19 @@ def test_evaluate_state_hand_computable_case(params):
     assert ev2.required_mhz[1] == pytest.approx((5.0 + 4.5) / 4.4)
 
 
-def _assert_same_evaluation(a, b):
-    """Two evaluations agree bit for bit."""
-    assert a.state == b.state
-    assert a.serving.cell_ids == b.serving.cell_ids
-    for x, y in ((a.serving.pixel_cell, b.serving.pixel_cell),
-                 (a.sinr_db, b.sinr_db),
-                 (a.pixel_se, b.pixel_se)):
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-    assert a.avg_se == b.avg_se
-    assert (a.cell_demand, a.cell_specs, a.required_mhz) == \
-        (b.cell_demand, b.cell_specs, b.required_mhz)
-
-
 def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     scn = load_scenario(bundled_scenario_path("urban200m"))
     ctx = build_context(scn, "corr-px").busy_hour()
     seen = []
 
-    def check(state):
-        shared = evaluate_state(state, ctx)
-        _assert_same_evaluation(
-            shared, evaluate_state(state, replace(ctx, link_cache=LinkCache())))
+    def check(state, base=None):
+        shared = evaluate_state(state, ctx, base)
+        fresh = replace(ctx, link_cache=LinkCache())
+        assert_same_evaluation(shared, evaluate_state(state, fresh))
+        if ctx.link_cache._pin is None:         # a full build: its SINR table too
+            got, want = (c.link_cache.sinr_table(shared.state, ctx.grid, ctx.radio)
+                         for c in (ctx, fresh))
+            assert got.tobytes() == want.tobytes()
         seen.append(state)
         return shared
 
@@ -446,7 +437,7 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     free = [p for p in scn.candidate_sites.site_pixels if p not in start.site_pixels]
     powered = check(start).state
     check(start)                                    # the same layout twice
-    check(powered)                                  # and its powered state
+    base = check(powered)                           # and its powered state
     grown = start.add_cell(SmallCell(9, free[0], (3,)))
     check(grown)                                    # a cell added
     check(grown.add_channel(9, 1))                  # a channel added
@@ -457,11 +448,11 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     # every trial layout of a site search, in the order the planner makes them
     before = len(seen)
     evaluate = planner.evaluate_state
-    monkeypatch.setattr(planner, "evaluate_state",
-                        lambda state, c: check(state) if c is ctx else evaluate(state, c))
-    site, chosen = select_site(powered, scn.candidate_sites, ctx, 9)
+    monkeypatch.setattr(planner, "evaluate_state", lambda state, c, b=None:
+                        check(state, b) if c is ctx else evaluate(state, c, b))
+    site, chosen = select_site(powered, scn.candidate_sites, ctx, 9, base)
     assert len(seen) - before == len(free)
     monkeypatch.undo()
     again = select_site(powered, scn.candidate_sites, replace(ctx, link_cache=LinkCache()), 9)
     assert again[0] == site
-    _assert_same_evaluation(again[1], chosen)
+    assert_same_evaluation(again[1], chosen)

@@ -239,7 +239,7 @@ def test_average_se_bounds(params):
     grid = GridSpec(30.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
-    serving, _, pixel_se = link_state(state, grid, params)
+    serving, pixel_se = link_state(state, grid, params)
     for cid in state.cell_ids:
         mask = serving.pixel_cell == cid
         if mask.any():
@@ -260,7 +260,7 @@ def test_snapshot_capacity_identity_and_partition(params):
     grid = GridSpec(45.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=4)
     weights = rng.uniform(0, 2, grid.num_pixels)
-    serving, _, pixel_se = link_state(state, grid, params)
+    serving, pixel_se = link_state(state, grid, params)
     served = 0
     for cell in state.cells:
         cid = cell.cell_id
@@ -304,7 +304,8 @@ def test_memoized_link_arrays_are_read_only(params):
                             known_demand={"a": np.ones(grid.num_pixels)})
     for _ in range(2):          # computed, then taken from the cache
         ev = evaluate_state(state, ctx)
-        for arr in (ev.sinr_db, ev.pixel_se, ev.serving.pixel_cell):
+        table = ctx.link_cache.sinr_table(ev.state, grid, params)
+        for arr in (table, ev.pixel_se, ev.serving.pixel_cell):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
@@ -346,7 +347,8 @@ def test_link_state_equals_the_matrix_form_bit_for_bit(params):
                 assert got[0].cell_ids == serving.cell_ids
                 for x, y in ((got[0].pixel_cell, serving.pixel_cell),
                              (got[0].pixel_col, serving.pixel_col),
-                             (got[1], table), (got[2], pixel_se)):
+                             (cache.sinr_table(layout, grid, params), table),
+                             (got[1], pixel_se)):
                     assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert ties > 0 and crowded > 0
 
