@@ -31,9 +31,10 @@ for cell in state.cells:
 
 serving, pixel_se = link_state(state, grid, params)
 print("\nper-cell results (uniform SE weighting, no traffic yet):")
+avg_se = average_se(serving, pixel_se)      # every cell's mean SE in one call
 for cell in state.cells:
     served = serving.cell_pixels[cell.cell_id].size
-    avg = average_se(cell.cell_id, serving, pixel_se)
+    avg = avg_se[cell.cell_id]
     print(f"  cell {cell.cell_id}: serves {served:4d} pixels, "
           f"avg SE {avg:.2f} b/s/Hz, "
           f"capacity {cell_capacity(len(cell.channels), avg, params):6.1f} Mbps")

@@ -49,12 +49,9 @@ class TenantSpecPolicy:
 
     def cell_specs(self, state: NetworkState, serving, basis_cell_demand,
                    given: dict[int, float] | None = None) -> dict[int, float]:
-        if self.mode == "uniform-sc":
-            return translate_sc_level(self.a_busy_mbps, state, "uniform",
-                                      tenant_id=self.tenant_id).cell_values
-        if self.mode == "corr-sc":
-            return translate_sc_level(self.a_busy_mbps, state, "correlated",
-                                      basis_cell_demand,
+        if self.mode in ("uniform-sc", "corr-sc"):
+            method = "uniform" if self.mode == "uniform-sc" else "correlated"
+            return translate_sc_level(self.a_busy_mbps, state, method, basis_cell_demand,
                                       tenant_id=self.tenant_id).cell_values
         specs = PlanningSpecSet(self.tenant_id, "pixel", self.mode,
                                 pixel_values=self.pixel_spec)
@@ -184,9 +181,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext,
                        else np.zeros(ctx.grid.num_pixels))
         basis_cell = serving.cell_sums(total_basis, given(was_basis))
 
-    weights = np.zeros(ctx.grid.num_pixels)
-    for raster in ctx.known_demand.values():
-        weights = weights + raster
+    weights = sum(ctx.known_demand.values(), np.zeros(ctx.grid.num_pixels))
     demands: dict[str, dict[int, float]] = {}
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():
@@ -206,7 +201,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext,
             demands[tenant_id] = serving.cell_sums(raster, given(was_demand.get(tenant_id)))
             specs[tenant_id] = dict(demands[tenant_id])
 
-    avg = {cid: average_se(cid, serving, pixel_se, weights) for cid in state.cell_ids}
+    avg = average_se(serving, pixel_se, weights)
     required = {cid: required_bandwidth({m: demands[m][cid] for m in demands},
                                         {m: specs[m][cid] for m in demands}, avg[cid])
                 for cid in state.cell_ids}

@@ -112,9 +112,10 @@ class RunContext:
     """What a run or a planning pass derives from a scenario before any step.
 
     ``spatial`` holds each tenant's demand raster at its temporal peak, the
-    arriving tenant included; ``busy_step`` is the step of the horizon with
-    the most existing traffic (ties go to the latest) and ``basis`` the
-    existing tenants' rasters at that step.  ``policies`` holds the existing
+    arriving tenant included, and ``demand_totals`` each tenant's total
+    traffic at every step of the horizon; ``busy_step`` is the step with the
+    most existing traffic (ties go to the latest) and ``basis`` the existing
+    tenants' rasters at that step.  ``policies`` holds the existing
     tenants' spec policies, then the arriving tenant's under the method.
     Every evaluation context built here shares ``link_cache``.
     """
@@ -123,6 +124,7 @@ class RunContext:
     horizon: int
     busy_step: int
     spatial: dict[str, np.ndarray]
+    demand_totals: dict[str, list[float]]
     basis: dict[str, np.ndarray]
     policies: dict[str, TenantSpecPolicy]
     link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
@@ -155,10 +157,10 @@ def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np
     return spatial[tenant.tenant_id] * tenant.temporal_weight(t)
 
 
-def _peak_step(spatial: dict[str, np.ndarray], tenants, horizon: int) -> int:
+def _peak_step(demand_totals: dict[str, list[float]], tenants, horizon: int) -> int:
     """Step of the horizon with the most traffic from ``tenants``; ties go
     to the latest."""
-    return latest_max((t, sum(float(_demand(spatial, tn, t).sum()) for tn in tenants))
+    return latest_max((t, sum(demand_totals[tn.tenant_id][t] for tn in tenants))
                       for t in range(horizon))[0]
 
 
@@ -176,7 +178,9 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
     grid, existing, event = scn.grid, scn.tenants, scn.event
     arriving = () if event is None else (event.tenant,)
     spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
-    busy_step = _peak_step(spatial, existing, horizon)
+    totals = {tn.tenant_id: [float(_demand(spatial, tn, t).sum()) for t in range(horizon)]
+              for tn in existing + arriving}
+    busy_step = _peak_step(totals, existing, horizon)
     basis = {tn.tenant_id: _demand(spatial, tn, busy_step) for tn in existing}
     policies = {}
     for tn in existing:
@@ -191,7 +195,7 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
             tn.contracted_capacity_mbps * tn.temporal_weight(busy_step), grid,
             basis_px=np.sum(list(basis.values()), axis=0),
             own_map_px=spatial[tn.tenant_id])
-    return RunContext(scn, horizon, busy_step, spatial, basis, policies)
+    return RunContext(scn, horizon, busy_step, spatial, totals, basis, policies)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -229,7 +233,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                                  scn.radio.channel_bandwidth_mhz, t)
         checks.extend(decision.checks)
         for tn in operative:
-            notice = sla_exceed_check(float(ctx.known_demand[tn.tenant_id].sum()),
+            notice = sla_exceed_check(run.demand_totals[tn.tenant_id][t],
                                       tn.contracted_capacity_mbps, tn.tenant_id)
             if notice is not None:
                 notices.append((t, notice))
@@ -249,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     # evaluate the final layout against actual traffic from every tenant
     all_tenants = existing + ([event.tenant] if event is not None else [])
-    eval_step = _peak_step(run.spatial, all_tenants, horizon)
+    eval_step = _peak_step(run.demand_totals, all_tenants, horizon)
     ctx = run.evaluation(all_tenants, all_tenants, eval_step)
     ev = evaluate_state(state, ctx)
     state = ev.state

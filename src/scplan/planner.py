@@ -213,6 +213,12 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
     ev = evaluate_state(state, ctx)
     state = ev.state
 
+    def act(state, action):
+        # record an action and evaluate the layout it leaves
+        raw.append(action)
+        ev = evaluate_state(state, ctx)
+        return ev.state, ev
+
     def expand_channels(state, ev):
         # add channels while a cell is over the utilization threshold
         while True:
@@ -224,10 +230,7 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
                 break
             cell_id = min(eligible)
             ch = select_channel(cell_id, state, ctx.grid, ctx.radio)
-            state = state.add_channel(cell_id, ch)
-            raw.append(AddChannel(cell_id, ch, step=2))
-            ev = evaluate_state(state, ctx)
-            state = ev.state
+            state, ev = act(state.add_channel(cell_id, ch), AddChannel(cell_id, ch, step=2))
         return state, ev
 
     state, ev = expand_channels(state, ev)
@@ -256,10 +259,7 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
             break
         cell_id = min(eligible)
         ch = _channel_to_remove(cell_id, state, ctx.grid)
-        state = state.remove_channel(cell_id, ch)
-        raw.append(RemoveChannel(cell_id, ch, step=8))
-        ev = evaluate_state(state, ctx)
-        state = ev.state
+        state, ev = act(state.remove_channel(cell_id, ch), RemoveChannel(cell_id, ch, step=8))
 
     # remove near-empty cells, emptiest first, never the last cell
     while len(state.cells) > 1:
@@ -268,10 +268,7 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
             break
         cell_id = min(empty, key=lambda cid: (ev.required_mhz[cid], cid))
         site = state.cell(cell_id).site_pixel
-        state = state.remove_cell(cell_id)
-        raw.append(RemoveCell(cell_id, site, step=11))
-        ev = evaluate_state(state, ctx)
-        state = ev.state
+        state, ev = act(state.remove_cell(cell_id), RemoveCell(cell_id, site, step=11))
 
     # final channel pass: cells deployed during densification start on one
     # channel, and trimming shifts load, so dimension channels once more to
@@ -321,23 +318,16 @@ def compress_actions(actions) -> list:
     removed_ids = {r.cell_id for r in removed}
     adds: list[AddCell] = []
     for cid in order:
-        a = created[cid]
-        channels = set(a.channels)
-        for (cell_id, ch), net in ch_net.items():
-            if cell_id == cid:
-                if net > 0:
-                    channels.add(ch)
-                elif net < 0:
-                    channels.discard(ch)
-        adds.append(replace(a, channels=tuple(sorted(channels))))
+        net = {ch: v for (cell_id, ch), v in ch_net.items() if cell_id == cid}
+        channels = {*created[cid].channels, *(ch for ch, v in net.items() if v > 0)}
+        channels -= {ch for ch, v in net.items() if v < 0}
+        adds.append(replace(created[cid], channels=tuple(sorted(channels))))
     ch_edits = {k: v for k, v in ch_net.items()
                 if v != 0 and k[0] not in removed_ids and k[0] not in created}
 
     # Pair removals with additions.  Same-site pairs first (an in-place swap
     # is always safe to replay atomically), then additions whose site does
     # not collide with a cell that is still awaiting removal.
-    removed = list(removed)
-    adds = list(adds)
     relocates: list[Relocate] = []
     for a in list(adds):
         match = next((r for r in removed if r.site_pixel == a.site_pixel), None)
@@ -356,15 +346,9 @@ def compress_actions(actions) -> list:
         relocates.append(Relocate(r.cell_id, a.cell_id, a.site_pixel,
                                   a.channels, r.site_pixel, step=a.step))
 
-    out: list = []
-    out.extend(removed)
-    out.extend(relocates)
-    out.extend(adds)
-    for key in sorted(k for k, v in ch_edits.items() if v > 0):
-        out.append(ch_last[key])
-    for key in sorted(k for k, v in ch_edits.items() if v < 0):
-        out.append(ch_last[key])
-    return out
+    # channel additions, then removals, each in (cell, channel) order
+    edits = sorted(ch_edits, key=lambda k: (ch_edits[k] < 0, k))
+    return [*removed, *relocates, *adds, *(ch_last[k] for k in edits)]
 
 
 def replay_actions(initial: NetworkState, actions, grid: GridSpec,

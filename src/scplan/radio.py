@@ -382,25 +382,24 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
     return out
 
 
-def average_se(cell_id: int, serving: ServingMap, pixel_se: np.ndarray,
-               pixel_weights: np.ndarray | None = None) -> float:
-    """Demand-weighted mean SE over the pixels a cell serves.
-
-    Falls back to a uniform mean when the served demand totals zero and to
-    0 when the cell serves no pixels.
-    """
-    pixels = serving.cell_pixels.get(cell_id)
-    if pixels is None:
-        raise ValueError(f"unknown cell id {cell_id}")
-    if not pixels.size:
-        return 0.0
-    se = pixel_se[pixels]
-    if pixel_weights is not None:
-        w = pixel_weights[pixels]
-        tot = float(w.sum())
-        if tot > 0:
-            return float((se * w).sum() / tot)
-    return float(se.mean())
+def average_se(serving: ServingMap, pixel_se: np.ndarray,
+               weights: np.ndarray | None = None) -> dict[int, float]:
+    """Each cell's demand-weighted mean SE over the pixels it serves, in
+    ``cell_ids`` order; a uniform mean where the served demand totals zero,
+    0 for a cell that serves no pixels.  From per-cell sums, with the bits of
+    ``(se * w).sum() / w.sum()`` or ``se.mean()`` over the cell's pixels."""
+    tot = {} if weights is None else serving.cell_sums(weights)
+    weighted = {} if weights is None else serving.cell_sums(pixel_se * weights)
+    out, uniform = {}, None
+    for cid, pixels in serving.cell_pixels.items():
+        if not pixels.size:
+            out[cid] = 0.0
+        elif tot.get(cid, 0.0) > 0:
+            out[cid] = weighted[cid] / tot[cid]
+        else:
+            uniform = uniform or serving.cell_sums(pixel_se)
+            out[cid] = uniform[cid] / pixels.size
+    return out
 
 
 def cell_capacity(num_channels: int, avg_se: float, params: PropagationParams) -> float:

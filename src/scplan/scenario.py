@@ -118,14 +118,6 @@ class GridSpec:
     def num_pixels(self) -> int:
         return self.nx * self.ny
 
-    def pixel_xy(self, pixel: int) -> tuple[float, float]:
-        """Center coordinates (x_m, y_m) of one pixel."""
-        if not 0 <= pixel < self.num_pixels:
-            raise ValueError(f"pixel {pixel} out of range")
-        row, col = divmod(pixel, self.nx)
-        return ((col + 0.5) * self.width_m / self.nx,
-                (row + 0.5) * self.height_m / self.ny)
-
 
 @lru_cache(maxsize=32)
 def pixel_positions(grid: GridSpec) -> np.ndarray:
@@ -253,6 +245,7 @@ class ServingMap:
     cell_ids: tuple[int, ...]
     pixel_cell: np.ndarray      # (num_pixels,) of cell ids
     pixel_col: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixel_cell)
@@ -271,31 +264,51 @@ class ServingMap:
         object.__setattr__(self, "pixel_col", col)
 
     @cached_property
+    def _order(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The map's pixel order, one stable argsort of ``pixel_col`` (a radix
+        sort on its small type), read-only, and each cell's slice of it."""
+        col = self.pixel_col
+        order = np.argsort(col, kind="stable")
+        order.flags.writeable = False
+        ends = np.searchsorted(col[order], np.arange(1, len(self.cell_ids) + 1,
+                                                     dtype=col.dtype)).tolist()
+        return order, list(zip([0] + ends, ends))
+
+    @cached_property
     def cell_pixels(self) -> dict[int, np.ndarray]:
         """Ascending indices of the pixels each cell serves, in ``cell_ids``
-        order; empty for a cell that serves none.  Built once per map from
-        one stable argsort of ``pixel_col``, whose small unsigned type makes
-        it a radix sort; read-only.
+        order, as its slice of the pixel order; empty if it serves none.
 
         ``a[cell_pixels[c]]`` holds the elements of ``a[pixel_cell == c]`` in
         the same order, so per-cell sums are bit-identical to the mask form
         while one aggregation over all cells costs O(P) instead of O(P*N).
         """
-        col = self.pixel_col
-        order = np.argsort(col, kind="stable")
-        order.flags.writeable = False
-        bounds = np.arange(1, len(self.cell_ids) + 1, dtype=col.dtype)
-        ends = np.searchsorted(col[order], bounds).tolist()
-        return {cid: order[a:b] for cid, a, b in zip(self.cell_ids, [0] + ends, ends)}
+        order, spans = self._order
+        return {cid: order[a:b] for cid, (a, b) in zip(self.cell_ids, spans)}
 
     def cell_sums(self, values: np.ndarray, given: dict | None = None) -> dict[int, float]:
         """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
-        order; bit-identical to summing ``values[pixel_cell == c]``, unlike a
-        weighted ``np.bincount``, whose order can flip a planner tie.  A cell
-        in ``given``, a caller's sums of ``values``, takes its sum there."""
-        given = given or {}
-        return {cid: given[cid] if cid in given else float(values[pixels].sum())
-                for cid, pixels in self.cell_pixels.items()}
+        order: one gather into the pixel order, then a sum of each cell's
+        slice, the elements of ``values[pixel_cell == c]`` in their order, so
+        the bits are the same, unlike a weighted ``np.bincount`` or
+        ``np.add.reduceat``, whose order can flip a planner tie.  A cell in
+        ``given``, a caller's sums of ``values``, takes its sum there, and
+        only the other cells are gathered.  A read-only raster that owns its
+        data (a pixel-level spec, a ``LinkCache``'s pixel SE) is taken to be
+        fixed: summed once per map, each call gets a fresh dict."""
+        if given:
+            return {cid: given[cid] if cid in given else float(values[pixels].sum())
+                    for cid, pixels in self.cell_pixels.items()}
+        fixed = not values.flags.writeable and values.base is None
+        kept = self._sums.get(id(values)) if fixed else None
+        if kept is not None and kept[0] is values:
+            return dict(kept[1])
+        order, spans = self._order
+        ordered, add = values[order], np.add.reduce     # the pairwise sum of ``.sum()``
+        sums = {cid: float(add(ordered[a:b])) for cid, (a, b) in zip(self.cell_ids, spans)}
+        if fixed:
+            self._sums[id(values)] = values, sums       # held, so its id is not reused
+        return dict(sums) if fixed else sums
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
 
     ``uniform`` spreads it evenly over all pixels; ``correlated`` spreads it
     in proportion to the per-pixel demand raster.  Aggregation to cells is
-    done separately against a serving map.
+    done separately against a serving map; the raster is read-only, so a
+    map sums it once (see ``ServingMap.cell_sums``).
     """
     n = grid.num_pixels
     if method == "uniform":
@@ -89,6 +90,7 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
         values = a_busy * d / total
     else:
         raise ValueError(f"unknown method {method!r}")
+    values.flags.writeable = False
     return PlanningSpecSet(tenant_id, "pixel", method, pixel_values=values)
 
 

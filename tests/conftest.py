@@ -24,6 +24,12 @@ def oracle_path_loss(d_m: float, f_ghz: float = 5.0, los: bool = False) -> float
     return 43.3 * math.log10(d) + 11.5 + 20.0 * math.log10(f_ghz)
 
 
+def oracle_pixel_xy(grid: GridSpec, pixel: int) -> tuple[float, float]:
+    """Center coordinates (x_m, y_m) of one pixel, row-major, scalar math."""
+    row, col = divmod(pixel, grid.nx)
+    return (col + 0.5) * grid.width_m / grid.nx, (row + 0.5) * grid.height_m / grid.ny
+
+
 def oracle_noise_dbm(bandwidth_mhz: float = 20.0, noise_figure_db: float = 9.0) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_mhz * 1e6) + noise_figure_db
 
@@ -31,10 +37,10 @@ def oracle_noise_dbm(bandwidth_mhz: float = 20.0, noise_figure_db: float = 9.0) 
 def oracle_sinr_db(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
                    params: PropagationParams) -> float:
     """Brute-force link budget: loops and scalar math only."""
-    px, py = grid.pixel_xy(pixel)
+    px, py = oracle_pixel_xy(grid, pixel)
 
     def rx_dbm(cell):
-        sx, sy = grid.pixel_xy(cell.site_pixel)
+        sx, sy = oracle_pixel_xy(grid, cell.site_pixel)
         d = math.hypot(px - sx, py - sy)
         pl = oracle_path_loss(d, params.carrier_ghz,
                               params.pathloss_variant == "los")
@@ -62,10 +68,10 @@ def oracle_serving(state: NetworkState, grid: GridSpec,
     """Per-pixel argmax of received power, lowest cell id on ties."""
     out = []
     for u in range(grid.num_pixels):
-        px, py = grid.pixel_xy(u)
+        px, py = oracle_pixel_xy(grid, u)
         best, best_id = None, None
         for cell in state.cells:
-            sx, sy = grid.pixel_xy(cell.site_pixel)
+            sx, sy = oracle_pixel_xy(grid, cell.site_pixel)
             d = max(math.hypot(px - sx, py - sy), 1.0)
             if params.pathloss_variant == "los":
                 pl = 16.9 * math.log10(d) + 32.8 + 20 * math.log10(params.carrier_ghz)

@@ -220,18 +220,18 @@ def test_average_se_weighting():
     from scplan.scenario import ServingMap
     serving = ServingMap((1,), np.array([1, 1]))
     pixel_se = np.array([1.0, 3.0])
-    assert average_se(1, serving, pixel_se, np.array([1.0, 3.0])) == pytest.approx(2.5)
-    assert average_se(1, serving, pixel_se, np.array([1.0, 1.0])) == pytest.approx(2.0)
+    assert average_se(serving, pixel_se, np.array([1.0, 3.0])) == {1: pytest.approx(2.5)}
+    assert average_se(serving, pixel_se, np.array([1.0, 1.0])) == {1: pytest.approx(2.0)}
     # zero served demand falls back to a uniform mean
-    assert average_se(1, serving, pixel_se, np.array([0.0, 0.0])) == pytest.approx(2.0)
+    assert average_se(serving, pixel_se, np.array([0.0, 0.0])) == {1: pytest.approx(2.0)}
     constant = np.array([2.0, 2.0])
-    assert average_se(1, serving, constant, np.array([5.0, 1.0])) == pytest.approx(2.0)
+    assert average_se(serving, constant, np.array([5.0, 1.0])) == {1: pytest.approx(2.0)}
 
 
 def test_average_se_empty_cell():
     from scplan.scenario import ServingMap
     serving = ServingMap((1, 2), np.array([1, 1]))
-    assert average_se(2, serving, np.array([1.0, 2.0]), None) == 0.0
+    assert average_se(serving, np.array([1.0, 2.0]), None)[2] == 0.0
 
 
 def test_average_se_bounds(params):
@@ -240,11 +240,12 @@ def test_average_se_bounds(params):
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
     serving, pixel_se = link_state(state, grid, params)
+    avg_se = average_se(serving, pixel_se, weights)
+    assert tuple(avg_se) == state.cell_ids
     for cid in state.cell_ids:
         mask = serving.pixel_cell == cid
         if mask.any():
-            assert pixel_se[mask].min() - 1e-12 <= average_se(cid, serving, pixel_se, weights) \
-                <= pixel_se[mask].max() + 1e-12
+            assert pixel_se[mask].min() - 1e-12 <= avg_se[cid] <= pixel_se[mask].max() + 1e-12
 
 
 def test_cell_capacity_product(params):
@@ -262,9 +263,10 @@ def test_snapshot_capacity_identity_and_partition(params):
     weights = rng.uniform(0, 2, grid.num_pixels)
     serving, pixel_se = link_state(state, grid, params)
     served = 0
+    by_cell = average_se(serving, pixel_se, weights)
     for cell in state.cells:
         cid = cell.cell_id
-        avg_se = average_se(cid, serving, pixel_se, weights)
+        avg_se = by_cell[cid]
         assert cell_capacity(len(cell.channels), avg_se, params) == len(cell.channels) * \
             params.channel_bandwidth_mhz * avg_se
         served += int((serving.pixel_cell == cid).sum())
@@ -447,12 +449,11 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     unweighted = raster.copy()       # one serving cell with no demand
     unweighted[masks[next(c for c in serving.cell_ids if c != idle)]] = 0.0
     for weights in (raster, unweighted, np.zeros(num_pixels), None):
-        for cid, mask in masks.items():
-            assert average_se(cid, serving, pixel_se, weights) == \
-                mask_average_se(mask, weights)
-    assert average_se(idle, serving, pixel_se, raster) == 0.0
-    with pytest.raises(ValueError, match="unknown cell id"):
-        average_se(max(serving.cell_ids) + 1, serving, pixel_se, raster)
+        assert average_se(serving, pixel_se, weights) == \
+            {cid: mask_average_se(mask, weights) for cid, mask in masks.items()}
+    assert average_se(serving, pixel_se, raster)[idle] == 0.0
+    with pytest.raises(KeyError):
+        average_se(serving, pixel_se, raster)[max(serving.cell_ids) + 1]
 
     # and with two served cells widened to 8 and 9 channels, where numpy's
     # mean(axis=1) no longer adds left to right
@@ -470,6 +471,88 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
                 reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
         assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
         assert serving_mean(state, serving, table, some).tobytes() == reference[some].tobytes()
+
+
+def _bits(values: dict) -> dict:
+    return {key: float(v).hex() for key, v in values.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
+    # one gather into the map's pixel order and one sum per cell slice keep
+    # the mask form's bits: plain and weighted sums, read-only rasters from
+    # the memo, a partial ``given``, no weights, all-zero weights and a cell
+    # that serves no pixel; maps are large enough for numpy's pairwise blocks
+    rng = np.random.default_rng(100 + seed)
+    ids = (2, 5, 9, 14, 30)
+    idle = ids[seed % len(ids)]
+    num_pixels = int(rng.integers(300, 6000))
+    serving = ServingMap(ids, rng.choice([c for c in ids if c != idle], num_pixels))
+    masks = {cid: serving.pixel_cell == cid for cid in ids}
+    raster = rng.exponential(1.0, num_pixels)
+    fixed = raster.copy()
+    fixed.flags.writeable = False
+    pixel_se = rng.uniform(0.0, 4.4, num_pixels)
+    pixel_se.flags.writeable = False
+    mask_sums = {cid: float(raster[m].sum()) for cid, m in masks.items()}
+    for values in (raster, fixed, fixed):       # the second read-only call is memoised
+        assert _bits(serving.cell_sums(values)) == _bits(mask_sums)
+    lent = {ids[0]: -1.0, ids[3]: mask_sums[ids[3]]}
+    partial = {cid: lent.get(cid, mask_sums[cid]) for cid in ids}
+    for values in (raster, fixed):
+        assert _bits(serving.cell_sums(values, lent)) == _bits(partial)
+
+    def mask_average_se(mask, weights):
+        if not mask.any():
+            return 0.0
+        if weights is not None and float(weights[mask].sum()) > 0:
+            return float((pixel_se[mask] * weights[mask]).sum() / float(weights[mask].sum()))
+        return float(pixel_se[mask].mean())
+
+    no_demand = raster.copy()       # one serving cell with no demand
+    no_demand[masks[next(c for c in ids if c != idle)]] = 0.0
+    for weights in (raster, fixed, no_demand, np.zeros(num_pixels), None, None):
+        means = average_se(serving, pixel_se, weights)
+        assert _bits(means) == _bits({cid: mask_average_se(m, weights)
+                                      for cid, m in masks.items()})
+        assert means[idle] == 0.0
+
+
+def test_memoised_sums_are_never_aliased():
+    serving = ServingMap((1, 2), np.array([1, 2, 1, 2, 2]))
+    fixed = np.arange(5.0)
+    fixed.flags.writeable = False
+    first = serving.cell_sums(fixed)
+    assert first == {1: 2.0, 2: 8.0}
+    first[1] = 99.0
+    second = serving.cell_sums(fixed)
+    assert second == {1: 2.0, 2: 8.0}
+    second.clear()
+    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
+    means = average_se(serving, fixed)
+    assert means == {1: 1.0, 2: 8.0 / 3}
+    means[2] = -1.0
+    assert average_se(serving, fixed) == {1: 1.0, 2: 8.0 / 3}
+    # another map of the same raster sums it afresh
+    assert ServingMap((1, 2), np.array([1, 1, 2, 2, 2])).cell_sums(fixed) == {1: 1.0, 2: 9.0}
+
+
+def test_a_writeable_raster_edited_in_place_is_summed_again():
+    serving = ServingMap((1, 2), np.array([1, 2, 1, 2, 2]))
+    values = np.arange(5.0)
+    assert serving.cell_sums(values) == {1: 2.0, 2: 8.0}
+    values[0] = 10.0
+    assert serving.cell_sums(values) == {1: 12.0, 2: 8.0}
+    assert average_se(serving, np.ones(5), values) == {1: 1.0, 2: 1.0}
+    values[:] = 0.0         # weights edited to zero: the uniform fallback
+    assert average_se(serving, np.arange(5.0), values) == {1: 1.0, 2: 8.0 / 3}
+    # a read-only view of a writeable raster can still change: not memoised
+    values[:] = np.arange(5.0)
+    view = values[:]
+    view.flags.writeable = False
+    assert serving.cell_sums(view) == {1: 2.0, 2: 8.0}
+    values[2] = 5.0
+    assert serving.cell_sums(view) == {1: 5.0, 2: 8.0}
 
 
 def test_memoized_layout_keeps_one_set_of_cell_pixels(params):

