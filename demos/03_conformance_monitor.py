@@ -3,7 +3,7 @@
 Run:  python demos/03_conformance_monitor.py
 """
 from scplan import (DemandHistory, MonitorParams, NetworkState, SmallCell,
-                    busy_hour, check_trigger, required_bandwidth,
+                    check_trigger, latest_max, required_bandwidth,
                     sla_exceed_check)
 
 # one cell holding two 20 MHz channels: 36 MHz is the 90% utilization bar
@@ -26,7 +26,8 @@ for t, value in enumerate(series):
     history.record(t, {1: value})
     decision = check_trigger(history, state, params, 20.0, t)
     row = decision.checks[0]
-    print(f"  t={t}: required {value:5.1f} MHz busy_hour=t{busy_hour(history, 1)} "
+    busy_step, _ = latest_max(history.window(1))
+    print(f"  t={t}: required {value:5.1f} MHz busy_hour=t{busy_step} "
           f"violation={str(row.violation):5} counter={row.counter} "
           f"fire={decision.fire}")
 

@@ -16,7 +16,7 @@ from .radio import (PropagationParams, path_loss, noise_floor_dbm,
 from .sla import (PlanningSpecSet, translate_sc_level, translate_pixel_level,
                   pixel_specs_to_cell)
 from .monitor import (MonitorParams, DemandHistory, TriggerDecision,
-                      SlaExceedNotice, required_bandwidth, busy_hour,
+                      SlaExceedNotice, required_bandwidth, latest_max,
                       check_trigger, sla_exceed_check)
 from .evaluation import (METHODS, TenantSpecPolicy, EvaluationContext,
                          NetworkEvaluation, make_policy, evaluate_state)

@@ -47,15 +47,14 @@ class TenantSpecPolicy:
     mode: str
     pixel_spec: np.ndarray | None = None
 
-    def cell_specs(self, state: NetworkState, serving, basis_cell_demand,
-                   given: dict[int, float] | None = None) -> dict[int, float]:
+    def cell_specs(self, state: NetworkState, serving, basis_cell_demand) -> dict[int, float]:
         if self.mode in ("uniform-sc", "corr-sc"):
             method = "uniform" if self.mode == "uniform-sc" else "correlated"
             return translate_sc_level(self.a_busy_mbps, state, method, basis_cell_demand,
                                       tenant_id=self.tenant_id).cell_values
         specs = PlanningSpecSet(self.tenant_id, "pixel", self.mode,
                                 pixel_values=self.pixel_spec)
-        return pixel_specs_to_cell(specs, serving, given)
+        return pixel_specs_to_cell(specs, serving)
 
 
 def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
@@ -106,8 +105,7 @@ class EvaluationContext:
 class NetworkEvaluation:
     """One layout's link state and per-cell demands, specs and required
     bandwidth.  ``pixel_se`` is the mean SE over the serving cell's
-    channels, and ``avg_se`` each cell's demand-weighted mean of it;
-    ``basis_cell`` is each cell's sum of the corr-sc basis, {} without."""
+    channels, and ``avg_se`` each cell's demand-weighted mean of it."""
 
     state: NetworkState
     serving: ServingMap
@@ -116,7 +114,6 @@ class NetworkEvaluation:
     cell_demand: dict[str, dict[int, float]]
     cell_specs: dict[str, dict[int, float]]
     required_mhz: dict[int, float]
-    basis_cell: dict[int, float]
 
     def total_required(self) -> float:
         return sum(self.required_mhz.values())
@@ -139,18 +136,7 @@ def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
     return out
 
 
-def _kept_cells(serving: ServingMap, base: NetworkEvaluation | None) -> list[int]:
-    """Cells that serve exactly the pixels they serve in ``base``'s map."""
-    if base is None:
-        return []
-    was, now = base.serving.pixel_cell, serving.pixel_cell
-    moved = np.flatnonzero(now != was)
-    touched = set(np.concatenate((was[moved], now[moved])).tolist())
-    return [c for c in base.serving.cell_ids if c in serving.cell_pixels and c not in touched]
-
-
-def evaluate_state(state: NetworkState, ctx: EvaluationContext,
-                   base: NetworkEvaluation | None = None) -> NetworkEvaluation:
+def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvaluation:
     """Run the performance model for one layout.
 
     Powers are re-configured, the serving map re-derived, every tenant's
@@ -160,36 +146,23 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext,
     live yet.  Powers and link state depend on the layout alone, so they
     are taken from ``ctx.link_cache`` when it holds this layout; a site
     search's trial takes its batch-solved powers and builds no SINR table.
-
-    ``base``, an evaluation under the same ``ctx``, lends its per-cell sums:
-    a cell that serves exactly the pixels it serves there (the same indices
-    in the same order, so the same float) takes its sums of the known-demand
-    rasters, the pixel-level specs and the corr-sc basis from it.
     """
     state, serving, pixel_se = ctx.link_cache.link(state, ctx.grid, ctx.radio)
-    kept = _kept_cells(serving, base)
-    was_basis, was_demand, was_specs = ((base.basis_cell, base.cell_demand, base.cell_specs)
-                                        if base is not None else ({}, {}, {}))
-
-    def given(sums):            # the base's sums of one raster, on the kept cells
-        return {cid: sums[cid] for cid in kept}
-
     basis_cell = {}
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):
         basis = ctx.basis()
         total_basis = (np.sum(list(basis.values()), axis=0) if basis
                        else np.zeros(ctx.grid.num_pixels))
-        basis_cell = serving.cell_sums(total_basis, given(was_basis))
+        basis_cell = serving.cell_sums(total_basis)
 
     weights = sum(ctx.known_demand.values(), np.zeros(ctx.grid.num_pixels))
     demands: dict[str, dict[int, float]] = {}
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():
-        a = policy.cell_specs(state, serving, basis_cell, given(was_specs.get(tenant_id)))
+        a = policy.cell_specs(state, serving, basis_cell)
         specs[tenant_id] = a
         if tenant_id in ctx.known_demand:
-            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id],
-                                                   given(was_demand.get(tenant_id)))
+            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id])
         else:
             scale = ctx.estimate_scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
@@ -198,12 +171,11 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext,
     for tenant_id, raster in ctx.known_demand.items():
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
-            demands[tenant_id] = serving.cell_sums(raster, given(was_demand.get(tenant_id)))
+            demands[tenant_id] = serving.cell_sums(raster)
             specs[tenant_id] = dict(demands[tenant_id])
 
     avg = average_se(serving, pixel_se, weights)
     required = {cid: required_bandwidth({m: demands[m][cid] for m in demands},
                                         {m: specs[m][cid] for m in demands}, avg[cid])
                 for cid in state.cell_ids}
-    return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs, required,
-                             basis_cell)
+    return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs, required)

@@ -25,7 +25,7 @@ from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
 from .monitor import CellCheck, DemandHistory, MonitorParams, SlaExceedNotice, \
     check_trigger, latest_max, sla_exceed_check
 from .planner import ActionLedger, PlannerParams, plan
-from .radio import LinkCache, configure_powers, serving_mean
+from .radio import LinkCache, serving_mean
 from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
                        select_candidate_sites)
 from .scenario_io import Scenario, load_scenario
@@ -207,8 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                  f"event step {event.step} is outside the {horizon}-step horizon"))
 
     existing = list(scn.tenants)
-    state = configure_powers(scn.initial_state, grid, scn.radio)
-    initial_state = state
+    state = initial_state = run.link_cache.link(scn.initial_state, grid, scn.radio)[0]
     history = DemandHistory(scn.monitor.window_steps)
 
     checks: list[CellCheck] = []

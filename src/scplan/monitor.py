@@ -23,7 +23,6 @@ __all__ = [
     "SlaExceedNotice",
     "required_bandwidth",
     "latest_max",
-    "busy_hour",
     "check_trigger",
     "sla_exceed_check",
 ]
@@ -100,12 +99,6 @@ def latest_max(samples):
         if v > best or (v == best and t > best_t):
             best_t, best = t, v
     return best_t, best
-
-
-def busy_hour(history: DemandHistory, cell_id: int) -> int:
-    """Time index in the window with the highest requirement; ties go to the
-    most recent step."""
-    return latest_max(history.window(cell_id))[0]
 
 
 @dataclass(frozen=True)

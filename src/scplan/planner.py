@@ -165,8 +165,7 @@ def _channel_to_remove(cell_id: int, state: NetworkState, grid: GridSpec) -> int
 
 
 def select_site(state: NetworkState, candidates: CandidateSiteSet,
-                ctx: EvaluationContext, new_cell_id: int,
-                base: NetworkEvaluation | None = None) -> tuple[int, NetworkEvaluation]:
+                ctx: EvaluationContext, new_cell_id: int) -> tuple[int, NetworkEvaluation]:
     """Exhaustively evaluate every free candidate site for one new cell.
 
     Each site is tried with a tentative cell (initial channel chosen by the
@@ -175,8 +174,7 @@ def select_site(state: NetworkState, candidates: CandidateSiteSet,
     wins; ties go to the lowest pixel index.  Returns the site and its
     trial's evaluation.  ``ctx.link_cache`` pins ``state`` and every trial's
     powers, solved in one batch, while the search runs, so each trial's link
-    state is built as a delta on the base; ``base``, the evaluation of
-    ``state`` if the caller has it, goes to each trial's ``evaluate_state``.
+    state is built as a delta on the base.
     """
     occupied = set(state.site_pixels)
     free = [p for p in candidates.site_pixels if p not in occupied]
@@ -188,7 +186,7 @@ def select_site(state: NetworkState, candidates: CandidateSiteSet,
     best = None
     with ctx.link_cache.pinned(state, ctx.grid, ctx.radio, trials):
         for site, trial in zip(free, trials):
-            ev = evaluate_state(trial, ctx, base)
+            ev = evaluate_state(trial, ctx)
             key = (ev.total_required(), site)
             if best is None or key < best[0]:
                 best = key, ev
@@ -244,7 +242,7 @@ def plan(state: NetworkState, candidates: CandidateSiteSet,
         if not set(candidates.site_pixels) - set(state.site_pixels):
             notes.append("saturated: no sites")
             break
-        site, ev = select_site(state, candidates, ctx, next_id, ev)
+        site, ev = select_site(state, candidates, ctx, next_id)
         state = ev.state
         raw.append(AddCell(next_id, site, state.cell(next_id).channels, step=5))
         next_id += 1

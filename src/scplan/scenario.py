@@ -286,19 +286,15 @@ class ServingMap:
         order, spans = self._order
         return {cid: order[a:b] for cid, (a, b) in zip(self.cell_ids, spans)}
 
-    def cell_sums(self, values: np.ndarray, given: dict | None = None) -> dict[int, float]:
+    def cell_sums(self, values: np.ndarray) -> dict[int, float]:
         """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
         order: one gather into the pixel order, then a sum of each cell's
         slice, the elements of ``values[pixel_cell == c]`` in their order, so
         the bits are the same, unlike a weighted ``np.bincount`` or
-        ``np.add.reduceat``, whose order can flip a planner tie.  A cell in
-        ``given``, a caller's sums of ``values``, takes its sum there, and
-        only the other cells are gathered.  A read-only raster that owns its
-        data (a pixel-level spec, a ``LinkCache``'s pixel SE) is taken to be
-        fixed: summed once per map, each call gets a fresh dict."""
-        if given:
-            return {cid: given[cid] if cid in given else float(values[pixels].sum())
-                    for cid, pixels in self.cell_pixels.items()}
+        ``np.add.reduceat``, whose order can flip a planner tie.  A read-only
+        raster that owns its data (a pixel-level spec, a ``LinkCache``'s
+        pixel SE) is taken to be fixed: summed once per map, each call gets
+        a fresh dict."""
         fixed = not values.flags.writeable and values.base is None
         kept = self._sums.get(id(values)) if fixed else None
         if kept is not None and kept[0] is values:

@@ -94,9 +94,8 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
     return PlanningSpecSet(tenant_id, "pixel", method, pixel_values=values)
 
 
-def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap,
-                        given: dict[int, float] | None = None) -> dict[int, float]:
+def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap) -> dict[int, float]:
     """Aggregate a pixel-level spec raster to the cells serving the pixels."""
     if specs.level != "pixel":
         raise ValueError("expected a pixel-level spec set")
-    return serving.cell_sums(specs.pixel_values, given)
+    return serving.cell_sums(specs.pixel_values)

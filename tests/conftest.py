@@ -162,8 +162,8 @@ def assert_same_evaluation(a, b):
                  (a.serving.pixel_col, b.serving.pixel_col),
                  (a.pixel_se, b.pixel_se)):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-    assert repr((a.avg_se, a.cell_demand, a.cell_specs, a.required_mhz, a.basis_cell)) == \
-        repr((b.avg_se, b.cell_demand, b.cell_specs, b.required_mhz, b.basis_cell))
+    assert repr((a.avg_se, a.cell_demand, a.cell_specs, a.required_mhz)) == \
+        repr((b.avg_se, b.cell_demand, b.cell_specs, b.required_mhz))
 
 
 def oracle_configure_powers(state: NetworkState, grid: GridSpec,

@@ -3,12 +3,10 @@
 While ``select_site`` runs, ``LinkCache`` pins the search's base layout and
 the powers of all its trials, solved in one batch, and ``link_state``
 builds each trial (the base plus one trailing cell) from the base's
-intermediates, without a SINR table; ``evaluate_state`` takes the per-cell
-sums of the cells a trial leaves alone from the base's evaluation.  Every
-trial must equal the matrix form of ``tests/conftest.py`` byte for byte,
-and a fresh, unpinned evaluation of its layout, and every power the
-one-layout loop kept there, whether the search runs in the run's shared
-cache or in a fresh one.
+intermediates, without a SINR table.  Every trial must equal the matrix
+form of ``tests/conftest.py`` byte for byte, and a fresh, unpinned
+evaluation of its layout, and every power the one-layout loop kept there,
+whether the search runs in the run's shared cache or in a fresh one.
 """
 import hashlib
 import importlib.util
@@ -20,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_evaluation, matrix_link_state, oracle_configure_powers
-from scplan import evaluation, planner, radio
+from scplan import planner, radio
 from scplan.evaluation import METHODS
 from scplan.experiment import ExperimentConfig, run_experiment
 from scplan.presets import bundled_scenario_path
@@ -48,8 +46,8 @@ def _check_every_trial(monkeypatch, run) -> int:
     ``LinkCache``, and check each trial of both searches against the
     matrix form and against a fresh, unpinned ``evaluate_state`` of its
     layout; every power solved against the one-layout loop; and the SINR
-    table of every full build against the matrix form.  Some trial must
-    have taken sums from its base.  Returns the number of trials checked."""
+    table of every full build against the matrix form.  Returns the number
+    of trials checked."""
     expected = {}           # trial layout -> digest of its matrix form
     unpinned = {}           # trial layout -> its evaluation in a fresh cache
     trials = []
@@ -57,10 +55,8 @@ def _check_every_trial(monkeypatch, run) -> int:
     aside = []              # an unpinned evaluation runs: nothing is checked
     full_builds = []
     batches = []            # (layouts, cells per layout) of each power solve
-    kept = []               # cells each trial took from its base
     build, select, full = radio.link_state, planner.select_site, radio._build
-    solve, evaluate, kept_cells = radio.solve_powers, planner.evaluate_state, \
-        evaluation._kept_cells
+    solve, evaluate = radio.solve_powers, planner.evaluate_state
 
     def checked_powers(states, grid, params, *args):
         got = solve(states, grid, params, *args)
@@ -92,14 +88,8 @@ def _check_every_trial(monkeypatch, run) -> int:
         trials.append(state)
         return got
 
-    def counted_kept(serving, base):
-        got = kept_cells(serving, base)
-        if searching and not aside:
-            kept.append(len(got))
-        return got
-
-    def checked_evaluate(state, ctx, base=None):
-        got = evaluate(state, ctx, base)
+    def checked_evaluate(state, ctx):
+        got = evaluate(state, ctx)
         if searching:
             if state not in unpinned:
                 aside.append(1)
@@ -110,14 +100,14 @@ def _check_every_trial(monkeypatch, run) -> int:
             assert_same_evaluation(got, unpinned[state])
         return got
 
-    def select_twice(state, candidates, ctx, new_cell_id, base=None):
+    def select_twice(state, candidates, ctx, new_cell_id):
         searching.append(1)
         try:
             start, solves = len(trials), len(batches)
-            site, ev = select(state, candidates, ctx, new_cell_id, base)
+            site, ev = select(state, candidates, ctx, new_cell_id)
             shared = len(trials) - start
             again, fresh_ev = select(state, candidates,
-                                     replace(ctx, link_cache=LinkCache()), new_cell_id, base)
+                                     replace(ctx, link_cache=LinkCache()), new_cell_id)
         finally:
             searching.pop()
         assert ctx.link_cache._pin is None
@@ -131,11 +121,9 @@ def _check_every_trial(monkeypatch, run) -> int:
     monkeypatch.setattr(radio, "_build", checked_build)
     monkeypatch.setattr(radio, "solve_powers", checked_powers)
     monkeypatch.setattr(radio, "link_state", checked_link_state)
-    monkeypatch.setattr(evaluation, "_kept_cells", counted_kept)
     monkeypatch.setattr(planner, "evaluate_state", checked_evaluate)
     monkeypatch.setattr(planner, "select_site", select_twice)
     run()
-    assert len(kept) == len(trials) and sum(kept) > 0
     return len(trials)
 
 

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from scplan.monitor import (DemandHistory, MonitorParams, busy_hour,
-                            check_trigger, required_bandwidth,
-                            sla_exceed_check)
+from scplan.monitor import (DemandHistory, MonitorParams, check_trigger,
+                            latest_max, required_bandwidth, sla_exceed_check)
 from scplan.scenario import NetworkState, SmallCell
 
 
@@ -38,31 +37,31 @@ def test_busy_hour_argmax_and_ties():
     history = DemandHistory(window_steps=8)
     for t, v in enumerate([10.0, 14.0, 12.0, 13.0]):
         history.record(t, {1: v})
-    assert busy_hour(history, 1) == 1
+    assert latest_max(history.window(1))[0] == 1
     flat = DemandHistory(window_steps=8)
     for t in range(4):
         flat.record(t, {1: 5.0})
-    assert busy_hour(flat, 1) == 3          # ties go to the most recent
+    assert latest_max(flat.window(1))[0] == 3     # ties go to the most recent
     single = DemandHistory(window_steps=8)
     single.record(7, {1: 2.0})
-    assert busy_hour(single, 1) == 7
+    assert latest_max(single.window(1))[0] == 7
     with pytest.raises(ValueError):
-        busy_hour(single, 99)               # a cell with no history
+        single.window(99)                          # a cell with no history
     apart = DemandHistory(window_steps=8)
     for t, v in enumerate([9.0, 3.0, 1.0, 9.0, 4.0]):
         apart.record(t, {1: v})
-    assert busy_hour(apart, 1) == 3         # equal maxima apart: the later one
+    assert latest_max(apart.window(1))[0] == 3    # equal maxima apart: the later one
     unservable = DemandHistory(window_steps=8)
     for t, v in enumerate([5.0, math.inf, 7.0]):
         unservable.record(t, {1: v})
-    assert busy_hour(unservable, 1) == 1    # an un-servable cell's inf wins
+    assert latest_max(unservable.window(1))[0] == 1   # an un-servable cell's inf wins
 
 
 def test_busy_hour_window_evicts_old_samples():
     history = DemandHistory(window_steps=3)
     for t, v in enumerate([99.0, 1.0, 2.0, 3.0]):
         history.record(t, {1: v})
-    assert busy_hour(history, 1) == 3       # the 99 fell out of the window
+    assert latest_max(history.window(1))[0] == 3  # the 99 fell out of the window
 
 
 def _one_cell_state(channels=(0, 1)):

@@ -167,11 +167,11 @@ def test_select_site_pins_its_base_only_while_it_runs(params, monkeypatch):
     assert ctx.link_cache._pin is None
     evaluate = planner.evaluate_state
 
-    def fail_second(trial, c, base=None):
+    def fail_second(trial, c):
         assert c.link_cache._pin is not None
         if trial.cell(2).site_pixel == 77:
             raise RuntimeError("trial failed")
-        return evaluate(trial, c, base)
+        return evaluate(trial, c)
 
     monkeypatch.setattr(planner, "evaluate_state", fail_second)
     with pytest.raises(RuntimeError, match="trial failed"):
@@ -422,8 +422,8 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     ctx = build_context(scn, "corr-px").busy_hour()
     seen = []
 
-    def check(state, base=None):
-        shared = evaluate_state(state, ctx, base)
+    def check(state):
+        shared = evaluate_state(state, ctx)
         fresh = replace(ctx, link_cache=LinkCache())
         assert_same_evaluation(shared, evaluate_state(state, fresh))
         if ctx.link_cache._pin is None:         # a full build: its SINR table too
@@ -437,7 +437,7 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     free = [p for p in scn.candidate_sites.site_pixels if p not in start.site_pixels]
     powered = check(start).state
     check(start)                                    # the same layout twice
-    base = check(powered)                           # and its powered state
+    check(powered)                                  # and its powered state
     grown = start.add_cell(SmallCell(9, free[0], (3,)))
     check(grown)                                    # a cell added
     check(grown.add_channel(9, 1))                  # a channel added
@@ -448,9 +448,9 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     # every trial layout of a site search, in the order the planner makes them
     before = len(seen)
     evaluate = planner.evaluate_state
-    monkeypatch.setattr(planner, "evaluate_state", lambda state, c, b=None:
-                        check(state, b) if c is ctx else evaluate(state, c, b))
-    site, chosen = select_site(powered, scn.candidate_sites, ctx, 9, base)
+    monkeypatch.setattr(planner, "evaluate_state", lambda state, c:
+                        check(state) if c is ctx else evaluate(state, c))
+    site, chosen = select_site(powered, scn.candidate_sites, ctx, 9)
     assert len(seen) - before == len(free)
     monkeypatch.undo()
     again = select_site(powered, scn.candidate_sites, replace(ctx, link_cache=LinkCache()), 9)
