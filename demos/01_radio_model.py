@@ -5,7 +5,7 @@ Run:  python demos/01_radio_model.py
 from scplan import (GridSpec, NetworkState, PropagationParams, SmallCell,
                     average_se, cell_capacity, configure_powers, path_loss,
                     spectral_efficiency)
-from scplan.radio import link_state
+from scplan.radio import LinkCache, link_state
 from scplan.reporting import write_raster_pgm
 
 params = PropagationParams()
@@ -29,7 +29,7 @@ print("\nauto-configured transmit powers (9 dB target at the cell edge):")
 for cell in state.cells:
     print(f"  cell {cell.cell_id}: {cell.power_dbm:5.2f} dBm on channels {cell.channels}")
 
-serving, pixel_se = link_state(state, grid, params)
+serving, pixel_se = link_state(state, LinkCache(grid, params))
 print("\nper-cell results (uniform SE weighting, no traffic yet):")
 avg_se = average_se(serving, pixel_se)      # every cell's mean SE in one call
 for cell in state.cells:

@@ -81,24 +81,35 @@ class EvaluationContext:
     """Everything the performance model needs besides the layout itself.
 
     ``known_demand`` holds per-pixel rasters for tenants whose traffic is
-    observable at the evaluated step; tenants listed only in ``policies``
-    are planning estimates.  ``basis_demand`` is the busy-hour raster set
-    used for correlated cell-level splits (defaults to ``known_demand``);
-    ``estimate_scale`` scales an estimated tenant's contribution by its
-    temporal profile (1 at the busy hour).  ``link_cache`` keeps the radio
-    state of the layouts evaluated; contexts of one run share one.
+    observable at the evaluated step, ``known_total`` their sum; tenants
+    listed only in ``policies`` are planning estimates.  ``basis`` is the
+    read-only busy-hour raster that correlated cell-level splits follow
+    (defaults to the sum of ``known_demand``); ``estimate_scale`` scales an
+    estimated tenant's contribution by its temporal profile (1 at the busy
+    hour).  ``link_cache`` keeps the radio state of the layouts evaluated;
+    contexts of one run share one, which must be of ``grid`` and ``radio``.
     """
 
     grid: GridSpec
     radio: PropagationParams
     policies: dict[str, TenantSpecPolicy]
     known_demand: dict[str, np.ndarray] = field(default_factory=dict)
-    basis_demand: dict[str, np.ndarray] | None = None
+    basis: np.ndarray | None = field(default=None, repr=False)
     estimate_scale: dict[str, float] = field(default_factory=dict)
-    link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
+    link_cache: LinkCache | None = field(default=None, repr=False, compare=False)
+    known_total: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def basis(self) -> dict[str, np.ndarray]:
-        return self.known_demand if self.basis_demand is None else self.basis_demand
+    def __post_init__(self):
+        if self.link_cache is None:
+            self.link_cache = LinkCache(self.grid, self.radio)
+        elif (self.link_cache.grid, self.link_cache.params) != (self.grid, self.radio):
+            raise ValueError("link cache of another grid or radio")
+        num_pixels = self.grid.num_pixels
+        if self.basis is None:
+            known = list(self.known_demand.values())
+            self.basis = np.sum(known, axis=0) if known else np.zeros(num_pixels)
+            self.basis.flags.writeable = False
+        self.known_total = sum(self.known_demand.values(), np.zeros(num_pixels))
 
 
 @dataclass
@@ -147,15 +158,11 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     are taken from ``ctx.link_cache`` when it holds this layout; a site
     search's trial takes its batch-solved powers and builds no SINR table.
     """
-    state, serving, pixel_se = ctx.link_cache.link(state, ctx.grid, ctx.radio)
-    basis_cell = {}
-    if any(p.mode == "corr-sc" for p in ctx.policies.values()):
-        basis = ctx.basis()
-        total_basis = (np.sum(list(basis.values()), axis=0) if basis
-                       else np.zeros(ctx.grid.num_pixels))
-        basis_cell = serving.cell_sums(total_basis)
+    state, serving, pixel_se = ctx.link_cache.link(state)
+    basis_cell = (serving.cell_sums(ctx.basis)
+                  if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
 
-    weights = sum(ctx.known_demand.values(), np.zeros(ctx.grid.num_pixels))
+    weights = ctx.known_total
     demands: dict[str, dict[int, float]] = {}
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():

@@ -114,10 +114,10 @@ class RunContext:
     ``spatial`` holds each tenant's demand raster at its temporal peak, the
     arriving tenant included, and ``demand_totals`` each tenant's total
     traffic at every step of the horizon; ``busy_step`` is the step with the
-    most existing traffic (ties go to the latest) and ``basis`` the existing
-    tenants' rasters at that step.  ``policies`` holds the existing
-    tenants' spec policies, then the arriving tenant's under the method.
-    Every evaluation context built here shares ``link_cache``.
+    most existing traffic (ties go to the latest), ``basis`` the existing
+    tenants' rasters at that step and ``basis_sum`` their read-only sum.
+    ``policies`` holds the existing tenants' spec policies, then the arriving
+    tenant's under the method; every context built here shares ``link_cache``.
     """
 
     scenario: Scenario
@@ -127,7 +127,8 @@ class RunContext:
     demand_totals: dict[str, list[float]]
     basis: dict[str, np.ndarray]
     policies: dict[str, TenantSpecPolicy]
-    link_cache: LinkCache = field(default_factory=LinkCache, repr=False, compare=False)
+    basis_sum: np.ndarray = field(repr=False)
+    link_cache: LinkCache = field(repr=False, compare=False)
 
     def evaluation(self, active, live, t: int) -> EvaluationContext:
         """Model inputs at step ``t``: the ``active`` tenants' policies, the
@@ -138,7 +139,7 @@ class RunContext:
         return EvaluationContext(
             grid=self.scenario.grid, radio=self.scenario.radio,
             policies={m: p for m, p in self.policies.items() if m in ids},
-            known_demand=known, basis_demand=self.basis,
+            known_demand=known, basis=self.basis_sum,
             estimate_scale={tn.tenant_id: tn.temporal_weight(t) for tn in active
                             if tn.tenant_id not in known},
             link_cache=self.link_cache)
@@ -149,7 +150,7 @@ class RunContext:
         full planning spec."""
         return EvaluationContext(grid=self.scenario.grid, radio=self.scenario.radio,
                                  policies=self.policies, known_demand=self.basis,
-                                 basis_demand=self.basis, link_cache=self.link_cache)
+                                 basis=self.basis_sum, link_cache=self.link_cache)
 
 
 def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np.ndarray:
@@ -182,6 +183,8 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
               for tn in existing + arriving}
     busy_step = _peak_step(totals, existing, horizon)
     basis = {tn.tenant_id: _demand(spatial, tn, busy_step) for tn in existing}
+    basis_sum = np.sum(list(basis.values()), axis=0)
+    basis_sum.flags.writeable = False
     policies = {}
     for tn in existing:
         own = spatial[tn.tenant_id]
@@ -193,9 +196,10 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
         policies[tn.tenant_id] = make_policy(
             method, tn.tenant_id,
             tn.contracted_capacity_mbps * tn.temporal_weight(busy_step), grid,
-            basis_px=np.sum(list(basis.values()), axis=0),
+            basis_px=basis_sum,
             own_map_px=spatial[tn.tenant_id])
-    return RunContext(scn, horizon, busy_step, spatial, totals, basis, policies)
+    return RunContext(scn, horizon, busy_step, spatial, totals, basis, policies, basis_sum,
+                      LinkCache(grid, scn.radio))
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -207,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                  f"event step {event.step} is outside the {horizon}-step horizon"))
 
     existing = list(scn.tenants)
-    state = initial_state = run.link_cache.link(scn.initial_state, grid, scn.radio)[0]
+    state = initial_state = run.link_cache.link(scn.initial_state)[0]
     history = DemandHistory(scn.monitor.window_steps)
 
     checks: list[CellCheck] = []
@@ -262,8 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,
-        "sinr_db": serving_mean(state, ev.serving,
-                                run.link_cache.sinr_table(state, grid, scn.radio)),
+        "sinr_db": serving_mean(state, ev.serving, run.link_cache.sinr_table(state)),
     }
     echo = {"scenario": str(cfg.scenario_path), "method": cfg.method,
             "horizon": horizon, "seed": cfg.seed}

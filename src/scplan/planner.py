@@ -172,9 +172,9 @@ def select_site(state: NetworkState, candidates: CandidateSiteSet,
     max-min co-channel distance rule, powers reconfigured, serving re-derived
     and specs re-expressed) and the site minimizing the summed requirement
     wins; ties go to the lowest pixel index.  Returns the site and its
-    trial's evaluation.  ``ctx.link_cache`` pins ``state`` and every trial's
-    powers, solved in one batch, while the search runs, so each trial's link
-    state is built as a delta on the base.
+    trial's evaluation.  ``ctx.link_cache`` first keeps the full build of
+    ``state`` and solves every trial's powers in one batch, so each trial's
+    link state is built as a delta on the base.
     """
     occupied = set(state.site_pixels)
     free = [p for p in candidates.site_pixels if p not in occupied]
@@ -183,13 +183,13 @@ def select_site(state: NetworkState, candidates: CandidateSiteSet,
     trials = [state.add_cell(SmallCell(new_cell_id, site,
                                        (_best_channel(site, (), state, ctx.grid, ctx.radio),),
                                        ctx.radio.power_max_dbm)) for site in free]
+    ctx.link_cache.prepare_search(state, trials)
     best = None
-    with ctx.link_cache.pinned(state, ctx.grid, ctx.radio, trials):
-        for site, trial in zip(free, trials):
-            ev = evaluate_state(trial, ctx)
-            key = (ev.total_required(), site)
-            if best is None or key < best[0]:
-                best = key, ev
+    for site, trial in zip(free, trials):
+        ev = evaluate_state(trial, ctx)
+        key = (ev.total_required(), site)
+        if best is None or key < best[0]:
+            best = key, ev
     (_, site), ev = best
     return site, ev
 

@@ -12,7 +12,6 @@ reproducible.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -38,6 +37,8 @@ __all__ = [
 ]
 
 MIN_DISTANCE_M = 1.0    # clamp below this to keep log10 finite at a cell's own pixel
+POWER_TOL_DB = 0.01     # the power solve stops once no power moves this much
+POWER_MAX_ITER = 50     # or after this many iterations
 
 
 @dataclass(frozen=True)
@@ -103,87 +104,68 @@ def noise_floor_dbm(params: PropagationParams) -> float:
 
 
 class LinkCache:
-    """Radio quantities of one run that depend on the layout alone, kept so
-    an unchanged layout skips the radio model; nothing is process-global.
+    """Radio quantities of one run that depend on the layout alone, on the
+    cache's ``grid`` and radio ``params``, kept so an unchanged layout skips
+    the radio model; nothing is process-global.
 
     For the cells of the last layout seen it holds the path-loss column of
     each site and the mW received-power column of each (site, power), so a
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); the link state of the last
     layout asked for (see ``link``); and the last full build, SINR table
-    included (see ``sinr_table``).
+    included (see ``sinr_table``), with its running max, serving column,
+    served mW, channel totals, SE table, pixel SE and path-loss and mW
+    columns.  ``link_state`` builds a layout that is the kept full build
+    plus one trailing cell, as every site-search trial is, as a delta on
+    them, with the bytes of the full build but no SINR table, which a
+    search never reads.  ``prepare_search`` keeps a search's base as that
+    build and holds its trials' powers, solved in one batch.
 
-    While a site search runs (``pinned``), it also pins the search's base
-    layout: its powered state and its full build's running max, serving
-    column, served mW, channel totals, SE table, pixel SE and path-loss and
-    mW columns; and its trials' powers, solved in one batch.  ``link_state``
-    builds a layout that is the pinned one plus one trailing cell as a delta
-    on them, with the bytes of the full build but no SINR table, which a
-    search never reads.  Nothing is pinned outside a search.
-
-    All of it belongs to one grid and one set of radio parameters; using the
-    cache with others drops what it holds.  Memoized arrays and mW columns
-    are read-only.
+    Memoized arrays and mW columns are read-only.
     """
 
-    def __init__(self):
-        self._scope = None
+    def __init__(self, grid: GridSpec, params: PropagationParams):
+        self.grid, self.params = grid, params
+        self._xy = np.ascontiguousarray(pixel_positions(grid).T)
+        self._path_loss, self._linear, self._trials = {}, {}, {}
+        self._layout, self._built = (), ()
 
-    def _use(self, grid: GridSpec, params: PropagationParams):
-        """Hold nothing but what belongs to ``grid`` and ``params``."""
-        if self._scope != (grid, params):
-            self._scope = (grid, params)
-            self._xy = np.ascontiguousarray(pixel_positions(grid).T)
-            self._path_loss: dict[int, np.ndarray] = {}
-            self._linear: dict[tuple[int, float], np.ndarray] = {}
-            self._layout, self._built, self._pin = (), (), None
-
-    def link(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+    def link(self, state: NetworkState):
         """``(powered state, serving, pixel SE)`` of ``state``: the kept one
         if ``state`` is the kept layout or its powered state (powers depend
-        on the layout alone); else ``state`` is powered (as solved for the
-        pinned search if it is one of its trials, else by
+        on the layout alone); else ``state`` is powered (as solved by the
+        last ``prepare_search`` if it is one of its trials, else by
         ``configure_powers``), built by ``link_state`` and kept."""
-        self._use(grid, params)
         if state in self._layout[:2]:
             return self._layout[1:]
-        powered = None if self._pin is None else self._pin[2].get(state)
+        powered = self._trials.get(state)
         if powered is None:
-            powered = configure_powers(state, grid, params)
-        serving, pixel_se = link_state(powered, grid, params, self)
+            powered = configure_powers(state, self.grid, self.params)
+        serving, pixel_se = link_state(powered, self)
         pixel_se.flags.writeable = False
         self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
 
-    def sinr_table(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+    def sinr_table(self, state: NetworkState):
         """SINR (pixels, channels) of the powered layout ``state``, NaN where
         its serving cell does not hold the channel; read-only."""
-        return self._full(state, grid, params).table
+        return self._full(state).table
 
-    def _full(self, state: NetworkState, grid: GridSpec, params: PropagationParams):
+    def _full(self, state: NetworkState):
         """The full build of ``state``: the kept one, else one made now and kept."""
-        self._use(grid, params)
         if state not in self._built[:1]:
-            self._built = state, _build(state, grid, params, self)
+            self._built = state, _build(state, self)
         return self._built[1]
 
-    @contextmanager
-    def pinned(self, state: NetworkState, grid: GridSpec, params: PropagationParams,
-               trials=()):
-        """Pin ``state``, the base of a site search, for the ``with`` block:
-        its powered state and full build, on which ``link_state`` builds each
-        trial, and the powers of ``trials``, the search's layouts, solved in
-        one batch by ``solve_powers`` for ``powered``.  The pin is dropped
-        when the block exits, also on an exception."""
-        self._use(grid, params)
+    def prepare_search(self, state: NetworkState, trials: list[NetworkState]):
+        """Ready a site search from ``state`` over ``trials``, its layouts:
+        keep the full build of ``state`` powered, on which ``link_state``
+        builds each trial as a delta, and solve the trials' powers in one
+        batch by ``solve_powers`` for ``link``."""
         powered = (self._layout[1] if state in self._layout[:2]
-                   else configure_powers(state, grid, params))
-        solved = solve_powers(trials, grid, params) if trials else []
-        self._pin = powered, self._full(powered, grid, params), dict(zip(trials, solved))
-        try:
-            yield
-        finally:
-            self._pin = None
+                   else configure_powers(state, self.grid, self.params))
+        self._trials = dict(zip(trials, solve_powers(trials, self.grid, self.params)))
+        self._full(powered)
 
 
 class _Build(NamedTuple):
@@ -200,16 +182,15 @@ class _Build(NamedTuple):
     linear: list                # per cell, mW
 
 
-def _site_path_loss(site: int, params: PropagationParams, cache: LinkCache) -> np.ndarray:
+def _site_path_loss(site: int, cache: LinkCache) -> np.ndarray:
     """Path-loss column of one site, from contiguous x and y columns; the
     floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``."""
     x, y = cache._xy
     dx, dy = x - x[site], y - y[site]
-    return path_loss(np.sqrt(dx * dx + dy * dy), params)
+    return path_loss(np.sqrt(dx * dx + dy * dy), cache.params)
 
 
-def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationParams,
-                    cache: LinkCache | None = None
+def rx_power_matrix(state: NetworkState, cache: LinkCache
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The (num_pixels, num_cells) received power as its columns, in dBm
     and in mW, cells in id order; no matrix is built.  A dBm column is
@@ -217,15 +198,14 @@ def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationPara
     path-loss and mW columns come from ``cache`` when it holds them."""
     if not state.cells:
         raise ValueError("empty network")
-    cache = LinkCache() if cache is None else cache
-    cache._use(grid, params)
+    gain = cache.params.antenna_gain_db
     path_loss_by_site, linear, rx_dbm = {}, {}, []
     for c in state.cells:
         pl = cache._path_loss.get(c.site_pixel)
         if pl is None:
-            pl = _site_path_loss(c.site_pixel, params, cache)
+            pl = _site_path_loss(c.site_pixel, cache)
         path_loss_by_site[c.site_pixel] = pl
-        rx_dbm.append((c.power_dbm + params.antenna_gain_db) - pl)
+        rx_dbm.append((c.power_dbm + gain) - pl)
         key = (c.site_pixel, c.power_dbm)
         lin = cache._linear.get(key)
         if lin is None:
@@ -239,12 +219,11 @@ def rx_power_matrix(state: NetworkState, grid: GridSpec, params: PropagationPara
 def serving_assignment(state: NetworkState, grid: GridSpec,
                        params: PropagationParams) -> ServingMap:
     """Attach every pixel to the strongest cell; ties go to the lowest cell id."""
-    return link_state(state, grid, params)[0]
+    return link_state(state, LinkCache(grid, params))[0]
 
 
 def configure_powers(state: NetworkState, grid: GridSpec,
-                     params: PropagationParams,
-                     tol_db: float = 0.01, max_iter: int = 50) -> NetworkState:
+                     params: PropagationParams) -> NetworkState:
     """Auto-configure transmit powers for a target cell-edge SINR.
 
     For each cell the inter-site distance is the distance to the nearest
@@ -254,22 +233,22 @@ def configure_powers(state: NetworkState, grid: GridSpec,
     interferer (at its current power) plus one channel of noise, clamped to
     [power_min_dbm, power_max_dbm].  Because the targets are coupled, the
     solve starts every non-fixed cell at maximum power and iterates until
-    powers move less than ``tol_db``; the result depends only on the layout,
+    powers move less than ``POWER_TOL_DB``; the result depends only on the layout,
     never on the incoming power values.
 
     A single deployed cell (no interferer, no ISD) gets maximum power.
     Cells with ``power_fixed`` keep their power but still interfere.  This is
     ``solve_powers`` of the one layout.
     """
-    return solve_powers([state], grid, params, tol_db, max_iter)[0]
+    return solve_powers([state], grid, params)[0]
 
 
-def solve_powers(states: list[NetworkState], grid: GridSpec, params: PropagationParams,
-                 tol_db: float = 0.01, max_iter: int = 50) -> list[NetworkState]:
+def solve_powers(states: list[NetworkState], grid: GridSpec,
+                 params: PropagationParams) -> list[NetworkState]:
     """``configure_powers`` of each of ``states`` in one fixed-point loop,
     with geometry and co-channel pairs computed once per batch.  Each layout
     iterates on its own floats with the one-layout arithmetic (a row max is
-    order-free) until it meets ``tol_db`` or ``max_iter``, so it gets the
+    order-free) until it meets ``POWER_TOL_DB`` or ``POWER_MAX_ITER``, so it gets the
     bits it gets alone.  Layouts of unequal cell counts raise ``ValueError``:
     a site search's trials all have one cell more than its base."""
     n = len(states[0].cells)
@@ -300,7 +279,7 @@ def solve_powers(states: list[NetworkState], grid: GridSpec, params: Propagation
         edge_pl = path_loss(edge_d, params)
         noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
         live, p, fix = np.arange(len(states)), powers, fixed
-        for _ in range(max_iter):
+        for _ in range(POWER_MAX_ITER):
             rx_edge = p.T[:, :, None] + params.antenna_gain_db - edge_pl
             rx_lin = np.where(co_channel, 10.0 ** (rx_edge / 10.0), 0.0)
             strongest = rx_lin.max(axis=0)
@@ -309,7 +288,7 @@ def solve_powers(states: list[NetworkState], grid: GridSpec, params: Propagation
                         + serving_pl - params.antenna_gain_db)
             new = np.where(fix, p, np.clip(required, params.power_min_dbm,
                                            params.power_max_dbm))
-            going = ~(np.abs(new - p).max(axis=1) < tol_db)
+            going = ~(np.abs(new - p).max(axis=1) < POWER_TOL_DB)
             powers[live], p = new, new
             if not going.all():         # freeze the layouts that converged
                 live, p, fix, serving_pl = (a[going] for a in (live, p, fix, serving_pl))
@@ -336,7 +315,7 @@ def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
     Interference is the sum of received powers from every other deployed
     cell holding the channel; noise spans one channel bandwidth.
     """
-    b = _build(state, grid, params, LinkCache())
+    b = _build(state, LinkCache(grid, params))
     serving_cell = state.cells[b.serving.pixel_col[pixel]]
     if channel not in serving_cell.channels:
         raise ValueError(f"channel {channel} not allocated at serving cell "
@@ -407,10 +386,9 @@ def cell_capacity(num_channels: int, avg_se: float, params: PropagationParams) -
     return num_channels * params.channel_bandwidth_mhz * avg_se
 
 
-def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
-               cache: LinkCache | None = None) -> tuple[ServingMap, np.ndarray]:
-    """Weight-independent link quantities from each cell's rx columns (from
-    ``cache`` if given): serving map and per-pixel SE.  Serving is a running
+def link_state(state: NetworkState, cache: LinkCache) -> tuple[ServingMap, np.ndarray]:
+    """Weight-independent link quantities from each cell's rx columns, on
+    ``cache``'s grid and radio: serving map and per-pixel SE.  Serving is a running
     strict ``>`` in cell order, so ties go to the lowest cell id.  A
     channel's total adds its holders' mW columns in cell order, as numpy
     sums the Fortran-ordered ``rx[:, holders]`` along axis 1; a C-ordered
@@ -418,16 +396,14 @@ def link_state(state: NetworkState, grid: GridSpec, params: PropagationParams,
     hashes see.  SE is computed only where the serving cell holds the
     channel, the only entries the per-pixel mean reads.
 
-    A layout that is the base pinned in ``cache`` (see ``LinkCache.pinned``)
-    plus one trailing cell, as every site-search trial is (cells sort by id
-    and a new cell's id is the largest), is built as a delta on the base's
-    build, with the same bytes; any other layout gets the full build, kept
-    in ``cache`` with its SINR table (see ``LinkCache.sinr_table``)."""
-    cache = LinkCache() if cache is None else cache
-    cache._use(grid, params)
-    if cache._pin is not None and _extends(cache._pin[0], state):
-        return _trial_link(*cache._pin[:2], state, params, cache)
-    return cache._full(state, grid, params)[:2]
+    A layout that is the full build kept in ``cache`` plus one trailing
+    cell, powers aside, as every site-search trial is (cells sort by id and
+    a new cell's id is the largest), is built as a delta on that build,
+    with the same bytes; any other layout gets the full build, kept in
+    ``cache`` with its SINR table (see ``LinkCache.sinr_table``)."""
+    if cache._built and _extends(cache._built[0], state):
+        return _trial_link(*cache._built, state, cache)
+    return cache._full(state)[:2]
 
 
 def _running_max(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -458,10 +434,10 @@ def _fill(se_table: np.ndarray, ch: int, pixels, s_lin: np.ndarray, total: np.nd
     return sinr_db
 
 
-def _build(state: NetworkState, grid: GridSpec, params: PropagationParams,
-           cache: LinkCache) -> _Build:
+def _build(state: NetworkState, cache: LinkCache) -> _Build:
     """The full link state of ``state``, see ``link_state``."""
-    rx_dbm, rx_lin = rx_power_matrix(state, grid, params, cache)
+    params = cache.params
+    rx_dbm, rx_lin = rx_power_matrix(state, cache)
     best, serving_col = _running_max(rx_dbm)
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
     s_lin = np.empty(best.size)
@@ -492,19 +468,18 @@ def _extends(base: NetworkState, state: NetworkState) -> bool:
 
 
 def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
-                params: PropagationParams, cache: LinkCache
-                ) -> tuple[ServingMap, np.ndarray]:
-    """``link_state`` of ``state``, the pinned ``base`` plus one trailing
+                cache: LinkCache) -> tuple[ServingMap, np.ndarray]:
+    """``link_state`` of ``state``, the kept ``base`` plus one trailing
     cell, as a delta on ``b``, the base's full build, with no SINR table.
 
     Columns are computed for the touched cells only: the new one and those
     whose power moved.  Every value is the full build's float, from the
     same operands in the same order, so the bytes are the same."""
-    cells, n = state.cells, len(base.cells)
+    cells, n, params = state.cells, len(base.cells), cache.params
     gain = params.antenna_gain_db
     touched = [c.power_dbm != o.power_dbm for c, o in zip(cells, base.cells)] + [True]
     is_touched = np.array(touched)
-    pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, params, cache)]
+    pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, cache)]
     dbm, linear = {}, [*b.linear, None]
     for j in np.flatnonzero(touched).tolist():
         dbm[j] = (cells[j].power_dbm + gain) - pl[j]

@@ -213,7 +213,7 @@ def write_plan_files(out, ledgers: list[tuple[int, ActionLedger]], state: Networ
 def write_spec_csv(path, tenant_id: str, level: str,
                    values: dict[int, float] | np.ndarray) -> Path:
     """Planning-spec export: one row per cell or per pixel."""
-    targets = (((c, values[c]) for c in sorted(values)) if isinstance(values, dict)
-               else enumerate(values))
+    targets = sorted(values) if isinstance(values, dict) else range(len(values))
+    values = [values[c] for c in targets] if isinstance(values, dict) else values
     return _write_csv(path, ["tenant", "level", "target", "value_mbps"],
-                      ([tenant_id, level, i, _fmt(v)] for i, v in targets))
+                      ([tenant_id, level, i, v] for i, v in zip(targets, _fmt_all(values))))

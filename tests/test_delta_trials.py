@@ -1,12 +1,14 @@
-"""Site-search trials built as deltas on the pinned base layout.
+"""Layouts built as deltas on the full build a ``LinkCache`` keeps.
 
-While ``select_site`` runs, ``LinkCache`` pins the search's base layout and
-the powers of all its trials, solved in one batch, and ``link_state``
-builds each trial (the base plus one trailing cell) from the base's
-intermediates, without a SINR table.  Every trial must equal the matrix
-form of ``tests/conftest.py`` byte for byte, and a fresh, unpinned
-evaluation of its layout, and every power the one-layout loop kept there,
-whether the search runs in the run's shared cache or in a fresh one.
+``link_state`` builds any layout that is the cache's kept full build plus
+one trailing cell from that build's intermediates, without a SINR table.
+Every site-search trial is such a layout: ``select_site`` first has the
+cache keep the full build of its base and solve all its trials' powers in
+one batch.  Every delta build must equal the matrix form of
+``tests/conftest.py`` byte for byte; every trial must also be a delta
+build and equal a fresh-cache evaluation of its layout, and every power
+must be the one the one-layout loop kept there, whether the search runs in
+the run's shared cache or in a fresh one.
 """
 import hashlib
 import importlib.util
@@ -43,61 +45,58 @@ def _matrix_digest(state, grid, params) -> str:
 
 def _check_every_trial(monkeypatch, run) -> int:
     """Call ``run`` with every ``select_site`` call repeated on a fresh
-    ``LinkCache``, and check each trial of both searches against the
-    matrix form and against a fresh, unpinned ``evaluate_state`` of its
-    layout; every power solved against the one-layout loop; and the SINR
-    table of every full build against the matrix form.  Returns the number
-    of trials checked."""
-    expected = {}           # trial layout -> digest of its matrix form
-    unpinned = {}           # trial layout -> its evaluation in a fresh cache
-    trials = []
+    ``LinkCache``, and check every delta build, in a search or not, against
+    the matrix form; each trial of both searches to be a delta build and to
+    match a fresh-cache ``evaluate_state`` of its layout; every power solved
+    against the one-layout loop; and the SINR table of every full build
+    against the matrix form.  Returns the number of trials checked."""
+    expected = {}           # layout -> digest of its matrix form
+    fresh = {}              # trial layout -> its evaluation in a fresh cache
+    deltas, trials = [], []
     searching = []
-    aside = []              # an unpinned evaluation runs: nothing is checked
-    full_builds = []
+    aside = []              # a fresh-cache evaluation runs: nothing is checked
     batches = []            # (layouts, cells per layout) of each power solve
-    build, select, full = radio.link_state, planner.select_site, radio._build
+    delta, select, full = radio._trial_link, planner.select_site, radio._build
     solve, evaluate = radio.solve_powers, planner.evaluate_state
 
-    def checked_powers(states, grid, params, *args):
-        got = solve(states, grid, params, *args)
+    def checked_powers(states, grid, params):
+        got = solve(states, grid, params)
         if aside:
             return got
         for state, powered in zip(states, got):
             assert [repr(c.power_dbm) for c in powered.cells] == \
-                [repr(p) for p in oracle_configure_powers(state, grid, params, *args).tolist()]
+                [repr(p) for p in oracle_configure_powers(state, grid, params).tolist()]
         batches.append((len(states), len(states[0].cells)))
         return got
 
-    def checked_build(state, grid, params, cache):
-        full_builds.append(1)
-        got = full(state, grid, params, cache)
+    def checked_build(state, cache):
+        got = full(state, cache)
         if not aside:
-            table = matrix_link_state(state, grid, params)[2]
+            table = matrix_link_state(state, cache.grid, cache.params)[2]
             assert got.table.tobytes() == table.tobytes()
         return got
 
-    def checked_link_state(state, grid, params, cache=None):
-        if not searching or aside:
-            return build(state, grid, params, cache)
-        before = len(full_builds)
-        got = build(state, grid, params, cache)
-        assert len(full_builds) == before, "a trial took the full build"
+    def checked_delta(base, b, state, cache):
+        got = delta(base, b, state, cache)
         if state not in expected:
-            expected[state] = _matrix_digest(state, grid, params)
+            expected[state] = _matrix_digest(state, cache.grid, cache.params)
         assert _digest(*got) == expected[state]
-        trials.append(state)
+        deltas.append(state)
         return got
 
     def checked_evaluate(state, ctx):
+        before = len(deltas)
         got = evaluate(state, ctx)
         if searching:
-            if state not in unpinned:
+            assert len(deltas) == before + 1, "a trial took the full build"
+            trials.append(state)
+            if state not in fresh:
                 aside.append(1)
                 try:
-                    unpinned[state] = evaluate(state, replace(ctx, link_cache=LinkCache()))
+                    fresh[state] = evaluate(state, replace(ctx, link_cache=None))
                 finally:
                     aside.pop()
-            assert_same_evaluation(got, unpinned[state])
+            assert_same_evaluation(got, fresh[state])
         return got
 
     def select_twice(state, candidates, ctx, new_cell_id):
@@ -106,11 +105,10 @@ def _check_every_trial(monkeypatch, run) -> int:
             start, solves = len(trials), len(batches)
             site, ev = select(state, candidates, ctx, new_cell_id)
             shared = len(trials) - start
-            again, fresh_ev = select(state, candidates,
-                                     replace(ctx, link_cache=LinkCache()), new_cell_id)
+            again, fresh_ev = select(state, candidates, replace(ctx, link_cache=None),
+                                     new_cell_id)
         finally:
             searching.pop()
-        assert ctx.link_cache._pin is None
         assert shared > 0 and len(trials) - start == 2 * shared
         # each search solved all its trials' powers in one batch
         assert [k for k, n in batches[solves:] if n == len(state.cells) + 1] == [shared] * 2
@@ -119,8 +117,8 @@ def _check_every_trial(monkeypatch, run) -> int:
         return site, ev
 
     monkeypatch.setattr(radio, "_build", checked_build)
+    monkeypatch.setattr(radio, "_trial_link", checked_delta)
     monkeypatch.setattr(radio, "solve_powers", checked_powers)
-    monkeypatch.setattr(radio, "link_state", checked_link_state)
     monkeypatch.setattr(planner, "evaluate_state", checked_evaluate)
     monkeypatch.setattr(planner, "select_site", select_twice)
     run()
@@ -196,26 +194,25 @@ def test_random_trials_match_the_matrix_form(params, monkeypatch):
     columns = radio.rx_power_matrix
     monkeypatch.setattr(radio, "rx_power_matrix",
                         lambda *a: full_builds.append(1) or columns(*a))
-    shared = LinkCache()
+    shared = LinkCache(grid, params)
     ties = moved = 0
     for seed in range(12):
         base, trials = _random_trials(seed, grid)
         assert max(sum(0 in c.channels for c in t.cells) for t in trials) >= 9
         base_table = matrix_link_state(base, grid, params)[2]
-        for cache in (shared, LinkCache()):
-            with cache.pinned(base, grid, params):
-                assert cache.sinr_table(base, grid, params).tobytes() == base_table.tobytes()
-                for trial in trials:
-                    serving, rx, _, pixel_se = matrix_link_state(trial, grid, params)
-                    top = rx == rx.max(axis=1, keepdims=True)
-                    ties += int((top[:, -1] & (top.sum(axis=1) > 1)).sum())
-                    moved += any(c.power_dbm != b.power_dbm
-                                 for c, b in zip(trial.cells, base.cells))
-                    before = len(full_builds)
-                    got = link_state(trial, grid, params, cache)
-                    assert len(full_builds) == before
-                    expected = _digest(serving, pixel_se)
-                    assert _digest(*got) == expected
-                    assert _digest(*link_state(trial, grid, params, LinkCache())) == expected
-            assert cache._pin is None
+        for cache in (shared, LinkCache(grid, params)):
+            # the base's table: its full build is kept, and each trial a delta on it
+            assert cache.sinr_table(base).tobytes() == base_table.tobytes()
+            for trial in trials:
+                serving, rx, _, pixel_se = matrix_link_state(trial, grid, params)
+                top = rx == rx.max(axis=1, keepdims=True)
+                ties += int((top[:, -1] & (top.sum(axis=1) > 1)).sum())
+                moved += any(c.power_dbm != b.power_dbm
+                             for c, b in zip(trial.cells, base.cells))
+                before = len(full_builds)
+                got = link_state(trial, cache)
+                assert len(full_builds) == before
+                expected = _digest(serving, pixel_se)
+                assert _digest(*got) == expected
+                assert _digest(*link_state(trial, LinkCache(grid, params))) == expected
     assert ties > 0 and moved > 0

@@ -336,13 +336,19 @@ PLAN_SHA256 = {
     "layout.json": "f67547a38cacbbae7e683fbd3c07fbc04d881b2cb74d74fac6bdca9ad752a018",
 }
 
+# sha256 of what ``translate --method corr-px`` writes on urban200m
+SPEC_SHA256 = {
+    "specs_cell.csv": "03a99d8a80729ec82066fb061ac739b256d5340aebbfa70151e8d2d54621c2d2",
+    "specs_pixel.csv": "d9576705cbdcdaa6c196517f9da0d310767bccd10b51d2a3670c4ff65248d9d4",
+}
+
 
 def test_cli_translate_and_plan(tmp_path):
     out = tmp_path / "tr"
     assert main(["translate", "--scenario", str(BUNDLED), "--method",
                  "corr-px", "--out", str(out)]) == 0
-    assert (out / "specs_cell.csv").exists()
-    assert (out / "specs_pixel.csv").exists()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == SPEC_SHA256
     out2 = tmp_path / "plan"
     assert main(["plan", "--scenario", str(BUNDLED), "--method", "uniform-sc",
                  "--out", str(out2)]) == 0

@@ -13,7 +13,7 @@ from scplan.planner import (AddCell, AddChannel, PlannerParams,
                             compress_actions, plan, replay_actions,
                             select_channel, select_site)
 from scplan.presets import bundled_scenario_path
-from scplan.radio import LinkCache, PropagationParams, configure_powers
+from scplan.radio import PropagationParams, configure_powers
 from scplan.scenario_io import load_scenario
 from scplan.scenario import (CandidateSiteSet, GridSpec, NetworkState,
                              SmallCell, pixel_positions,
@@ -158,25 +158,32 @@ def test_select_site_ties_go_to_the_lowest_pixel(params):
     assert len(set(totals.values())) == 1
 
 
-def test_select_site_pins_its_base_only_while_it_runs(params, monkeypatch):
+def test_select_site_raising_part_way_leaves_the_cache_exact(params, monkeypatch):
     grid = GridSpec(30.0, 30.0, 3.0)
-    state = NetworkState((SmallCell(1, 4, (0,)),))
+    state = NetworkState((SmallCell(1, 4, (0,)), SmallCell(2, 66, (1,))))
     ctx = _simple_ctx(grid, params, np.ones(grid.num_pixels))
-    candidates = CandidateSiteSet((4, 40, 77))
-    select_site(state, candidates, ctx, new_cell_id=2)
-    assert ctx.link_cache._pin is None
-    evaluate = planner.evaluate_state
+    evaluate, trials = planner.evaluate_state, []
 
     def fail_second(trial, c):
-        assert c.link_cache._pin is not None
-        if trial.cell(2).site_pixel == 77:
+        trials.append(trial)
+        if len(trials) == 2:
             raise RuntimeError("trial failed")
         return evaluate(trial, c)
 
     monkeypatch.setattr(planner, "evaluate_state", fail_second)
     with pytest.raises(RuntimeError, match="trial failed"):
-        select_site(state, candidates, ctx, new_cell_id=2)
-    assert ctx.link_cache._pin is None
+        select_site(state, CandidateSiteSet((40, 77, 13)), ctx, new_cell_id=3)
+    monkeypatch.undo()
+    assert len(trials) == 2
+    # the base, the trials done, failed and not reached (channel 2 is free),
+    # then layouts no search made: one more cell on a taken channel, a cell
+    # fewer, and the base again
+    other = state.add_cell(SmallCell(3, 13, (0,)))
+    layouts = [state, *trials, state.add_cell(SmallCell(3, 13, (2,), params.power_max_dbm)),
+               other, other.remove_cell(1), state]
+    for layout in layouts:
+        fresh = replace(ctx, link_cache=None)
+        assert_same_evaluation(evaluate_state(layout, ctx), evaluate_state(layout, fresh))
 
 
 def _planning_setup(demand_scale=1.0, mode="corr-px", grid_m=42.0,
@@ -422,13 +429,12 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     ctx = build_context(scn, "corr-px").busy_hour()
     seen = []
 
-    def check(state):
+    def check(state, tables=True):
         shared = evaluate_state(state, ctx)
-        fresh = replace(ctx, link_cache=LinkCache())
+        fresh = replace(ctx, link_cache=None)
         assert_same_evaluation(shared, evaluate_state(state, fresh))
-        if ctx.link_cache._pin is None:         # a full build: its SINR table too
-            got, want = (c.link_cache.sinr_table(shared.state, ctx.grid, ctx.radio)
-                         for c in (ctx, fresh))
+        if tables:      # outside a search, whose trials build no SINR table
+            got, want = (c.link_cache.sinr_table(shared.state) for c in (ctx, fresh))
             assert got.tobytes() == want.tobytes()
         seen.append(state)
         return shared
@@ -449,10 +455,10 @@ def test_shared_link_cache_matches_fresh_cache(monkeypatch):
     before = len(seen)
     evaluate = planner.evaluate_state
     monkeypatch.setattr(planner, "evaluate_state", lambda state, c:
-                        check(state) if c is ctx else evaluate(state, c))
+                        check(state, tables=False) if c is ctx else evaluate(state, c))
     site, chosen = select_site(powered, scn.candidate_sites, ctx, 9)
     assert len(seen) - before == len(free)
     monkeypatch.undo()
-    again = select_site(powered, scn.candidate_sites, replace(ctx, link_cache=LinkCache()), 9)
+    again = select_site(powered, scn.candidate_sites, replace(ctx, link_cache=None), 9)
     assert again[0] == site
     assert_same_evaluation(again[1], chosen)

@@ -4,7 +4,7 @@
 batch of layouts of one cell count; a site search solves all its trials in
 one call.  Every power must have the ``repr`` that the one-layout loop kept
 verbatim in ``tests/conftest.py`` gives, whether a layout is solved alone or
-in a batch, converges early or late, or stops at ``max_iter``.
+in a batch, converges early or late, or stops at ``POWER_MAX_ITER``.
 """
 from collections import defaultdict
 from dataclasses import replace
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_configure_powers
+from scplan import radio
 from scplan.radio import PropagationParams, configure_powers, solve_powers
 from scplan.scenario import GridSpec, NetworkState, SmallCell
 
@@ -73,14 +74,15 @@ def test_a_batch_mixing_early_and_late_convergence_matches_the_loop(params):
     assert [_reprs(s) for s in solved] == [_expected(s, params) for s in states]
 
 
-def test_layouts_still_live_at_max_iter_keep_their_last_iterate(params):
+def test_layouts_still_live_at_max_iter_keep_their_last_iterate(params, monkeypatch):
     rng = np.random.default_rng(11)
     states = [_layout(rng, 20, 4, k_max=1) for _ in range(30)]
     capped = [_expected(s, params, max_iter=3) for s in states]
     assert sum(c != _expected(s, params) for c, s in zip(capped, states)) >= 5
-    solved = solve_powers(states, GRID, params, max_iter=3)
+    monkeypatch.setattr(radio, "POWER_MAX_ITER", 3)
+    solved = solve_powers(states, GRID, params)
     assert [_reprs(s) for s in solved] == capped
-    assert [_reprs(configure_powers(s, GRID, params, max_iter=3)) for s in states] == capped
+    assert [_reprs(configure_powers(s, GRID, params)) for s in states] == capped
 
 
 def test_solve_powers_edge_cases(params):

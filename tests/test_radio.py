@@ -45,7 +45,7 @@ def test_received_power_link_budget(params):
     target = site + 20
     assert pos[target, 0] - pos[site, 0] == pytest.approx(20.0)
     state = NetworkState((SmallCell(1, site, (0,), 24.0),))
-    rx = rx_power_matrix(state, grid, params)[0][0]
+    rx = rx_power_matrix(state, LinkCache(grid, params))[0][0]
     assert rx[target] == pytest.approx(24 + 2 - oracle_path_loss(20.0))
     assert rx[target] == pytest.approx(-55.81, abs=0.005)
     # at the cell's own pixel the distance clamp applies
@@ -239,7 +239,7 @@ def test_average_se_bounds(params):
     grid = GridSpec(30.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
-    serving, pixel_se = link_state(state, grid, params)
+    serving, pixel_se = link_state(state, LinkCache(grid, params))
     avg_se = average_se(serving, pixel_se, weights)
     assert tuple(avg_se) == state.cell_ids
     for cid in state.cell_ids:
@@ -261,7 +261,7 @@ def test_snapshot_capacity_identity_and_partition(params):
     grid = GridSpec(45.0, 30.0, 3.0)
     state = random_state(rng, grid, num_cells=4)
     weights = rng.uniform(0, 2, grid.num_pixels)
-    serving, pixel_se = link_state(state, grid, params)
+    serving, pixel_se = link_state(state, LinkCache(grid, params))
     served = 0
     by_cell = average_se(serving, pixel_se, weights)
     for cell in state.cells:
@@ -277,7 +277,7 @@ def test_snapshot_capacity_identity_and_partition(params):
 def test_cached_path_loss_columns_match_whole_matrix(params):
     # dBm and mW columns kept across layouts give the same bits as the
     # whole-matrix broadcast over every pixel and cell and its 10 ** (rx / 10),
-    # also after a change of radio
+    # also when a radio's cache is used again after another radio's
     rng = np.random.default_rng(11)
     grid = GridSpec(45.0, 30.0, 3.0)
     pos = pixel_positions(grid)
@@ -286,15 +286,15 @@ def test_cached_path_loss_columns_match_whole_matrix(params):
     grown = state.add_cell(SmallCell(9, free[7], (1,), 20.0))
     layouts = [state, state, grown, grown.remove_cell(2),
                grown.remove_cell(3).add_cell(SmallCell(10, free[40], (0,), 15.0)), state]
-    cache = LinkCache()
+    caches = {}
     for radio in (params, replace(params, pathloss_variant="los"), params):
         for layout in layouts:
             sites = pos[list(layout.site_pixels)]
             d = np.sqrt(((pos[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2))
             powers = np.array([c.power_dbm for c in layout.cells])
             whole = powers[None, :] + radio.antenna_gain_db - path_loss(d, radio)
-            for c in (cache, None):
-                rx_dbm, rx_lin = rx_power_matrix(layout, grid, radio, c)
+            for c in (caches.setdefault(radio, LinkCache(grid, radio)), LinkCache(grid, radio)):
+                rx_dbm, rx_lin = rx_power_matrix(layout, c)
                 assert np.stack(rx_dbm, axis=1).tobytes() == whole.tobytes()
                 assert np.stack(rx_lin, axis=1).tobytes() == (10.0 ** (whole / 10.0)).tobytes()
 
@@ -306,10 +306,25 @@ def test_memoized_link_arrays_are_read_only(params):
                             known_demand={"a": np.ones(grid.num_pixels)})
     for _ in range(2):          # computed, then taken from the cache
         ev = evaluate_state(state, ctx)
-        table = ctx.link_cache.sinr_table(ev.state, grid, params)
+        table = ctx.link_cache.sinr_table(ev.state)
         for arr in (table, ev.pixel_se, ev.serving.pixel_cell):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+def test_evaluation_context_takes_only_a_cache_of_its_grid_and_radio(params):
+    grid = GridSpec(30.0, 30.0, 3.0)
+    ctx = EvaluationContext(grid=grid, radio=params, policies={})
+    assert (ctx.link_cache.grid, ctx.link_cache.params) == (grid, params)
+    shared = EvaluationContext(grid=grid, radio=replace(params), policies={},
+                               link_cache=ctx.link_cache)
+    assert shared.link_cache is ctx.link_cache
+    for cache in (LinkCache(GridSpec(30.0, 33.0, 3.0), params),
+                  LinkCache(grid, replace(params, pathloss_variant="los"))):
+        with pytest.raises(ValueError, match="another grid or radio"):
+            EvaluationContext(grid=grid, radio=params, policies={}, link_cache=cache)
+        with pytest.raises(ValueError, match="another grid or radio"):
+            replace(ctx, link_cache=cache)
 
 
 def _layouts_with_a_tie(seed: int, grid: GridSpec) -> list[NetworkState]:
@@ -336,7 +351,7 @@ def _layouts_with_a_tie(seed: int, grid: GridSpec) -> list[NetworkState]:
 
 def test_link_state_equals_the_matrix_form_bit_for_bit(params):
     grid = GridSpec(63.0, 45.0, 3.0)        # 21 x 15 pixels, a middle column
-    shared = LinkCache()
+    shared = LinkCache(grid, params)
     ties = crowded = 0
     for seed in range(12):
         for layout in _layouts_with_a_tie(seed, grid):
@@ -344,12 +359,12 @@ def test_link_state_equals_the_matrix_form_bit_for_bit(params):
             top = rx == rx.max(axis=1, keepdims=True)
             ties += int((top.sum(axis=1) > 1).sum())
             crowded += max(sum(ch in c.channels for c in layout.cells) for ch in range(4)) >= 8
-            for cache in (shared, LinkCache()):
-                got = link_state(layout, grid, params, cache)
+            for cache in (shared, LinkCache(grid, params)):
+                got = link_state(layout, cache)
                 assert got[0].cell_ids == serving.cell_ids
                 for x, y in ((got[0].pixel_cell, serving.pixel_cell),
                              (got[0].pixel_col, serving.pixel_col),
-                             (cache.sinr_table(layout, grid, params), table),
+                             (cache.sinr_table(layout), table),
                              (got[1], pixel_se)):
                     assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
     assert ties > 0 and crowded > 0
@@ -358,24 +373,23 @@ def test_link_state_equals_the_matrix_form_bit_for_bit(params):
 def test_only_a_changed_cell_recomputes_its_mw_column(params):
     grid = GridSpec(45.0, 30.0, 3.0)
     state = random_state(np.random.default_rng(6), grid, num_cells=5)
-    cache = LinkCache()
-    _, before = rx_power_matrix(state, grid, params, cache)
+    cache = LinkCache(grid, params)
+    _, before = rx_power_matrix(state, cache)
     third = state.cells[2]
     changed = state.remove_cell(third.cell_id).add_cell(
         replace(third, power_dbm=third.power_dbm + 1.0))
-    _, after = rx_power_matrix(changed, grid, params, cache)
+    _, after = rx_power_matrix(changed, cache)
     assert [a is b for a, b in zip(after, before)] == [True, True, False, True, True]
     free = next(p for p in range(grid.num_pixels) if p not in state.site_pixels)
-    _, grown = rx_power_matrix(changed.add_cell(SmallCell(99, free, (1,), 20.0)),
-                               grid, params, cache)
+    _, grown = rx_power_matrix(changed.add_cell(SmallCell(99, free, (1,), 20.0)), cache)
     assert len(grown) == 6 and all(a is b for a, b in zip(grown, after))
     for column in grown:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-    _, other = rx_power_matrix(changed, grid, replace(params, antenna_gain_db=3.0), cache)
-    _, again = rx_power_matrix(changed, grid, params, cache)
+    _, other = rx_power_matrix(changed, LinkCache(grid, replace(params, antenna_gain_db=3.0)))
+    _, again = rx_power_matrix(changed, cache)
     assert not any(a is b for a, b in zip(other, after))
-    assert not any(a is b for a, b in zip(again, after + other))
+    assert all(a is b for a, b in zip(again, after))
 
 
 def _random_serving(seed: int):
