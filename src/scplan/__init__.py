@@ -4,6 +4,9 @@ A deterministic grid simulator plus a greedy incremental planner: tenant
 SLAs are translated into per-cell planning specs, capacity conformance is
 monitored over time, and the cell layout and channel allocation are
 re-planned when capacity falls short.
+
+The imports below are the public API: the one list of what the package
+exports.  Other names in the modules are internal.
 """
 
 from .scenario import (ScenarioError, InvariantError, GridSpec,

@@ -18,9 +18,8 @@ from .experiment import (PARAM_OVERRIDES, ExperimentConfig, build_context, emit_
                          plan_once, run_experiment)
 from .presets import bundled_scenario_path
 from .reporting import read_bandwidth_table, write_plan_files, write_spec_csv
-from .scenario_io import InvariantError, ScenarioError, validate_file
-
-__all__ = ["main"]
+from .scenario import InvariantError, ScenarioError
+from .scenario_io import validate_file
 
 
 def _resolve_scenario(name: str) -> Path:
@@ -82,9 +81,9 @@ def _cmd_translate(args) -> int:
     ev = evaluate_state(scn.initial_state, ctx)
     write_spec_csv(out / "specs_cell.csv", tenant_id, "cell",
                    ev.cell_specs[tenant_id])
-    if policy.pixel_spec is not None:
+    if policy.pixel_specs is not None:
         write_spec_csv(out / "specs_pixel.csv", tenant_id, "pixel",
-                       policy.pixel_spec)
+                       policy.pixel_specs.pixel_values)
     print(f"wrote planning specs for {tenant_id} ({cfg.method}) to {out}")
     return 0
 

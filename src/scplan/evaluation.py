@@ -20,15 +20,6 @@ from .scenario import GridSpec, NetworkState, ServingMap
 from .monitor import required_bandwidth
 from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, translate_sc_level
 
-__all__ = [
-    "TenantSpecPolicy",
-    "make_policy",
-    "EvaluationContext",
-    "NetworkEvaluation",
-    "evaluate_state",
-    "METHODS",
-]
-
 METHODS = ("uniform-sc", "corr-sc", "uniform-px", "corr-px", "oracle")
 
 
@@ -37,24 +28,22 @@ class TenantSpecPolicy:
     """How one tenant's busy-hour capacity maps onto any given layout.
 
     Cell-level modes re-translate on every layout; pixel-level modes carry a
-    fixed per-pixel raster that is re-aggregated over the serving map.  The
-    ``oracle`` mode is a pixel raster proportional to the tenant's own real
-    traffic.
+    fixed spec set, ``pixel_specs``, whose raster is re-aggregated over the
+    serving map.  The ``oracle`` mode is a pixel raster proportional to the
+    tenant's own real traffic.
     """
 
     tenant_id: str
     a_busy_mbps: float
     mode: str
-    pixel_spec: np.ndarray | None = None
+    pixel_specs: PlanningSpecSet | None = None
 
     def cell_specs(self, state: NetworkState, serving, basis_cell_demand) -> dict[int, float]:
         if self.mode in ("uniform-sc", "corr-sc"):
             method = "uniform" if self.mode == "uniform-sc" else "correlated"
             return translate_sc_level(self.a_busy_mbps, state, method, basis_cell_demand,
                                       tenant_id=self.tenant_id).cell_values
-        specs = PlanningSpecSet(self.tenant_id, "pixel", self.mode,
-                                pixel_values=self.pixel_spec)
-        return pixel_specs_to_cell(specs, serving)
+        return pixel_specs_to_cell(self.pixel_specs, serving)
 
 
 def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
@@ -67,13 +56,13 @@ def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
     """
     if mode not in METHODS:
         raise ValueError(f"unknown method {mode!r}")
-    pixel_spec = None
+    specs = None
     if mode == "uniform-px":
-        pixel_spec = translate_pixel_level(a_busy_mbps, grid, "uniform").pixel_values
+        specs = translate_pixel_level(a_busy_mbps, grid, "uniform", tenant_id=tenant_id)
     elif mode in ("corr-px", "oracle"):
         basis = basis_px if mode == "corr-px" else own_map_px
-        pixel_spec = translate_pixel_level(a_busy_mbps, grid, "correlated", basis).pixel_values
-    return TenantSpecPolicy(tenant_id, a_busy_mbps, mode, pixel_spec)
+        specs = translate_pixel_level(a_busy_mbps, grid, "correlated", basis, tenant_id)
+    return TenantSpecPolicy(tenant_id, a_busy_mbps, mode, specs)
 
 
 @dataclass
@@ -137,8 +126,8 @@ def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
     Pixel-level policies carry the raster directly; cell-level splits are
     spread evenly over each cell's service area.
     """
-    if policy.pixel_spec is not None:
-        return policy.pixel_spec * scale
+    if policy.pixel_specs is not None:
+        return policy.pixel_specs.pixel_values * scale
     out = np.zeros(num_pixels)
     for cid, value in cell_specs.items():
         pixels = serving.cell_pixels[cid]

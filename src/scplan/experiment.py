@@ -30,16 +30,6 @@ from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
                        select_candidate_sites)
 from .scenario_io import Scenario, load_scenario
 
-__all__ = [
-    "ExperimentConfig",
-    "Report",
-    "RunContext",
-    "build_context",
-    "run_experiment",
-    "emit_report",
-    "plan_once",
-]
-
 
 @dataclass
 class ExperimentConfig:
@@ -114,8 +104,8 @@ class RunContext:
     ``spatial`` holds each tenant's demand raster at its temporal peak, the
     arriving tenant included, and ``demand_totals`` each tenant's total
     traffic at every step of the horizon; ``busy_step`` is the step with the
-    most existing traffic (ties go to the latest), ``basis`` the existing
-    tenants' rasters at that step and ``basis_sum`` their read-only sum.
+    most existing traffic (ties go to the latest) and ``basis_sum`` the
+    read-only sum of the existing tenants' rasters at that step.
     ``policies`` holds the existing tenants' spec policies, then the arriving
     tenant's under the method; every context built here shares ``link_cache``.
     """
@@ -125,7 +115,6 @@ class RunContext:
     busy_step: int
     spatial: dict[str, np.ndarray]
     demand_totals: dict[str, list[float]]
-    basis: dict[str, np.ndarray]
     policies: dict[str, TenantSpecPolicy]
     basis_sum: np.ndarray = field(repr=False)
     link_cache: LinkCache = field(repr=False, compare=False)
@@ -148,9 +137,11 @@ class RunContext:
         """Model inputs for one planning pass with the trigger assumed fired:
         the existing traffic at the busy step, the arriving tenant at its
         full planning spec."""
-        return EvaluationContext(grid=self.scenario.grid, radio=self.scenario.radio,
-                                 policies=self.policies, known_demand=self.basis,
-                                 basis=self.basis_sum, link_cache=self.link_cache)
+        scn = self.scenario
+        everyone = scn.tenants + (() if scn.event is None else (scn.event.tenant,))
+        ctx = self.evaluation(everyone, scn.tenants, self.busy_step)
+        ctx.estimate_scale.clear()      # estimates at their spec, not profile-scaled
+        return ctx
 
 
 def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np.ndarray:
@@ -158,11 +149,14 @@ def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np
     return spatial[tenant.tenant_id] * tenant.temporal_weight(t)
 
 
-def _peak_step(demand_totals: dict[str, list[float]], tenants, horizon: int) -> int:
-    """Step of the horizon with the most traffic from ``tenants``; ties go
-    to the latest."""
-    return latest_max((t, sum(demand_totals[tn.tenant_id][t] for tn in tenants))
-                      for t in range(horizon))[0]
+def _busiest_step(series) -> int:
+    """Step with the largest total over ``series``, each a sequence of
+    ``(t, value)`` pairs summed in order; ties go to the latest."""
+    totals: dict[int, float] = {}
+    for pairs in series:
+        for t, v in pairs:
+            totals[t] = totals.get(t, 0.0) + v
+    return latest_max(totals.items())[0]
 
 
 def build_context(scn: Scenario, method: str, horizon: int | None = None) -> RunContext:
@@ -181,9 +175,8 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
     spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
     totals = {tn.tenant_id: [float(_demand(spatial, tn, t).sum()) for t in range(horizon)]
               for tn in existing + arriving}
-    busy_step = _peak_step(totals, existing, horizon)
-    basis = {tn.tenant_id: _demand(spatial, tn, busy_step) for tn in existing}
-    basis_sum = np.sum(list(basis.values()), axis=0)
+    busy_step = _busiest_step(enumerate(totals[tn.tenant_id]) for tn in existing)
+    basis_sum = np.sum([_demand(spatial, tn, busy_step) for tn in existing], axis=0)
     basis_sum.flags.writeable = False
     policies = {}
     for tn in existing:
@@ -198,7 +191,7 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
             tn.contracted_capacity_mbps * tn.temporal_weight(busy_step), grid,
             basis_px=basis_sum,
             own_map_px=spatial[tn.tenant_id])
-    return RunContext(scn, horizon, busy_step, spatial, totals, basis, policies, basis_sum,
+    return RunContext(scn, horizon, busy_step, spatial, totals, policies, basis_sum,
                       LinkCache(grid, scn.radio))
 
 
@@ -243,7 +236,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
         if decision.fire:
             fired_steps.append(t)
-            plan_ctx = run.evaluation(active, operative, _planning_step(history, state))
+            busiest = _busiest_step(history.window(c.cell_id) for c in state.cells
+                                    if history.has(c.cell_id))
+            plan_ctx = run.evaluation(active, operative, busiest)
             state, ledger = plan(state, scn.candidate_sites, plan_ctx, scn.planner)
             ledgers.append((t, ledger))
             history = DemandHistory(scn.monitor.window_steps)
@@ -256,7 +251,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     # evaluate the final layout against actual traffic from every tenant
     all_tenants = existing + ([event.tenant] if event is not None else [])
-    eval_step = _peak_step(run.demand_totals, all_tenants, horizon)
+    eval_step = _busiest_step(enumerate(run.demand_totals[tn.tenant_id])
+                              for tn in all_tenants)
     ctx = run.evaluation(all_tenants, all_tenants, eval_step)
     ev = evaluate_state(state, ctx)
     state = ev.state
@@ -275,16 +271,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     return Report(cfg.method, horizon, eval_step, checks, fired_steps, notices,
                   ledgers, initial_state, state, rows, ev.total_required(), len(state.cells),
                   rasters, grid, echo)
-
-
-def _planning_step(history: DemandHistory, state: NetworkState) -> int:
-    """Window step with the highest total requirement; ties go most recent."""
-    totals: dict[int, float] = {}
-    for cell in state.cells:
-        if history.has(cell.cell_id):
-            for t, v in history.window(cell.cell_id):
-                totals[t] = totals.get(t, 0.0) + v
-    return latest_max(totals.items())[0]
 
 
 def plan_once(scn: Scenario, method: str, horizon: int | None = None

@@ -15,18 +15,6 @@ from typing import Mapping
 
 from .scenario import NetworkState, in_unit, is_count, require_fields
 
-__all__ = [
-    "MonitorParams",
-    "DemandHistory",
-    "CellCheck",
-    "TriggerDecision",
-    "SlaExceedNotice",
-    "required_bandwidth",
-    "latest_max",
-    "check_trigger",
-    "sla_exceed_check",
-]
-
 
 @dataclass(frozen=True)
 class MonitorParams:

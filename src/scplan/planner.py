@@ -24,21 +24,6 @@ from .radio import PropagationParams, configure_powers
 from .scenario import (CandidateSiteSet, GridSpec, NetworkState, SmallCell, in_unit,
                        is_count, pixel_positions, require_fields)
 
-__all__ = [
-    "PlannerParams",
-    "AddChannel",
-    "RemoveChannel",
-    "AddCell",
-    "RemoveCell",
-    "Relocate",
-    "ActionLedger",
-    "select_channel",
-    "select_site",
-    "plan",
-    "compress_actions",
-    "replay_actions",
-]
-
 
 @dataclass(frozen=True)
 class PlannerParams:
@@ -288,6 +273,14 @@ def compress_actions(actions) -> list:
     surviving addition becomes a relocation.  Replaying the result yields
     the same final state as the original sequence.  Assumes cell ids are not
     reused within one ledger (the planner never reuses them).
+
+    A ledger from ``plan`` reaches neither the same-site pairing nor the
+    break for an addition that no removal can pair with.  Densify runs
+    before trim, so every ``AddCell`` precedes every ``RemoveCell``, and an
+    added cell's site was free when it was added; so no surviving removal
+    shares a site with a surviving addition.  The contract still covers any
+    valid ledger: the hand-made ledgers in ``tests/test_planner.py`` reach
+    both branches.
     """
     ch_net: dict[tuple[int, int], int] = {}
     ch_last: dict[tuple[int, int], object] = {}

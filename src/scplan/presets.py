@@ -13,8 +13,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["bundled_scenario_path"]
-
 
 def bundled_scenario_path(name: str) -> Path | None:
     """Resolve a bundled scenario name to its JSON file, if it exists."""

@@ -20,22 +20,6 @@ import numpy as np
 from .scenario import (GridSpec, NetworkState, ServingMap, is_count, is_real,
                        pixel_positions, positive, require_fields)
 
-__all__ = [
-    "PropagationParams",
-    "LinkCache",
-    "path_loss",
-    "noise_floor_dbm",
-    "rx_power_matrix",
-    "serving_assignment",
-    "configure_powers",
-    "solve_powers",
-    "sinr",
-    "spectral_efficiency",
-    "average_se",
-    "cell_capacity",
-    "serving_mean",
-]
-
 MIN_DISTANCE_M = 1.0    # clamp below this to keep log10 finite at a cell's own pixel
 POWER_TOL_DB = 0.01     # the power solve stops once no power moves this much
 POWER_MAX_ITER = 50     # or after this many iterations

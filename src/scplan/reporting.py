@@ -18,20 +18,6 @@ from .planner import (ActionLedger, AddCell, AddChannel, Relocate, RemoveCell,
                       RemoveChannel)
 from .scenario import GridSpec, NetworkState, ScenarioError, pixel_positions
 
-__all__ = [
-    "write_raster_csv",
-    "write_raster_pgm",
-    "write_monitor_log",
-    "write_notifications",
-    "write_actions_csv",
-    "write_changelog",
-    "write_bandwidth_table",
-    "read_bandwidth_table",
-    "write_layout_fragment",
-    "write_plan_files",
-    "write_spec_csv",
-]
-
 
 _ROWS_PER_WRITE = 4096
 _GRAY_LEVELS = [str(g) for g in range(256)]

@@ -16,20 +16,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = [
-    "ScenarioError",
-    "InvariantError",
-    "GridSpec",
-    "pixel_positions",
-    "CandidateSiteSet",
-    "select_candidate_sites",
-    "Hotspot",
-    "TenantProfile",
-    "ServingMap",
-    "SmallCell",
-    "NetworkState",
-]
-
 
 class ScenarioError(ValueError):
     """A scenario that cannot be used: unreadable, unparsable or invalid."""

@@ -21,18 +21,6 @@ from .scenario import (CandidateSiteSet, GridSpec, Hotspot, InvariantError,
                        NetworkState, ScenarioError, SmallCell, TenantProfile,
                        is_int, is_real, require, select_candidate_sites)
 
-__all__ = [
-    "Scenario",
-    "NewTenantEvent",
-    "ScenarioError",
-    "InvariantError",
-    "load_scenario",
-    "scenario_from_dict",
-    "read_document",
-    "validate",
-    "validate_file",
-]
-
 SECTIONS = ("grid", "tenants", "candidate_sites", "initial_cells", "radio",
             "monitor", "planner", "event")
 TENANT_KEYS = ("id", "contracted_capacity_mbps", "temporal_profile", "hotspots",

@@ -14,13 +14,6 @@ import numpy as np
 
 from .scenario import GridSpec, NetworkState, ServingMap
 
-__all__ = [
-    "PlanningSpecSet",
-    "translate_sc_level",
-    "translate_pixel_level",
-    "pixel_specs_to_cell",
-]
-
 
 @dataclass(frozen=True)
 class PlanningSpecSet:

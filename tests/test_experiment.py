@@ -13,7 +13,7 @@ from scplan.cli import main
 from scplan.evaluation import METHODS
 from scplan.experiment import ExperimentConfig, build_context, emit_report, run_experiment
 from scplan.monitor import MonitorParams
-from scplan.planner import PlannerParams
+from scplan.planner import AddCell, PlannerParams, Relocate, RemoveCell, replay_actions
 from scplan.presets import bundled_scenario_path
 from scplan.radio import PropagationParams
 from scplan.reporting import write_raster_csv, write_raster_pgm
@@ -355,6 +355,58 @@ def test_cli_translate_and_plan(tmp_path):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out2.iterdir()} == PLAN_SHA256
     assert main(["report", "--run", str(out2)]) == 0
+
+
+# sha256 of what ``run --horizon 6 --gamma 0.2 --method uniform-px`` writes
+# on urban200m: the one bundled run whose plan trims cells and relocates
+RELOCATE_SHA256 = {
+    "actions.csv": "91f2c319bb0ddacfe23b8f4d114968abaff70fd0450d5bdce5fd5452fa6eddf4",
+    "changelog.txt": "bf20c3031b771f7b9f902e0d7cdc56aa6390292d452b9d15d03ade5e7270bcf7",
+}
+
+
+def test_cli_run_that_relocates_replays_both_ledgers(tmp_path):
+    out = tmp_path / "reloc"
+    assert main(["run", "--scenario", str(BUNDLED), "--horizon", "6", "--gamma", "0.2",
+                 "--method", "uniform-px", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in RELOCATE_SHA256} == RELOCATE_SHA256
+    assert main(["report", "--run", str(out)]) == 0
+
+    cfg = ExperimentConfig(BUNDLED, method="uniform-px", horizon=6, gamma=0.2)
+    report, scn = run_experiment(cfg), cfg.scenario()
+    (_, ledger), = report.ledgers
+    for actions in (ledger.raw_actions, ledger.actions):
+        assert (replay_actions(report.initial_state, actions, scn.grid, scn.radio)
+                == report.final_state)
+
+    def cell_actions(actions):
+        return sorted(type(a).__name__ for a in actions
+                      if isinstance(a, (AddCell, RemoveCell, Relocate)))
+    assert cell_actions(ledger.raw_actions) == ["AddCell"] * 2 + ["RemoveCell"] * 2
+    assert cell_actions(ledger.actions) == ["Relocate"] * 2
+
+
+def test_busy_hour_is_the_busy_step_evaluation_with_the_estimate_unscaled(tmp_path):
+    doc = _runnable_mini_doc()
+    doc["tenants"][0]["temporal_profile"] = [0.5, 1.0, 0.8, 0.6]
+    doc["event"]["tenant"]["temporal_profile"] = [1.0, 0.4, 1.0, 1.0]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    scn = load_scenario(path)
+    everyone = scn.tenants + (scn.event.tenant,)
+    for method in METHODS:
+        run = build_context(scn, method)
+        assert run.busy_step == 1
+        busy = run.busy_hour()
+        step = run.evaluation(everyone, scn.tenants, run.busy_step)
+        assert list(busy.policies) == list(step.policies) == ["a", "b"]
+        assert all(busy.policies[m] is step.policies[m] for m in busy.policies)
+        assert ({m: r.tobytes() for m, r in busy.known_demand.items()}
+                == {m: r.tobytes() for m, r in step.known_demand.items()})
+        assert list(busy.known_demand) == ["a"]
+        assert busy.basis.tobytes() == step.basis.tobytes()
+        assert busy.estimate_scale == {} and step.estimate_scale == {"b": 0.4}
 
 
 def test_cli_param_overrides(tmp_path):
