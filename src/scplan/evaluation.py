@@ -70,35 +70,47 @@ class EvaluationContext:
     """Everything the performance model needs besides the layout itself.
 
     ``known_demand`` holds per-pixel rasters for tenants whose traffic is
-    observable at the evaluated step, ``known_total`` their sum; tenants
-    listed only in ``policies`` are planning estimates.  ``basis`` is the
-    read-only busy-hour raster that correlated cell-level splits follow
-    (defaults to the sum of ``known_demand``); ``estimate_scale`` scales an
-    estimated tenant's contribution by its temporal profile (1 at the busy
-    hour).  ``link_cache`` keeps the radio state of the layouts evaluated;
-    contexts of one run share one, which must be of ``grid`` and ``radio``.
+    observable at the evaluated step, each times its ``demand_scale`` (1 if
+    absent): a run passes every live tenant's read-only peak raster with its
+    temporal weight, which a serving map evaluated at many steps gathers
+    once (see ``evaluate_state``).  Tenants listed only in ``policies`` are
+    planning estimates.  ``basis`` is the read-only busy-hour raster that
+    correlated cell-level splits follow (defaults to the sum of the known
+    traffic); ``estimate_scale`` scales an estimated tenant's contribution
+    by its temporal profile relative to the busy hour.  ``link_cache``
+    keeps the radio state of the layouts evaluated; contexts of one run
+    share one, which must be of ``grid`` and ``radio``.  Rasters are not
+    edited in place while the context is in use.
     """
 
     grid: GridSpec
     radio: PropagationParams
     policies: dict[str, TenantSpecPolicy]
     known_demand: dict[str, np.ndarray] = field(default_factory=dict)
+    demand_scale: dict[str, float] = field(default_factory=dict)
     basis: np.ndarray | None = field(default=None, repr=False)
     estimate_scale: dict[str, float] = field(default_factory=dict)
     link_cache: LinkCache | None = field(default=None, repr=False, compare=False)
-    known_total: np.ndarray = field(init=False, repr=False, compare=False)
+    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.link_cache is None:
             self.link_cache = LinkCache(self.grid, self.radio)
         elif (self.link_cache.grid, self.link_cache.params) != (self.grid, self.radio):
             raise ValueError("link cache of another grid or radio")
-        num_pixels = self.grid.num_pixels
         if self.basis is None:
-            known = list(self.known_demand.values())
-            self.basis = np.sum(known, axis=0) if known else np.zeros(num_pixels)
+            known = [self.demand(m) for m in self.known_demand]
+            self.basis = np.sum(known, axis=0) if known else np.zeros(self.grid.num_pixels)
             self.basis.flags.writeable = False
-        self.known_total = sum(self.known_demand.values(), np.zeros(num_pixels))
+
+    def demand(self, tenant_id: str) -> np.ndarray:
+        """The observed per-pixel traffic of ``tenant_id``, its raster times
+        its scale, made once per context."""
+        out = self._scaled.get(tenant_id)
+        if out is None:
+            out = self.known_demand[tenant_id] * self.demand_scale.get(tenant_id, 1.0)
+            self._scaled[tenant_id] = out
+        return out
 
 
 @dataclass
@@ -120,19 +132,20 @@ class NetworkEvaluation:
 
 
 def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
-                     serving, scale: float, num_pixels: int) -> np.ndarray:
-    """Expected per-pixel traffic of a tenant whose service is not live yet.
+                     serving: ServingMap, scale: float) -> np.ndarray:
+    """Expected traffic, in the map's pixel order, of a tenant whose service
+    is not live yet.
 
     Pixel-level policies carry the raster directly; cell-level splits are
     spread evenly over each cell's service area.
     """
     if policy.pixel_specs is not None:
-        return policy.pixel_specs.pixel_values * scale
-    out = np.zeros(num_pixels)
+        return serving.ordered(policy.pixel_specs.pixel_values) * scale
+    out = np.zeros(serving.pixel_cell.size)
     for cid, value in cell_specs.items():
-        pixels = serving.cell_pixels[cid]
-        if pixels.size:
-            out[pixels] = value * scale / pixels.size
+        span = serving.cell_slices[cid]
+        if span.stop > span.start:
+            out[span] = value * scale / (span.stop - span.start)
     return out
 
 
@@ -143,31 +156,39 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs re-expressed for this layout and each cell's required bandwidth
     evaluated.  The SE average is weighted by the total expected traffic:
     observable demand plus the estimated rasters of tenants that are not
-    live yet.  Powers and link state depend on the layout alone, so they
-    are taken from ``ctx.link_cache`` when it holds this layout; a site
-    search's trial takes its batch-solved powers and builds no SINR table.
+    live yet, summed in the serving map's pixel order.  Powers and link
+    state depend on the layout alone, so they are taken from
+    ``ctx.link_cache`` when it holds this layout; a site search's trial
+    takes its batch-solved powers and builds no SINR table.
     """
+    reused = ctx.link_cache.holds(state)
     state, serving, pixel_se = ctx.link_cache.link(state)
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
 
-    weights = ctx.known_total
+    # each live tenant's traffic in the map's pixel order, the floats of
+    # ``ctx.demand(m)[order]``: a map evaluated before gathers the raster
+    # once and scales it; a new one, such as a site search's trial, gathers
+    # the context's scaled raster, one pass less
+    traffic = {m: serving.ordered(raster) * ctx.demand_scale.get(m, 1.0) if reused
+               else serving.ordered(ctx.demand(m)) for m, raster in ctx.known_demand.items()}
+    first, *rest = [*traffic.values()] or [np.zeros(serving.pixel_cell.size)]
+    weights = sum(rest, first)
     demands: dict[str, dict[int, float]] = {}
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():
         a = policy.cell_specs(state, serving, basis_cell)
         specs[tenant_id] = a
-        if tenant_id in ctx.known_demand:
-            demands[tenant_id] = serving.cell_sums(ctx.known_demand[tenant_id])
+        if tenant_id in traffic:
+            demands[tenant_id] = serving.slice_sums(traffic[tenant_id])
         else:
             scale = ctx.estimate_scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
-            weights = weights + _estimate_raster(policy, a, serving, scale,
-                                                 ctx.grid.num_pixels)
-    for tenant_id, raster in ctx.known_demand.items():
+            weights = weights + _estimate_raster(policy, a, serving, scale)
+    for tenant_id, ordered in traffic.items():
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
-            demands[tenant_id] = serving.cell_sums(raster)
+            demands[tenant_id] = serving.slice_sums(ordered)
             specs[tenant_id] = dict(demands[tenant_id])
 
     avg = average_se(serving, pixel_se, weights)

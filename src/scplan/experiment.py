@@ -8,8 +8,8 @@ action changelog.
 
 The arriving tenant's traffic is not observable while its service is being
 planned: until deployment completes its planning specs stand in for its
-demand (scaled by its temporal profile), after which the real traffic map
-becomes operative.
+demand (scaled by its temporal profile relative to the busy step), after
+which the real traffic map becomes operative.
 """
 from __future__ import annotations
 
@@ -101,11 +101,11 @@ class Report:
 class RunContext:
     """What a run or a planning pass derives from a scenario before any step.
 
-    ``spatial`` holds each tenant's demand raster at its temporal peak, the
-    arriving tenant included, and ``demand_totals`` each tenant's total
-    traffic at every step of the horizon; ``busy_step`` is the step with the
-    most existing traffic (ties go to the latest) and ``basis_sum`` the
-    read-only sum of the existing tenants' rasters at that step.
+    ``spatial`` holds each tenant's read-only demand raster at its temporal
+    peak, the arriving tenant included, and ``demand_totals`` each tenant's
+    total traffic at every step of the horizon; ``busy_step`` is the step
+    with the most existing traffic (ties go to the latest) and ``basis_sum``
+    the read-only sum of the existing tenants' rasters at that step.
     ``policies`` holds the existing tenants' spec policies, then the arriving
     tenant's under the method; every context built here shares ``link_cache``.
     """
@@ -121,15 +121,24 @@ class RunContext:
 
     def evaluation(self, active, live, t: int) -> EvaluationContext:
         """Model inputs at step ``t``: the ``active`` tenants' policies, the
-        observed traffic of those ``live``, and the others estimated from
-        their specs scaled by their temporal profile."""
-        known = {tn.tenant_id: _demand(self.spatial, tn, t) for tn in live}
+        observed traffic of those ``live`` (each peak raster with its weight
+        at ``t``), and the others estimated from their busy-step specs
+        scaled by their weight at ``t`` over their weight at the busy step
+        (0 where that is 0)."""
+        known = {tn.tenant_id: self.spatial[tn.tenant_id] for tn in live}
         ids = {tn.tenant_id for tn in active}
+
+        def relative(tn):
+            busy = tn.temporal_weight(self.busy_step)
+            return tn.temporal_weight(t) / busy if busy else 0.0
+
         return EvaluationContext(
             grid=self.scenario.grid, radio=self.scenario.radio,
             policies={m: p for m, p in self.policies.items() if m in ids},
-            known_demand=known, basis=self.basis_sum,
-            estimate_scale={tn.tenant_id: tn.temporal_weight(t) for tn in active
+            known_demand=known,
+            demand_scale={tn.tenant_id: tn.temporal_weight(t) for tn in live},
+            basis=self.basis_sum,
+            estimate_scale={tn.tenant_id: relative(tn) for tn in active
                             if tn.tenant_id not in known},
             link_cache=self.link_cache)
 
@@ -139,9 +148,7 @@ class RunContext:
         full planning spec."""
         scn = self.scenario
         everyone = scn.tenants + (() if scn.event is None else (scn.event.tenant,))
-        ctx = self.evaluation(everyone, scn.tenants, self.busy_step)
-        ctx.estimate_scale.clear()      # estimates at their spec, not profile-scaled
-        return ctx
+        return self.evaluation(everyone, scn.tenants, self.busy_step)
 
 
 def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np.ndarray:
@@ -173,6 +180,8 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
     grid, existing, event = scn.grid, scn.tenants, scn.event
     arriving = () if event is None else (event.tenant,)
     spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
+    for raster in spatial.values():
+        raster.flags.writeable = False
     totals = {tn.tenant_id: [float(_demand(spatial, tn, t).sum()) for t in range(horizon)]
               for tn in existing + arriving}
     busy_step = _busiest_step(enumerate(totals[tn.tenant_id]) for tn in existing)
@@ -259,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     rasters = {
-        "demand_mbps": np.sum(list(ctx.known_demand.values()), axis=0),
+        "demand_mbps": np.sum([ctx.demand(m) for m in ctx.known_demand], axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,
         "sinr_db": serving_mean(state, ev.serving, run.link_cache.sinr_table(state)),

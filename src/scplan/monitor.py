@@ -33,6 +33,13 @@ class MonitorParams:
 class DemandHistory:
     """Ring of per-cell required-bandwidth samples over the sliding window.
 
+    Beside each cell's ring it keeps the samples that can still be the
+    window's busy sample, the latest with the largest value, as a deque of
+    strictly falling values: a new sample drops every earlier one it
+    equals or exceeds, and the front leaves once it slides out of the
+    ring.  ``busy_sample`` reads it in O(1) and equals ``latest_max`` of
+    ``window``; samples arrive in increasing ``t``.
+
     Also owns the per-cell consecutive-violation counters; counters reset on
     any non-violating step and after a fired trigger.
     """
@@ -42,13 +49,23 @@ class DemandHistory:
             raise ValueError("window_steps must be >= 1")
         self.window_steps = window_steps
         self._ring: dict[int, deque] = {}
+        self._busy: dict[int, deque] = {}
         self.counters: dict[int, int] = {}
 
     def record(self, t: int, required_mhz: Mapping[int, float]):
         for cell_id, value in required_mhz.items():
-            ring = self._ring.setdefault(cell_id, deque(maxlen=self.window_steps))
-            ring.append((t, float(value)))
-            self.counters.setdefault(cell_id, 0)
+            if cell_id not in self._ring:
+                self._ring[cell_id] = deque(maxlen=self.window_steps)
+                self._busy[cell_id] = deque()
+                self.counters.setdefault(cell_id, 0)
+            ring, busy = self._ring[cell_id], self._busy[cell_id]
+            sample = (t, float(value))
+            ring.append(sample)
+            while busy and busy[-1][1] <= sample[1]:
+                busy.pop()
+            busy.append(sample)
+            if busy[0][0] < ring[0][0]:
+                busy.popleft()
 
     def has(self, cell_id: int) -> bool:
         return bool(self._ring.get(cell_id))
@@ -57,6 +74,14 @@ class DemandHistory:
         if not self.has(cell_id):
             raise ValueError(f"no history for cell {cell_id}")
         return list(self._ring[cell_id])
+
+    def busy_sample(self, cell_id: int) -> tuple[int, float]:
+        """``latest_max(window(cell_id))``: the window's ``(t, value)`` with
+        the largest value, ties to the latest."""
+        busy = self._busy.get(cell_id)
+        if not busy:
+            raise ValueError(f"no history for cell {cell_id}")
+        return busy[0]
 
 
 def required_bandwidth(tenant_demands: Mapping[str, float],
@@ -121,7 +146,7 @@ def check_trigger(history: DemandHistory, state: NetworkState,
     for cell in state.cells:
         if not history.has(cell.cell_id):
             continue        # just deployed: first sample arrives next step
-        t_b, value = latest_max(history.window(cell.cell_id))
+        t_b, value = history.busy_sample(cell.cell_id)
         threshold = params.alpha * len(cell.channels) * channel_bandwidth_mhz
         violation = value > threshold
         counter = history.counters.get(cell.cell_id, 0)

@@ -120,7 +120,7 @@ class LinkCache:
         on the layout alone); else ``state`` is powered (as solved by the
         last ``prepare_search`` if it is one of its trials, else by
         ``configure_powers``), built by ``link_state`` and kept."""
-        if state in self._layout[:2]:
+        if self.holds(state):
             return self._layout[1:]
         powered = self._trials.get(state)
         if powered is None:
@@ -129,6 +129,11 @@ class LinkCache:
         pixel_se.flags.writeable = False
         self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
+
+    def holds(self, state: NetworkState) -> bool:
+        """Whether ``link(state)`` returns the kept layout, whose serving map
+        was made for an earlier call."""
+        return state in self._layout[:2]
 
     def sinr_table(self, state: NetworkState):
         """SINR (pixels, channels) of the powered layout ``state``, NaN where
@@ -146,7 +151,7 @@ class LinkCache:
         keep the full build of ``state`` powered, on which ``link_state``
         builds each trial as a delta, and solve the trials' powers in one
         batch by ``solve_powers`` for ``link``."""
-        powered = (self._layout[1] if state in self._layout[:2]
+        powered = (self._layout[1] if self.holds(state)
                    else configure_powers(state, self.grid, self.params))
         self._trials = dict(zip(trials, solve_powers(trials, self.grid, self.params)))
         self._full(powered)
@@ -328,7 +333,7 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
     of ``table[np.ix_(pixels, channels)].mean(axis=1)`` over a cell's
     pixels, which below 8 channels adds them left to right and divides, and
     from 8 on, where numpy switches to pairwise blocks, is that ``mean``."""
-    cols = serving.pixel_col if pixels is None else serving.pixel_col[pixels]
+    cols = (serving.pixel_col if pixels is None else serving.pixel_col[pixels]).astype(np.intp)
     counts = [len(c.channels) for c in state.cells]
     pixel_count = np.array(counts)[cols]
     flat = table.reshape(-1)
@@ -348,20 +353,23 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
 def average_se(serving: ServingMap, pixel_se: np.ndarray,
                weights: np.ndarray | None = None) -> dict[int, float]:
     """Each cell's demand-weighted mean SE over the pixels it serves, in
-    ``cell_ids`` order; a uniform mean where the served demand totals zero,
-    0 for a cell that serves no pixels.  From per-cell sums, with the bits of
-    ``(se * w).sum() / w.sum()`` or ``se.mean()`` over the cell's pixels."""
-    tot = {} if weights is None else serving.cell_sums(weights)
-    weighted = {} if weights is None else serving.cell_sums(pixel_se * weights)
+    ``cell_ids`` order, with ``weights`` in the map's pixel order (a
+    per-pixel raster passed through ``serving.ordered``); a uniform mean
+    where the served demand totals zero, 0 for a cell that serves no pixels.
+    From per-cell sums, with the bits of ``(se * w).sum() / w.sum()`` or
+    ``se.mean()`` over the cell's pixels."""
+    tot = {} if weights is None else serving.slice_sums(weights)
+    weighted = {} if weights is None else serving.slice_sums(serving.ordered(pixel_se) * weights)
     out, uniform = {}, None
-    for cid, pixels in serving.cell_pixels.items():
-        if not pixels.size:
+    for cid, span in serving.cell_slices.items():
+        size = span.stop - span.start
+        if not size:
             out[cid] = 0.0
         elif tot.get(cid, 0.0) > 0:
             out[cid] = weighted[cid] / tot[cid]
         else:
             uniform = uniform or serving.cell_sums(pixel_se)
-            out[cid] = uniform[cid] / pixels.size
+            out[cid] = uniform[cid] / size
     return out
 
 
@@ -471,20 +479,20 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
 
     # Where the base winner kept its power, the running max over the other
     # untouched columns stands, and the winner is the first maximal column
-    # among it and the touched ones.  Where it moved, the max starts over.
+    # among it and the touched ones.  Where it moved (``lost``), the max
+    # starts over.  Columns index as intp, much faster than the small type.
     best = b.best.copy()
-    col = b.serving.pixel_col.astype(np.min_scalar_type(n + 1))
+    col = b.serving.pixel_col.astype(np.intp)
+    lost = np.flatnonzero(is_touched[col]) if len(dbm) > 1 else None
     for j, d in dbm.items():
         take = d > best
         if j < n:
             take |= (d == best) & (col > j)
         col[take] = j
         np.maximum(best, d, out=best)
-    if len(dbm) > 1:
-        lost = np.flatnonzero(is_touched[b.serving.pixel_col])
-        if lost.size:
-            col[lost] = _running_max([(c.power_dbm + gain) - pl[j][lost]
-                                      for j, c in enumerate(cells)])[1]
+    if lost is not None and lost.size:
+        col[lost] = _running_max([(c.power_dbm + gain) - pl[j][lost]
+                                  for j, c in enumerate(cells)])[1]
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
 
     # rows whose serving cell changed or was touched

@@ -231,7 +231,7 @@ class ServingMap:
     cell_ids: tuple[int, ...]
     pixel_cell: np.ndarray      # (num_pixels,) of cell ids
     pixel_col: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixel_cell)
@@ -250,15 +250,20 @@ class ServingMap:
         object.__setattr__(self, "pixel_col", col)
 
     @cached_property
-    def _order(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def _order(self) -> np.ndarray:
         """The map's pixel order, one stable argsort of ``pixel_col`` (a radix
-        sort on its small type), read-only, and each cell's slice of it."""
-        col = self.pixel_col
-        order = np.argsort(col, kind="stable")
+        sort on its small type), read-only."""
+        order = np.argsort(self.pixel_col, kind="stable")
         order.flags.writeable = False
-        ends = np.searchsorted(col[order], np.arange(1, len(self.cell_ids) + 1,
-                                                     dtype=col.dtype)).tolist()
-        return order, list(zip([0] + ends, ends))
+        return order
+
+    @cached_property
+    def cell_slices(self) -> dict[int, slice]:
+        """Each cell's slice of the pixel order, in ``cell_ids`` order."""
+        col = self.pixel_col
+        ends = np.searchsorted(col[self._order], np.arange(1, len(self.cell_ids) + 1,
+                                                           dtype=col.dtype)).tolist()
+        return {cid: slice(a, b) for cid, a, b in zip(self.cell_ids, [0] + ends, ends)}
 
     @cached_property
     def cell_pixels(self) -> dict[int, np.ndarray]:
@@ -269,28 +274,54 @@ class ServingMap:
         the same order, so per-cell sums are bit-identical to the mask form
         while one aggregation over all cells costs O(P) instead of O(P*N).
         """
-        order, spans = self._order
-        return {cid: order[a:b] for cid, (a, b) in zip(self.cell_ids, spans)}
+        return {cid: self._order[s] for cid, s in self.cell_slices.items()}
+
+    def _fixed(self, values: np.ndarray) -> list | None:
+        """``[values, times gathered, kept gather or None, sums or None]`` for
+        a fixed raster, one read-only and owning its data (a peak demand
+        raster, a pixel-level spec, a ``LinkCache``'s pixel SE); None for any
+        other."""
+        if values.flags.writeable or values.base is not None:
+            return None
+        kept = self._memo.get(id(values))
+        if kept is None or kept[0] is not values:
+            kept = self._memo[id(values)] = [values, 0, None, None]     # held: its id stays
+        return kept
+
+    def ordered(self, values: np.ndarray) -> np.ndarray:
+        """``values`` in the map's pixel order, where each cell's pixels fill
+        its ``cell_slices`` slice.  A fixed raster asked for a second time is
+        kept, read-only: a map evaluated at many steps gathers it twice in
+        all, and one evaluated once, as a site-search trial is, keeps none."""
+        kept = self._fixed(values)
+        if kept is not None and kept[2] is not None:
+            return kept[2]
+        gathered = values[self._order]
+        if kept is not None:
+            kept[1] += 1
+            if kept[1] > 1:
+                gathered.flags.writeable = False
+                kept[2] = gathered
+        return gathered
+
+    def slice_sums(self, ordered: np.ndarray) -> dict[int, float]:
+        """Sum of each cell's slice of a raster in the map's pixel order, in
+        ``cell_ids`` order.  ``np.add.reduce`` of a slice, the pairwise sum of
+        ``.sum()`` over the elements of ``values[pixel_cell == c]`` in their
+        order, has the mask form's bits, unlike a weighted ``np.bincount`` or
+        ``np.add.reduceat``, whose order can flip a planner tie."""
+        add = np.add.reduce
+        return {cid: float(add(ordered[s])) for cid, s in self.cell_slices.items()}
 
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
-        """Sum of a per-pixel raster over each cell's pixels, in ``cell_ids``
-        order: one gather into the pixel order, then a sum of each cell's
-        slice, the elements of ``values[pixel_cell == c]`` in their order, so
-        the bits are the same, unlike a weighted ``np.bincount`` or
-        ``np.add.reduceat``, whose order can flip a planner tie.  A read-only
-        raster that owns its data (a pixel-level spec, a ``LinkCache``'s
-        pixel SE) is taken to be fixed: summed once per map, each call gets
-        a fresh dict."""
-        fixed = not values.flags.writeable and values.base is None
-        kept = self._sums.get(id(values)) if fixed else None
-        if kept is not None and kept[0] is values:
-            return dict(kept[1])
-        order, spans = self._order
-        ordered, add = values[order], np.add.reduce     # the pairwise sum of ``.sum()``
-        sums = {cid: float(add(ordered[a:b])) for cid, (a, b) in zip(self.cell_ids, spans)}
-        if fixed:
-            self._sums[id(values)] = values, sums       # held, so its id is not reused
-        return dict(sums) if fixed else sums
+        """``slice_sums`` of ``values`` in the map's pixel order, summed once
+        per map for a fixed raster; each call gets a fresh dict."""
+        kept = self._fixed(values)
+        if kept is None:
+            return self.slice_sums(values[self._order])
+        if kept[3] is None:
+            kept[3] = self.slice_sums(values[self._order] if kept[2] is None else kept[2])
+        return dict(kept[3])
 
 
 @dataclass(frozen=True)

@@ -216,3 +216,29 @@ def test_random_trials_match_the_matrix_form(params, monkeypatch):
                 assert _digest(*got) == expected
                 assert _digest(*link_state(trial, LinkCache(grid, params))) == expected
     assert ties > 0 and moved > 0
+
+
+@pytest.mark.parametrize("num_cells", [255, 300])
+def test_layouts_past_255_cells_match_the_matrix_form(params, monkeypatch, num_cells):
+    # past 255 cells a serving column no longer fits a uint8, and a trial's
+    # delta build indexes by the wider one; from 255 cells the trial crosses
+    grid = GridSpec(120.0, 120.0, 3.0)      # 40 x 40 pixels
+    rng = np.random.default_rng(num_cells)
+    sites = rng.choice(grid.num_pixels, size=num_cells + 1, replace=False).tolist()
+    levels = (12.0, 17.0, 24.0)
+    cells = tuple(SmallCell(i, site, (int(rng.integers(4)),), levels[int(rng.integers(3))],
+                            power_fixed=True) for i, site in enumerate(sites[:-1], start=1))
+    base = NetworkState(cells)
+    deltas = []
+    delta = radio._trial_link
+    monkeypatch.setattr(radio, "_trial_link", lambda *a: deltas.append(1) or delta(*a))
+    cache = LinkCache(grid, params)
+    assert cache.sinr_table(base).tobytes() == matrix_link_state(base, grid, params)[2].tobytes()
+    new = SmallCell(num_cells + 1, sites[-1], (0, 2), 24.0)
+    moved = tuple(replace(c, power_dbm=levels[(levels.index(c.power_dbm) + 1) % 3])
+                  if j % 37 == 0 else c for j, c in enumerate(cells))
+    for trial in (NetworkState(cells + (new,)), NetworkState(moved + (new,))):
+        got = link_state(trial, cache)
+        assert got[0].pixel_col.dtype == np.uint16
+        assert _digest(*got) == _matrix_digest(trial, grid, params)
+    assert len(deltas) == 2

@@ -1,7 +1,7 @@
 import csv
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_evaluation
 from scplan.cli import main
-from scplan.evaluation import METHODS
+from scplan.evaluation import METHODS, EvaluationContext, evaluate_state
 from scplan.experiment import ExperimentConfig, build_context, emit_report, run_experiment
 from scplan.monitor import MonitorParams
 from scplan.planner import AddCell, PlannerParams, Relocate, RemoveCell, replay_actions
@@ -406,7 +407,43 @@ def test_busy_hour_is_the_busy_step_evaluation_with_the_estimate_unscaled(tmp_pa
                 == {m: r.tobytes() for m, r in step.known_demand.items()})
         assert list(busy.known_demand) == ["a"]
         assert busy.basis.tobytes() == step.basis.tobytes()
-        assert busy.estimate_scale == {} and step.estimate_scale == {"b": 0.4}
+        assert busy.demand_scale == step.demand_scale == {"a": 1.0}
+        # the spec is already C * w(busy): an estimate scales by w(t) / w(busy)
+        assert busy.estimate_scale == step.estimate_scale == {"b": 1.0}
+        assert run.evaluation(everyone, scn.tenants, 0).estimate_scale == {"b": 1.0 / 0.4}
+        assert_same_evaluation(evaluate_state(scn.initial_state, busy),
+                               evaluate_state(scn.initial_state, step))
+
+
+def test_peak_rasters_with_their_scale_evaluate_as_the_scaled_rasters(tmp_path):
+    # a run hands evaluate_state each live tenant's peak raster and its step
+    # weight; the evaluation must be the bytes of one on the scaled rasters,
+    # on a new map and on the same map again, whichever tenants are live
+    doc = _runnable_mini_doc()
+    doc["tenants"][0]["temporal_profile"] = [0.3, 1.0, 0.7, 0.55]
+    doc["event"]["tenant"]["temporal_profile"] = [0.9, 0.35, 1.0, 0.6]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    scn = load_scenario(path)
+    everyone = scn.tenants + (scn.event.tenant,)
+    for method in METHODS:
+        run = build_context(scn, method)
+        for live, t in ((scn.tenants, 0), (scn.tenants, 2), (everyone, 3)):
+            ctx = run.evaluation(everyone, live, t)
+            assert set(ctx.demand_scale) == set(ctx.known_demand)
+            assert ctx.demand_scale != {m: 1.0 for m in ctx.known_demand}
+            for fixed in (True, False):
+                scaled = {}
+                for m, raster in ctx.known_demand.items():
+                    scaled[m] = raster * ctx.demand_scale[m]
+                    scaled[m].flags.writeable = not fixed
+                plain = EvaluationContext(grid=ctx.grid, radio=ctx.radio,
+                                          policies=ctx.policies, known_demand=scaled,
+                                          basis=ctx.basis, estimate_scale=ctx.estimate_scale)
+                mine = replace(ctx, link_cache=None)
+                for _ in range(2):      # a new map, then the same map again
+                    assert_same_evaluation(evaluate_state(scn.initial_state, mine),
+                                           evaluate_state(scn.initial_state, plain))
 
 
 def test_cli_param_overrides(tmp_path):

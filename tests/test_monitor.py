@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scplan.monitor import (DemandHistory, MonitorParams, check_trigger,
                             latest_max, required_bandwidth, sla_exceed_check)
@@ -62,6 +64,31 @@ def test_busy_hour_window_evicts_old_samples():
     for t, v in enumerate([99.0, 1.0, 2.0, 3.0]):
         history.record(t, {1: v})
     assert latest_max(history.window(1))[0] == 3  # the 99 fell out of the window
+
+
+# few distinct values, so ties are common, and the un-servable inf
+_REQUIRED = st.sampled_from([0.0, 1.0, 2.5, 2.5, 7.0, math.inf]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.dictionaries(st.integers(0, 4), _REQUIRED, max_size=5),
+                      max_size=40),
+       gaps=st.lists(st.integers(1, 3), min_size=40, max_size=40))
+def test_running_busy_sample_is_the_latest_max_of_the_window(steps, gaps):
+    # cells come and go between records, start mid-run and skip steps;
+    # steps themselves may skip
+    for window in (1, 2, 3, 24):
+        history = DemandHistory(window)
+        t = 0
+        for sample, gap in zip(steps, gaps):
+            t += gap
+            history.record(t, sample)
+            for cell in range(5):
+                if history.has(cell):
+                    assert history.busy_sample(cell) == latest_max(history.window(cell))
+                else:
+                    with pytest.raises(ValueError):
+                        history.busy_sample(cell)
 
 
 def _one_cell_state(channels=(0, 1)):

@@ -240,7 +240,7 @@ def test_average_se_bounds(params):
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
     serving, pixel_se = link_state(state, LinkCache(grid, params))
-    avg_se = average_se(serving, pixel_se, weights)
+    avg_se = average_se(serving, pixel_se, serving.ordered(weights))
     assert tuple(avg_se) == state.cell_ids
     for cid in state.cell_ids:
         mask = serving.pixel_cell == cid
@@ -263,7 +263,7 @@ def test_snapshot_capacity_identity_and_partition(params):
     weights = rng.uniform(0, 2, grid.num_pixels)
     serving, pixel_se = link_state(state, LinkCache(grid, params))
     served = 0
-    by_cell = average_se(serving, pixel_se, weights)
+    by_cell = average_se(serving, pixel_se, serving.ordered(weights))
     for cell in state.cells:
         cid = cell.cell_id
         avg_se = by_cell[cid]
@@ -440,6 +440,9 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     table = rng.uniform(-10.0, 40.0, (num_pixels, 4))
     masks = {cid: serving.pixel_cell == cid for cid in serving.cell_ids}
 
+    def in_map_order(a):
+        return None if a is None else np.concatenate([a[m] for m in masks.values()])
+
     expected = {cid: float(raster[m].sum()) for cid, m in masks.items()}
     assert serving.cell_sums(raster) == expected
     specs = PlanningSpecSet("t", "pixel", "correlated", pixel_values=raster)
@@ -450,8 +453,8 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
         if mask.any():
             spread[mask] = expected[cid] * 0.7 / int(mask.sum())
     policy = TenantSpecPolicy("t", 1.0, "uniform-sc")
-    assert _estimate_raster(policy, expected, serving, 0.7,
-                            num_pixels).tobytes() == spread.tobytes()
+    assert _estimate_raster(policy, expected, serving, 0.7).tobytes() == \
+        in_map_order(spread).tobytes()
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -463,11 +466,11 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     unweighted = raster.copy()       # one serving cell with no demand
     unweighted[masks[next(c for c in serving.cell_ids if c != idle)]] = 0.0
     for weights in (raster, unweighted, np.zeros(num_pixels), None):
-        assert average_se(serving, pixel_se, weights) == \
+        assert average_se(serving, pixel_se, in_map_order(weights)) == \
             {cid: mask_average_se(mask, weights) for cid, mask in masks.items()}
-    assert average_se(serving, pixel_se, raster)[idle] == 0.0
+    assert average_se(serving, pixel_se, in_map_order(raster))[idle] == 0.0
     with pytest.raises(KeyError):
-        average_se(serving, pixel_se, raster)[max(serving.cell_ids) + 1]
+        average_se(serving, pixel_se, in_map_order(raster))[max(serving.cell_ids) + 1]
 
     # and with two served cells widened to 8 and 9 channels, where numpy's
     # mean(axis=1) no longer adds left to right
@@ -496,7 +499,8 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     # one gather into the map's pixel order and one sum per cell slice keep
     # the mask form's bits: plain and weighted sums, read-only rasters from
     # the memo, no weights, all-zero weights and a cell that serves no pixel;
-    # maps are large enough for numpy's pairwise blocks
+    # maps are large enough for numpy's pairwise blocks.  Weights are passed
+    # in the map's pixel order, the cells' mask selections one after another
     rng = np.random.default_rng(100 + seed)
     ids = (2, 5, 9, 14, 30)
     idle = ids[seed % len(ids)]
@@ -511,6 +515,9 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     mask_sums = {cid: float(raster[m].sum()) for cid, m in masks.items()}
     for values in (raster, fixed, fixed):       # the second read-only call is memoised
         assert _bits(serving.cell_sums(values)) == _bits(mask_sums)
+        in_order = np.concatenate([values[m] for m in masks.values()])
+        assert serving.ordered(values).tobytes() == in_order.tobytes()
+        assert _bits(serving.slice_sums(serving.ordered(values))) == _bits(mask_sums)
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -522,7 +529,8 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     no_demand = raster.copy()       # one serving cell with no demand
     no_demand[masks[next(c for c in ids if c != idle)]] = 0.0
     for weights in (raster, fixed, no_demand, np.zeros(num_pixels), None, None):
-        means = average_se(serving, pixel_se, weights)
+        means = average_se(serving, pixel_se,
+                           None if weights is None else serving.ordered(weights))
         assert _bits(means) == _bits({cid: mask_average_se(m, weights)
                                       for cid, m in masks.items()})
         assert means[idle] == 0.0
@@ -543,26 +551,53 @@ def test_memoised_sums_are_never_aliased():
     assert means == {1: 1.0, 2: 8.0 / 3}
     means[2] = -1.0
     assert average_se(serving, fixed) == {1: 1.0, 2: 8.0 / 3}
-    # another map of the same raster sums it afresh
-    assert ServingMap((1, 2), np.array([1, 1, 2, 2, 2])).cell_sums(fixed) == {1: 1.0, 2: 9.0}
+    # a fixed raster's first gather is the caller's own; asked for again, the
+    # map keeps one read-only, so no caller can edit what the next one reads
+    first = serving.ordered(fixed)
+    assert first.tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
+    first[0] = 99.0
+    gathered = serving.ordered(fixed)
+    assert gathered.tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
+    assert serving.ordered(fixed) is gathered and not gathered.flags.writeable
+    with pytest.raises(ValueError):
+        gathered[0] = 99.0
+    scaled = gathered * 2.0         # arithmetic on it makes a fresh array
+    scaled[0] = 99.0
+    assert serving.ordered(fixed).tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
+    assert serving.slice_sums(gathered) == {1: 2.0, 2: 8.0}
+    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
+    # an equal raster of its own is gathered on its own
+    twin = fixed.copy()
+    twin.flags.writeable = False
+    assert [serving.ordered(twin) is gathered for _ in range(3)] == [False] * 3
+    assert serving.ordered(twin).tolist() == gathered.tolist()
+    # another map of the same raster sums and gathers it afresh
+    other = ServingMap((1, 2), np.array([1, 1, 2, 2, 2]))
+    assert other.cell_sums(fixed) == {1: 1.0, 2: 9.0}
+    assert [other.ordered(fixed).tolist() for _ in range(3)] == [[0.0, 1.0, 2.0, 3.0, 4.0]] * 3
+    assert serving.ordered(fixed) is gathered
 
 
 def test_a_writeable_raster_edited_in_place_is_summed_again():
     serving = ServingMap((1, 2), np.array([1, 2, 1, 2, 2]))
     values = np.arange(5.0)
     assert serving.cell_sums(values) == {1: 2.0, 2: 8.0}
+    assert serving.ordered(values).tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
     values[0] = 10.0
     assert serving.cell_sums(values) == {1: 12.0, 2: 8.0}
-    assert average_se(serving, np.ones(5), values) == {1: 1.0, 2: 1.0}
+    assert serving.ordered(values).tolist() == [10.0, 2.0, 1.0, 3.0, 4.0]
+    assert average_se(serving, np.ones(5), serving.ordered(values)) == {1: 1.0, 2: 1.0}
     values[:] = 0.0         # weights edited to zero: the uniform fallback
-    assert average_se(serving, np.arange(5.0), values) == {1: 1.0, 2: 8.0 / 3}
+    assert average_se(serving, np.arange(5.0), serving.ordered(values)) == {1: 1.0, 2: 8.0 / 3}
     # a read-only view of a writeable raster can still change: not memoised
     values[:] = np.arange(5.0)
     view = values[:]
     view.flags.writeable = False
     assert serving.cell_sums(view) == {1: 2.0, 2: 8.0}
+    assert serving.ordered(view).tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
     values[2] = 5.0
     assert serving.cell_sums(view) == {1: 5.0, 2: 8.0}
+    assert serving.ordered(view).tolist() == [0.0, 5.0, 1.0, 3.0, 4.0]
 
 
 def test_memoized_layout_keeps_one_set_of_cell_pixels(params):
