@@ -91,7 +91,6 @@ class EvaluationContext:
     basis: np.ndarray | None = field(default=None, repr=False)
     estimate_scale: dict[str, float] = field(default_factory=dict)
     link_cache: LinkCache | None = field(default=None, repr=False, compare=False)
-    _scaled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.link_cache is None:
@@ -99,18 +98,10 @@ class EvaluationContext:
         elif (self.link_cache.grid, self.link_cache.params) != (self.grid, self.radio):
             raise ValueError("link cache of another grid or radio")
         if self.basis is None:
-            known = [self.demand(m) for m in self.known_demand]
+            known = [raster * self.demand_scale.get(m, 1.0)
+                     for m, raster in self.known_demand.items()]
             self.basis = np.sum(known, axis=0) if known else np.zeros(self.grid.num_pixels)
             self.basis.flags.writeable = False
-
-    def demand(self, tenant_id: str) -> np.ndarray:
-        """The observed per-pixel traffic of ``tenant_id``, its raster times
-        its scale, made once per context."""
-        out = self._scaled.get(tenant_id)
-        if out is None:
-            out = self.known_demand[tenant_id] * self.demand_scale.get(tenant_id, 1.0)
-            self._scaled[tenant_id] = out
-        return out
 
 
 @dataclass
@@ -161,17 +152,15 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     ``ctx.link_cache`` when it holds this layout; a site search's trial
     takes its batch-solved powers and builds no SINR table.
     """
-    reused = ctx.link_cache.holds(state)
     state, serving, pixel_se = ctx.link_cache.link(state)
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
 
     # each live tenant's traffic in the map's pixel order, the floats of
-    # ``ctx.demand(m)[order]``: a map evaluated before gathers the raster
-    # once and scales it; a new one, such as a site search's trial, gathers
-    # the context's scaled raster, one pass less
-    traffic = {m: serving.ordered(raster) * ctx.demand_scale.get(m, 1.0) if reused
-               else serving.ordered(ctx.demand(m)) for m, raster in ctx.known_demand.items()}
+    # ``(raster * scale)[order]``: a map evaluated at many steps keeps the
+    # raster gathered (``ServingMap.ordered``) and only scales it
+    traffic = {m: serving.ordered(raster) * ctx.demand_scale.get(m, 1.0)
+               for m, raster in ctx.known_demand.items()}
     first, *rest = [*traffic.values()] or [np.zeros(serving.pixel_cell.size)]
     weights = sum(rest, first)
     demands: dict[str, dict[int, float]] = {}

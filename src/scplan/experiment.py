@@ -268,7 +268,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     rasters = {
-        "demand_mbps": np.sum([ctx.demand(m) for m in ctx.known_demand], axis=0),
+        "demand_mbps": np.sum([raster * ctx.demand_scale.get(m, 1.0)
+                               for m, raster in ctx.known_demand.items()], axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,
         "sinr_db": serving_mean(state, ev.serving, run.link_cache.sinr_table(state)),

@@ -120,7 +120,7 @@ class LinkCache:
         on the layout alone); else ``state`` is powered (as solved by the
         last ``prepare_search`` if it is one of its trials, else by
         ``configure_powers``), built by ``link_state`` and kept."""
-        if self.holds(state):
+        if state in self._layout[:2]:
             return self._layout[1:]
         powered = self._trials.get(state)
         if powered is None:
@@ -129,11 +129,6 @@ class LinkCache:
         pixel_se.flags.writeable = False
         self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
-
-    def holds(self, state: NetworkState) -> bool:
-        """Whether ``link(state)`` returns the kept layout, whose serving map
-        was made for an earlier call."""
-        return state in self._layout[:2]
 
     def sinr_table(self, state: NetworkState):
         """SINR (pixels, channels) of the powered layout ``state``, NaN where
@@ -151,7 +146,7 @@ class LinkCache:
         keep the full build of ``state`` powered, on which ``link_state``
         builds each trial as a delta, and solve the trials' powers in one
         batch by ``solve_powers`` for ``link``."""
-        powered = (self._layout[1] if self.holds(state)
+        powered = (self._layout[1] if state in self._layout[:2]
                    else configure_powers(state, self.grid, self.params))
         self._trials = dict(zip(trials, solve_powers(trials, self.grid, self.params)))
         self._full(powered)
