@@ -147,41 +147,50 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs re-expressed for this layout and each cell's required bandwidth
     evaluated.  The SE average is weighted by the total expected traffic:
     observable demand plus the estimated rasters of tenants that are not
-    live yet, summed in the serving map's pixel order.  Powers and link
-    state depend on the layout alone, so they are taken from
-    ``ctx.link_cache`` when it holds this layout; a site search's trial
-    takes its batch-solved powers and builds no SINR table.
+    live yet.  Every raster summed per cell is a row of one ``(k, P)``
+    array in the serving map's pixel order: each live tenant's traffic,
+    the weights (the traffic added left to right, then the estimates in
+    policy order) and the weighted SE, so one ``ServingMap.slice_sums``
+    sums each cell once.  Powers and link state depend on the layout
+    alone, so they are taken from ``ctx.link_cache`` when it holds this
+    layout; a site search's trial takes its batch-solved powers and builds
+    no SINR table.
     """
     state, serving, pixel_se = ctx.link_cache.link(state)
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
 
-    # each live tenant's traffic in the map's pixel order, the floats of
-    # ``(raster * scale)[order]``: a map evaluated at many steps keeps the
-    # raster gathered (``ServingMap.ordered``) and only scales it
-    traffic = {m: serving.ordered(raster) * ctx.demand_scale.get(m, 1.0)
-               for m, raster in ctx.known_demand.items()}
-    first, *rest = [*traffic.values()] or [np.zeros(serving.pixel_cell.size)]
-    weights = sum(rest, first)
-    demands: dict[str, dict[int, float]] = {}
+    # the rows: each live tenant's traffic, the floats of
+    # ``(raster * scale)[order]`` (a map evaluated at many steps keeps the
+    # raster gathered, see ``ServingMap.ordered``, and only scales it), then
+    # the weights and the weighted SE
+    rows = np.empty((len(ctx.known_demand) + 2, serving.pixel_cell.size))
+    *traffic, weights, weighted = rows
+    for (m, raster), row in zip(ctx.known_demand.items(), traffic):
+        np.multiply(serving.ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
+    weights[:] = traffic[0] if traffic else 0.0
+    for row in traffic[1:]:
+        np.add(weights, row, out=weights)
+    demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     specs: dict[str, dict[int, float]] = {}
     for tenant_id, policy in ctx.policies.items():
         a = policy.cell_specs(state, serving, basis_cell)
         specs[tenant_id] = a
-        if tenant_id in traffic:
-            demands[tenant_id] = serving.slice_sums(traffic[tenant_id])
-        else:
+        if tenant_id not in ctx.known_demand:
             scale = ctx.estimate_scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
-            weights = weights + _estimate_raster(policy, a, serving, scale)
-    for tenant_id, ordered in traffic.items():
+            np.add(weights, _estimate_raster(policy, a, serving, scale), out=weights)
+    np.multiply(serving.ordered(pixel_se), weights, out=weighted)
+    *sums, totals, weighted_sums = serving.slice_sums(rows)
+    for tenant_id, cell_sums in zip(ctx.known_demand, sums):
+        demands[tenant_id] = cell_sums
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
-            demands[tenant_id] = serving.slice_sums(ordered)
-            specs[tenant_id] = dict(demands[tenant_id])
+            specs[tenant_id] = dict(cell_sums)
 
-    avg = average_se(serving, pixel_se, weights)
-    required = {cid: required_bandwidth({m: demands[m][cid] for m in demands},
-                                        {m: specs[m][cid] for m in demands}, avg[cid])
+    avg = average_se(serving, pixel_se, totals, weighted_sums)
+    tenants = [(m, d, specs[m]) for m, d in demands.items()]
+    required = {cid: required_bandwidth({m: d[cid] for m, d, _ in tenants},
+                                        {m: a[cid] for m, _, a in tenants}, avg[cid])
                 for cid in state.cell_ids}
     return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs, required)

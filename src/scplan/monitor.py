@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .scenario import NetworkState, in_unit, is_count, require_fields
 
@@ -114,8 +114,9 @@ def latest_max(samples):
     return best_t, best
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
+    """One cell's monitor reading at step ``t``, a row of ``monitor_log.csv``."""
+
     t: int
     cell_id: int
     busy_step: int

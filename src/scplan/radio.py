@@ -334,7 +334,7 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
     flat = table.reshape(-1)
     out = np.empty(cols.size)
     for k in sorted(set(counts)):
-        at = np.flatnonzero(pixel_count == k)
+        at = (pixel_count == k).nonzero()[0]
         if at.size:
             channels = np.array([c.channels if n == k else (0,) * k
                                  for c, n in zip(state.cells, counts)])
@@ -346,22 +346,22 @@ def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
 
 
 def average_se(serving: ServingMap, pixel_se: np.ndarray,
-               weights: np.ndarray | None = None) -> dict[int, float]:
+               totals: dict[int, float] | None = None,
+               weighted: dict[int, float] | None = None) -> dict[int, float]:
     """Each cell's demand-weighted mean SE over the pixels it serves, in
-    ``cell_ids`` order, with ``weights`` in the map's pixel order (a
-    per-pixel raster passed through ``serving.ordered``); a uniform mean
-    where the served demand totals zero, 0 for a cell that serves no pixels.
-    From per-cell sums, with the bits of ``(se * w).sum() / w.sum()`` or
+    ``cell_ids`` order, from per-cell sums of the weights, ``totals``, and
+    of SE times the weights, ``weighted``, both in the map's pixel order
+    (rows of one ``serving.slice_sums``); a uniform mean where the served
+    demand totals zero or no ``totals`` are given, 0 for a cell that serves
+    no pixels.  With the bits of ``(se * w).sum() / w.sum()`` or
     ``se.mean()`` over the cell's pixels."""
-    tot = {} if weights is None else serving.slice_sums(weights)
-    weighted = {} if weights is None else serving.slice_sums(serving.ordered(pixel_se) * weights)
     out, uniform = {}, None
     for cid, span in serving.cell_slices.items():
         size = span.stop - span.start
         if not size:
             out[cid] = 0.0
-        elif tot.get(cid, 0.0) > 0:
-            out[cid] = weighted[cid] / tot[cid]
+        elif totals is not None and totals[cid] > 0:
+            out[cid] = weighted[cid] / totals[cid]
         else:
             uniform = uniform or serving.cell_sums(pixel_se)
             out[cid] = uniform[cid] / size
@@ -437,9 +437,9 @@ def _build(state: NetworkState, cache: LinkCache) -> _Build:
     for ch, holders in enumerate(_holders(state, params)):
         total = None
         if holders.any():
-            lin = [rx_lin[j] for j in np.flatnonzero(holders)]
+            lin = [rx_lin[j] for j in holders.nonzero()[0]]
             total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
-            at = np.flatnonzero(holders[serving_col])
+            at = holders[serving_col].nonzero()[0]
             table[at, ch] = _fill(se_table, ch, at, s_lin, total, params)
         totals.append(total)
     table.flags.writeable = False
@@ -478,7 +478,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     # starts over.  Columns index as intp, much faster than the small type.
     best = b.best.copy()
     col = b.serving.pixel_col.astype(np.intp)
-    lost = np.flatnonzero(is_touched[col]) if len(dbm) > 1 else None
+    lost = is_touched[col].nonzero()[0] if len(dbm) > 1 else None
     for j, d in dbm.items():
         take = d > best
         if j < n:
@@ -491,10 +491,10 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
 
     # rows whose serving cell changed or was touched
-    rows = np.flatnonzero((col != b.serving.pixel_col) | is_touched[col])
+    rows = ((col != b.serving.pixel_col) | is_touched[col]).nonzero()[0]
     rows_col = col[rows]
     s_lin = b.s_lin.copy()
-    for j in np.flatnonzero(np.bincount(rows_col)).tolist():
+    for j in np.bincount(rows_col).nonzero()[0].tolist():
         at = rows[rows_col == j]
         s_lin[at] = linear[j][at]
 
@@ -502,7 +502,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     redo = np.zeros(col.size, dtype=bool)
     redo[rows] = True
     for ch, holders in enumerate(_holders(state, params)):
-        hs = np.flatnonzero(holders).tolist()
+        hs = holders.nonzero()[0].tolist()
         if not any(touched[j] for j in hs):
             # same total: only the changed rows
             if hs:
@@ -515,8 +515,8 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
             total = sum(lin[1:], lin[0])
         hold = holders[col]
         redo |= hold
-        _fill(se_table, ch, np.flatnonzero(hold), s_lin, total, params)
-    at = np.flatnonzero(redo)
+        _fill(se_table, ch, hold.nonzero()[0], s_lin, total, params)
+    at = redo.nonzero()[0]
     pixel_se = b.pixel_se.copy()
     pixel_se[at] = serving_mean(state, serving, se_table, at)
     return serving, pixel_se

@@ -304,23 +304,30 @@ class ServingMap:
                 kept[2] = gathered
         return gathered
 
-    def slice_sums(self, ordered: np.ndarray) -> dict[int, float]:
-        """Sum of each cell's slice of a raster in the map's pixel order, in
-        ``cell_ids`` order.  ``np.add.reduce`` of a slice, the pairwise sum of
-        ``.sum()`` over the elements of ``values[pixel_cell == c]`` in their
-        order, has the mask form's bits, unlike a weighted ``np.bincount`` or
-        ``np.add.reduceat``, whose order can flip a planner tie."""
-        add = np.add.reduce
-        return {cid: float(add(ordered[s])) for cid, s in self.cell_slices.items()}
+    def slice_sums(self, rows: np.ndarray) -> list[dict[int, float]]:
+        """Sum of each cell's slice of every row of ``rows``, a C-ordered
+        ``(k, P)`` array of rasters in the map's pixel order: one dict per
+        row, in ``cell_ids`` order.  Each cell is one
+        ``np.add.reduce(rows[:, s], axis=1)``, which sums every row's
+        contiguous slice pairwise, as ``.sum()`` sums the elements of
+        ``values[pixel_cell == c]`` in their order, so each sum has the mask
+        form's bits, unlike a weighted ``np.bincount``, ``np.add.reduceat``
+        or a ``(P, k)`` array reduced on axis 0, whose order can flip a
+        planner tie."""
+        sums = np.empty((len(self.cell_ids), len(rows)))
+        for out, span in zip(sums, self.cell_slices.values()):
+            np.add.reduce(rows[:, span], axis=1, out=out)
+        return [dict(zip(self.cell_ids, row)) for row in sums.T.tolist()]
 
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
         """``slice_sums`` of ``values`` in the map's pixel order, summed once
         per map for a fixed raster; each call gets a fresh dict."""
         kept = self._fixed(values)
         if kept is None:
-            return self.slice_sums(values[self._order])
+            return self.slice_sums(values[self._order][None])[0]
         if kept[3] is None:
-            kept[3] = self.slice_sums(values[self._order] if kept[2] is None else kept[2])
+            ordered = values[self._order] if kept[2] is None else kept[2]
+            kept[3] = self.slice_sums(ordered[None])[0]
         return dict(kept[3])
 
 

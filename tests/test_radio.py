@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
@@ -14,6 +16,15 @@ from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacit
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
 from scplan.sla import PlanningSpecSet, pixel_specs_to_cell
+
+
+def weighted_sums(serving, pixel_se, weights):
+    """``average_se``'s per-cell sums for ``weights`` in the map's pixel
+    order, as ``evaluate_state`` forms them: the weights and the weighted SE
+    as two rows of one stacked reduce; none without weights."""
+    if weights is None:
+        return None, None
+    return serving.slice_sums(np.stack([weights, serving.ordered(pixel_se) * weights]))
 
 
 def test_path_loss_nlos_values(params):
@@ -220,12 +231,15 @@ def test_average_se_weighting():
     from scplan.scenario import ServingMap
     serving = ServingMap((1,), np.array([1, 1]))
     pixel_se = np.array([1.0, 3.0])
-    assert average_se(serving, pixel_se, np.array([1.0, 3.0])) == {1: pytest.approx(2.5)}
-    assert average_se(serving, pixel_se, np.array([1.0, 1.0])) == {1: pytest.approx(2.0)}
+
+    def mean(se, weights):
+        return average_se(serving, se, *weighted_sums(serving, se, np.array(weights)))
+    assert mean(pixel_se, [1.0, 3.0]) == {1: pytest.approx(2.5)}
+    assert mean(pixel_se, [1.0, 1.0]) == {1: pytest.approx(2.0)}
     # zero served demand falls back to a uniform mean
-    assert average_se(serving, pixel_se, np.array([0.0, 0.0])) == {1: pytest.approx(2.0)}
+    assert mean(pixel_se, [0.0, 0.0]) == {1: pytest.approx(2.0)}
     constant = np.array([2.0, 2.0])
-    assert average_se(serving, constant, np.array([5.0, 1.0])) == {1: pytest.approx(2.0)}
+    assert mean(constant, [5.0, 1.0]) == {1: pytest.approx(2.0)}
 
 
 def test_average_se_empty_cell():
@@ -240,7 +254,8 @@ def test_average_se_bounds(params):
     state = random_state(rng, grid, num_cells=3)
     weights = rng.uniform(0, 1, grid.num_pixels)
     serving, pixel_se = link_state(state, LinkCache(grid, params))
-    avg_se = average_se(serving, pixel_se, serving.ordered(weights))
+    sums = weighted_sums(serving, pixel_se, serving.ordered(weights))
+    avg_se = average_se(serving, pixel_se, *sums)
     assert tuple(avg_se) == state.cell_ids
     for cid in state.cell_ids:
         mask = serving.pixel_cell == cid
@@ -263,7 +278,8 @@ def test_snapshot_capacity_identity_and_partition(params):
     weights = rng.uniform(0, 2, grid.num_pixels)
     serving, pixel_se = link_state(state, LinkCache(grid, params))
     served = 0
-    by_cell = average_se(serving, pixel_se, serving.ordered(weights))
+    sums = weighted_sums(serving, pixel_se, serving.ordered(weights))
+    by_cell = average_se(serving, pixel_se, *sums)
     for cell in state.cells:
         cid = cell.cell_id
         avg_se = by_cell[cid]
@@ -466,11 +482,13 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     unweighted = raster.copy()       # one serving cell with no demand
     unweighted[masks[next(c for c in serving.cell_ids if c != idle)]] = 0.0
     for weights in (raster, unweighted, np.zeros(num_pixels), None):
-        assert average_se(serving, pixel_se, in_map_order(weights)) == \
+        sums = weighted_sums(serving, pixel_se, in_map_order(weights))
+        assert average_se(serving, pixel_se, *sums) == \
             {cid: mask_average_se(mask, weights) for cid, mask in masks.items()}
-    assert average_se(serving, pixel_se, in_map_order(raster))[idle] == 0.0
+    sums = weighted_sums(serving, pixel_se, in_map_order(raster))
+    assert average_se(serving, pixel_se, *sums)[idle] == 0.0
     with pytest.raises(KeyError):
-        average_se(serving, pixel_se, in_map_order(raster))[max(serving.cell_ids) + 1]
+        average_se(serving, pixel_se, *sums)[max(serving.cell_ids) + 1]
 
     # and with two served cells widened to 8 and 9 channels, where numpy's
     # mean(axis=1) no longer adds left to right
@@ -517,7 +535,7 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
         assert _bits(serving.cell_sums(values)) == _bits(mask_sums)
         in_order = np.concatenate([values[m] for m in masks.values()])
         assert serving.ordered(values).tobytes() == in_order.tobytes()
-        assert _bits(serving.slice_sums(serving.ordered(values))) == _bits(mask_sums)
+        assert _bits(serving.slice_sums(serving.ordered(values)[None])[0]) == _bits(mask_sums)
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -529,11 +547,34 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     no_demand = raster.copy()       # one serving cell with no demand
     no_demand[masks[next(c for c in ids if c != idle)]] = 0.0
     for weights in (raster, fixed, no_demand, np.zeros(num_pixels), None, None):
-        means = average_se(serving, pixel_se,
-                           None if weights is None else serving.ordered(weights))
+        means = average_se(serving, pixel_se, *weighted_sums(
+            serving, pixel_se, None if weights is None else serving.ordered(weights)))
         assert _bits(means) == _bits({cid: mask_average_se(m, weights)
                                       for cid, m in masks.items()})
         assert means[idle] == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_cells=st.sampled_from((1, 2, 5, 16, 256, 300)), num_rows=st.integers(1, 6),
+       num_pixels=st.integers(0, 6000), idle=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_slice_sums_equal_each_rows_own_reduce_bit_for_bit(num_cells, num_rows,
+                                                                   num_pixels, idle, seed):
+    # one reduce of every row of a cell's slice keeps the pairwise bits of
+    # that row's own reduce: 1 to 6 rows, cells that serve no pixel, and
+    # maps of more than 255 cells, whose columns are 16-bit
+    rng = np.random.default_rng(seed)
+    ids = tuple(sorted(int(c) for c in rng.choice(4 * num_cells, num_cells, replace=False)))
+    served = [c for c in ids if rng.random() >= idle] or [ids[0]]
+    serving = ServingMap(ids, rng.choice(served, num_pixels))
+    rows = rng.standard_normal((num_rows, num_pixels)) * 10.0 ** rng.uniform(-3, 3, num_pixels)
+    sums = serving.slice_sums(rows)
+    assert len(sums) == num_rows
+    for row, got in zip(rows, sums):
+        assert tuple(got) == ids
+        assert _bits(got) == _bits({cid: np.add.reduce(row[span])
+                                    for cid, span in serving.cell_slices.items()})
+    assert serving.pixel_col.dtype == (np.uint8 if num_cells < 256 else np.uint16)
 
 
 def test_memoised_sums_are_never_aliased():
@@ -564,7 +605,7 @@ def test_memoised_sums_are_never_aliased():
     scaled = gathered * 2.0         # arithmetic on it makes a fresh array
     scaled[0] = 99.0
     assert serving.ordered(fixed).tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
-    assert serving.slice_sums(gathered) == {1: 2.0, 2: 8.0}
+    assert serving.slice_sums(gathered[None]) == [{1: 2.0, 2: 8.0}]
     assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
     # an equal raster of its own is gathered on its own
     twin = fixed.copy()
@@ -586,9 +627,13 @@ def test_a_writeable_raster_edited_in_place_is_summed_again():
     values[0] = 10.0
     assert serving.cell_sums(values) == {1: 12.0, 2: 8.0}
     assert serving.ordered(values).tolist() == [10.0, 2.0, 1.0, 3.0, 4.0]
-    assert average_se(serving, np.ones(5), serving.ordered(values)) == {1: 1.0, 2: 1.0}
+    ones = np.ones(5)
+    sums = weighted_sums(serving, ones, serving.ordered(values))
+    assert average_se(serving, ones, *sums) == {1: 1.0, 2: 1.0}
     values[:] = 0.0         # weights edited to zero: the uniform fallback
-    assert average_se(serving, np.arange(5.0), serving.ordered(values)) == {1: 1.0, 2: 8.0 / 3}
+    se = np.arange(5.0)
+    assert average_se(serving, se, *weighted_sums(serving, se, serving.ordered(values))) == \
+        {1: 1.0, 2: 8.0 / 3}
     # a read-only view of a writeable raster can still change: not memoised
     values[:] = np.arange(5.0)
     view = values[:]
