@@ -160,10 +160,8 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
 
-    # the rows: each live tenant's traffic, the floats of
-    # ``(raster * scale)[order]`` (a map evaluated at many steps keeps the
-    # raster gathered, see ``ServingMap.ordered``, and only scales it), then
-    # the weights and the weighted SE
+    # a traffic row holds the floats of ``(raster * scale)[order]``: a map
+    # evaluated at many steps keeps the raster gathered and only scales it
     rows = np.empty((len(ctx.known_demand) + 2, serving.pixel_cell.size))
     *traffic, weights, weighted = rows
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
