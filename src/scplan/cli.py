@@ -18,7 +18,7 @@ from .experiment import (PARAM_OVERRIDES, ExperimentConfig, build_context, emit_
                          plan_once, run_experiment)
 from .presets import bundled_scenario_path
 from .reporting import read_bandwidth_table, write_plan_files, write_spec_csv
-from .scenario import InvariantError, ScenarioError
+from .scenario import InvariantError, ScenarioError, left_sum
 from .scenario_io import validate_file
 
 
@@ -118,7 +118,7 @@ def _cmd_report(args) -> int:
     if not table.exists():
         raise ScenarioError(f"no bandwidth_table.csv under {run_dir}")
     rows, total = read_bandwidth_table(table)
-    recomputed = sum(v for _, v in rows)
+    recomputed = left_sum(v for _, v in rows)
     print(f"{'cell':>6}  required_mhz")
     for cell, mhz in rows:
         print(f"{cell:>6}  {mhz:10.3f}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radio import LinkCache, PropagationParams, average_se
-from .scenario import GridSpec, NetworkState, ServingMap
+from .scenario import GridSpec, NetworkState, ServingMap, left_sum
 from .monitor import required_bandwidth
 from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, translate_sc_level
 
@@ -119,19 +119,23 @@ class NetworkEvaluation:
     required_mhz: dict[int, float]
 
     def total_required(self) -> float:
-        return sum(self.required_mhz.values())
+        return left_sum(self.required_mhz.values())
 
 
-def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float],
-                     serving: ServingMap, scale: float) -> np.ndarray:
+def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float] | None,
+                     serving: ServingMap, scale: float,
+                     ordered: np.ndarray | None = None) -> np.ndarray:
     """Expected traffic, in the map's pixel order, of a tenant whose service
     is not live yet.
 
-    Pixel-level policies carry the raster directly; cell-level splits are
-    spread evenly over each cell's service area.
+    Pixel-level policies carry the raster directly (``ordered``, when it is
+    already in the map's order); cell-level splits are spread evenly over
+    each cell's service area.
     """
     if policy.pixel_specs is not None:
-        return serving.ordered(policy.pixel_specs.pixel_values) * scale
+        if ordered is None:
+            ordered = serving.ordered(policy.pixel_specs.pixel_values)
+        return ordered * scale
     out = np.zeros(serving.pixel_cell.size)
     for cid, value in cell_specs.items():
         span = serving.cell_slices[cid]
@@ -149,42 +153,64 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     observable demand plus the estimated rasters of tenants that are not
     live yet.  Every raster summed per cell is a row of one ``(k, P)``
     array in the serving map's pixel order: each live tenant's traffic,
-    the weights (the traffic added left to right, then the estimates in
-    policy order) and the weighted SE, so one ``ServingMap.slice_sums``
-    sums each cell once.  Powers and link state depend on the layout
-    alone, so they are taken from ``ctx.link_cache`` when it holds this
-    layout; a site search's trial takes its batch-solved powers and builds
-    no SINR table.
+    each pixel-level spec raster the map has not summed yet, the weights
+    (the traffic added left to right, then the estimates in policy order)
+    and the weighted SE, so one ``ServingMap.slice_sums`` sums each cell
+    once.  A spec raster's sums go to the map's memo, where
+    ``pixel_specs_to_cell`` reads them, and its row is the estimate's
+    gather, so each fixed raster is gathered once.  Powers and link state
+    depend on the layout alone, so they are taken from ``ctx.link_cache``
+    when it holds this layout; a site search's trial takes its
+    batch-solved powers and builds no SINR table.
     """
     state, serving, pixel_se = ctx.link_cache.link(state)
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
+    unsummed = {}       # tenant -> the memo entry of a spec raster not summed on this map
+    for tenant_id, policy in ctx.policies.items():
+        if policy.pixel_specs is not None:
+            kept = serving._fixed(policy.pixel_specs.pixel_values)
+            if kept is not None and kept[3] is None:
+                unsummed[tenant_id] = kept
 
     # a traffic row holds the floats of ``(raster * scale)[order]``: a map
     # evaluated at many steps keeps the raster gathered and only scales it
-    rows = np.empty((len(ctx.known_demand) + 2, serving.pixel_cell.size))
-    *traffic, weights, weighted = rows
+    k = len(ctx.known_demand)
+    rows = np.empty((k + len(unsummed) + 2, serving.pixel_cell.size))
+    traffic, weights, weighted = rows[:k], rows[-2], rows[-1]
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
         np.multiply(serving.ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
-    weights[:] = traffic[0] if traffic else 0.0
+    ordered = dict(zip(unsummed, rows[k:-2]))
+    for tenant_id, row in ordered.items():
+        np.take(unsummed[tenant_id][0], serving._order, out=row)
+    weights[:] = traffic[0] if k else 0.0
     for row in traffic[1:]:
         np.add(weights, row, out=weights)
-    demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
-    specs: dict[str, dict[int, float]] = {}
+    specs: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, policy in ctx.policies.items():
-        a = policy.cell_specs(state, serving, basis_cell)
-        specs[tenant_id] = a
+        if policy.pixel_specs is None:
+            specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
         if tenant_id not in ctx.known_demand:
-            scale = ctx.estimate_scale.get(tenant_id, 1.0)
-            demands[tenant_id] = {cid: v * scale for cid, v in a.items()}
-            np.add(weights, _estimate_raster(policy, a, serving, scale), out=weights)
+            np.add(weights, _estimate_raster(policy, specs[tenant_id], serving,
+                                             ctx.estimate_scale.get(tenant_id, 1.0),
+                                             ordered.get(tenant_id)), out=weights)
     np.multiply(serving.ordered(pixel_se), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
+    for kept, cell_sums in zip(unsummed.values(), sums[k:]):
+        kept[3] = cell_sums
+
+    demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, cell_sums in zip(ctx.known_demand, sums):
         demands[tenant_id] = cell_sums
         if tenant_id not in ctx.policies:
             # observable traffic without a policy: capped by itself
             specs[tenant_id] = dict(cell_sums)
+    for tenant_id, policy in ctx.policies.items():
+        if policy.pixel_specs is not None:
+            specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
+        if tenant_id not in ctx.known_demand:
+            scale = ctx.estimate_scale.get(tenant_id, 1.0)
+            demands[tenant_id] = {cid: v * scale for cid, v in specs[tenant_id].items()}
 
     avg = average_se(serving, pixel_se, totals, weighted_sums)
     tenants = [(m, d, specs[m]) for m, d in demands.items()]

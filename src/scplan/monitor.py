@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .scenario import NetworkState, in_unit, is_count, require_fields
+from .scenario import NetworkState, in_unit, is_count, left_sum, require_fields
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def required_bandwidth(tenant_demands: Mapping[str, float],
     demand is un-servable: the requirement is infinite, so every expansion
     threshold reads as exceeded.
     """
-    capped = sum(min(tenant_demands[m], specs[m]) for m in tenant_demands)
+    capped = left_sum(min(tenant_demands[m], specs[m]) for m in tenant_demands)
     if capped < 0:
         raise ValueError("demands and specs must be >= 0")
     if capped == 0:

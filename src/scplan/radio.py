@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -73,11 +74,21 @@ def path_loss(distance_m, params: PropagationParams):
     """
     d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
     f_term = 20.0 * np.log10(params.carrier_ghz)
-    if params.pathloss_variant == "los":
-        pl = 16.9 * np.log10(d) + 32.8 + f_term
-    else:
-        pl = 43.3 * np.log10(d) + 11.5 + f_term
-    return float(pl) if np.isscalar(distance_m) else pl
+    slope, intercept = (16.9, 32.8) if params.pathloss_variant == "los" else (43.3, 11.5)
+    if not isinstance(d, np.ndarray):
+        pl = slope * np.log10(d) + intercept + f_term
+        return float(pl) if np.isscalar(distance_m) else pl
+    np.log10(d, out=d)          # in place, the same floats: d is new
+    d *= slope
+    d += intercept
+    d += f_term
+    return d
+
+
+def _mw(dbm: np.ndarray) -> np.ndarray:
+    """``10.0 ** (dbm / 10.0)``, formed in one new array."""
+    out = dbm / 10.0
+    return np.power(10.0, out, out=out)
 
 
 def noise_floor_dbm(params: PropagationParams) -> float:
@@ -138,6 +149,7 @@ class LinkCache:
     def _full(self, state: NetworkState):
         """The full build of ``state``: the kept one, else one made now and kept."""
         if state not in self._built[:1]:
+            self._built = ()        # two full builds never coexist
             self._built = state, _build(state, self)
         return self._built[1]
 
@@ -159,7 +171,6 @@ class _Build(NamedTuple):
     pixel_se: np.ndarray
     table: np.ndarray           # SINR (pixels, channels), read-only
     best: np.ndarray            # serving rx, dBm
-    s_lin: np.ndarray           # serving rx, mW
     totals: list                # each channel's mW total, None without holders
     se_table: np.ndarray
     path_loss: list             # per cell
@@ -171,7 +182,10 @@ def _site_path_loss(site: int, cache: LinkCache) -> np.ndarray:
     floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``."""
     x, y = cache._xy
     dx, dy = x - x[site], y - y[site]
-    return path_loss(np.sqrt(dx * dx + dy * dy), cache.params)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return path_loss(np.sqrt(dx, out=dx), cache.params)
 
 
 def rx_power_matrix(state: NetworkState, cache: LinkCache
@@ -193,7 +207,7 @@ def rx_power_matrix(state: NetworkState, cache: LinkCache
         key = (c.site_pixel, c.power_dbm)
         lin = cache._linear.get(key)
         if lin is None:
-            lin = 10.0 ** (rx_dbm[-1] / 10.0)
+            lin = _mw(rx_dbm[-1])
             lin.flags.writeable = False
         linear[key] = lin
     cache._path_loss, cache._linear = path_loss_by_site, linear
@@ -284,9 +298,11 @@ def solve_powers(states: list[NetworkState], grid: GridSpec,
 
 def _with_powers(state: NetworkState, powers: np.ndarray) -> NetworkState:
     """``state`` with its cells at ``powers``: a cell whose power keeps its
-    ``repr`` is kept, and so is ``state`` when every cell is."""
-    cells = tuple(c if repr(c.power_dbm) == repr(p) else replace(c, power_dbm=p)
-                  for c, p in zip(state.cells, powers.tolist()))
+    ``repr``, a ``float`` of the same value and sign of zero, is kept, and
+    so is ``state`` when every cell is."""
+    cells = tuple(c if type(c.power_dbm) is float and c.power_dbm == p
+                  and math.copysign(1.0, c.power_dbm) == math.copysign(1.0, p)
+                  else replace(c, power_dbm=p) for c, p in zip(state.cells, powers.tolist()))
     if all(a is b for a, b in zip(cells, state.cells)):
         return state
     return replace(state, cells=cells)
@@ -314,34 +330,40 @@ def spectral_efficiency(sinr_db, params: PropagationParams):
     ``min(se_max, se_impl_factor * log2(1 + sinr))``.
     """
     arr = np.asarray(sinr_db, dtype=float)
-    lin = 10.0 ** (arr / 10.0)
-    se = np.minimum(params.se_max_bps_hz, params.se_impl_factor * np.log2(1.0 + lin))
-    se = np.where(arr < params.sinr_min_db, 0.0, se)
+    se = np.asarray(arr / 10.0)         # then in place, the same floats
+    np.power(10.0, se, out=se)
+    se += 1.0
+    np.log2(se, out=se)
+    se *= params.se_impl_factor
+    np.minimum(se, params.se_max_bps_hz, out=se)
+    se[arr < params.sinr_min_db] = 0.0
     return float(se) if np.isscalar(sinr_db) else se
 
 
 def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
-                 pixels: np.ndarray | None = None) -> np.ndarray:
+                 cells=None, out: np.ndarray | None = None) -> np.ndarray:
     """Per-pixel mean of a (pixel, channel) table, such as SE or SINR, over
-    the serving cell's allocated channels, at ``pixels`` (every pixel by
-    default).  One gather per distinct channel count; each mean has the bits
-    of ``table[np.ix_(pixels, channels)].mean(axis=1)`` over a cell's
-    pixels, which below 8 channels adds them left to right and divides, and
-    from 8 on, where numpy switches to pairwise blocks, is that ``mean``."""
-    cols = (serving.pixel_col if pixels is None else serving.pixel_col[pixels]).astype(np.intp)
-    counts = [len(c.channels) for c in state.cells]
-    pixel_count = np.array(counts)[cols]
-    flat = table.reshape(-1)
-    out = np.empty(cols.size)
-    for k in sorted(set(counts)):
-        at = (pixel_count == k).nonzero()[0]
-        if at.size:
-            channels = np.array([c.channels if n == k else (0,) * k
-                                 for c, n in zip(state.cells, counts)])
-            index = channels[cols[at]]
-            index += ((at if pixels is None else pixels[at]) * table.shape[1])[:, None]
-            out[at] = (sum((flat[index[:, i]] for i in range(1, k)), flat[index[:, 0]]) / k
-                       if k < 8 else flat[index].mean(axis=1))
+    the serving cell's allocated channels, written into ``out`` (a new
+    array by default) at the pixels of ``cells``, positions in
+    ``state.cells`` (every cell, so every pixel, by default); returns
+    ``out``.  Each cell's means are ``table[np.ix_(pixels, channels)]
+    .mean(axis=1)`` over its ``cell_pixels``, with its bits: below 8
+    channels that adds one channel's gather after another, left to right,
+    and divides, and from 8 on, where numpy switches to pairwise blocks, it
+    is that ``mean``."""
+    out = np.empty(table.shape[0]) if out is None else out
+    groups, columns = list(serving.cell_pixels.values()), table.T
+    for j in range(len(groups)) if cells is None else cells:
+        pixels, channels = groups[j], state.cells[j].channels
+        if len(channels) >= 8:
+            out[pixels] = table[np.ix_(pixels, channels)].mean(axis=1)
+        elif len(channels) == 1:
+            out[pixels] = columns[channels[0]][pixels]      # x / 1 is x
+        elif pixels.size:
+            mean = columns[channels[0]][pixels]
+            for ch in channels[1:]:
+                mean += columns[ch][pixels]
+            out[pixels] = mean / len(channels)
     return out
 
 
@@ -410,14 +432,17 @@ def _holders(state: NetworkState, params: PropagationParams) -> list[np.ndarray]
             for ch in range(params.num_channels)]
 
 
-def _fill(se_table: np.ndarray, ch: int, pixels, s_lin: np.ndarray, total: np.ndarray,
-          params: PropagationParams) -> np.ndarray:
-    """SE on channel ``ch`` at ``pixels``, ascending indices (a mask gathers
-    slower) of pixels whose serving cells hold it; returns their SINR, dB."""
-    noise_lin = 10.0 ** (noise_floor_dbm(params) / 10.0)
-    s = s_lin[pixels]
-    sinr_db = 10.0 * np.log10(s / ((total[pixels] - s) + noise_lin))
-    se_table[pixels, ch] = spectral_efficiency(sinr_db, params)
+def _fill(se_table: np.ndarray, ch: int, pixels: np.ndarray, s: np.ndarray,
+          total: np.ndarray, params: PropagationParams) -> np.ndarray:
+    """SE on channel ``ch`` at ``pixels``, whose serving cells hold it, from
+    ``s``, their serving mW, and ``total``, the channel's mW total there;
+    returns their SINR, dB."""
+    sinr_db = total - s         # then in place: 10 log10(s / ((total - s) + noise))
+    sinr_db += 10.0 ** (noise_floor_dbm(params) / 10.0)
+    np.divide(s, sinr_db, out=sinr_db)
+    np.log10(sinr_db, out=sinr_db)
+    sinr_db *= 10.0
+    se_table[:, ch][pixels] = spectral_efficiency(sinr_db, params)
     return sinr_db
 
 
@@ -431,8 +456,9 @@ def _build(state: NetworkState, cache: LinkCache) -> _Build:
     for lin, pixels in zip(rx_lin, serving.cell_pixels.values()):
         s_lin[pixels] = lin[pixels]
 
-    table = np.full((best.size, params.num_channels), np.nan)
-    se_table = np.zeros(table.shape)
+    # Fortran order: each channel's column is contiguous, as it is filled and read
+    table = np.full((best.size, params.num_channels), np.nan, order="F")
+    se_table = np.zeros(table.shape, order="F")
     totals = []
     for ch, holders in enumerate(_holders(state, params)):
         total = None
@@ -440,10 +466,10 @@ def _build(state: NetworkState, cache: LinkCache) -> _Build:
             lin = [rx_lin[j] for j in holders.nonzero()[0]]
             total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
             at = holders[serving_col].nonzero()[0]
-            table[at, ch] = _fill(se_table, ch, at, s_lin, total, params)
+            table[:, ch][at] = _fill(se_table, ch, at, s_lin[at], total[at], params)
         totals.append(total)
     table.flags.writeable = False
-    return _Build(serving, serving_mean(state, serving, se_table), table, best, s_lin,
+    return _Build(serving, serving_mean(state, serving, se_table), table, best,
                   totals, se_table, [cache._path_loss[p] for p in state.site_pixels], rx_lin)
 
 
@@ -454,69 +480,105 @@ def _extends(base: NetworkState, state: NetworkState) -> bool:
         for c, b in zip(state.cells, base.cells))
 
 
+def _serve_trial(best: np.ndarray, col: np.ndarray, touched: dict[int, np.ndarray], n: int,
+                 lost: np.ndarray, at_lost: list[np.ndarray]) -> None:
+    """Turn a base's running max ``best`` and serving column ``col`` (see
+    ``_running_max``) into a trial's serving column, in place.
+
+    ``touched`` maps each touched column, by ascending index with the new
+    one, ``n``, last, to its dBm column.  A column takes a pixel where it
+    beats the running max, or ties it and comes before the winner, so it is
+    compared only on ``(d >= best).nonzero()[0]``.  A base winner whose
+    power rose keeps its pixels, since ``(p' + g) - pl >= (p + g) - pl``;
+    where it fell, at ``lost``, the max starts over on ``at_lost``, every
+    trial column at those pixels."""
+    for j, d in touched.items():
+        at = (d >= best).nonzero()[0]
+        d_at, best_at = d[at], best[at]
+        take = d_at > best_at
+        if j < n:
+            take |= (d_at == best_at) & (col[at] > j)
+        at = at[take]
+        col[at] = j
+        best[at] = d_at[take]
+    if lost.size:
+        col[lost] = _running_max(at_lost)[1]
+
+
+def _channel_total(b: _Build, ch: int, hs: list[int], lin: dict[int, np.ndarray],
+                   at: np.ndarray) -> np.ndarray:
+    """A trial's mW total of channel ``ch`` at ``at``: its holders ``hs``
+    added in cell order, as the full build adds them, where ``lin`` holds
+    the touched holders' mW at ``at``; the later untouched ones' are added
+    to it.  The holders before the first touched one are the base build's
+    total when they are all its holders, else are added on the whole grid,
+    where contiguous adds cost less than gathering each column."""
+    first = next(i for i, j in enumerate(hs) if j in lin)
+    if first and hs[first] == len(b.linear):
+        total = b.totals[ch][at]        # every base holder is untouched
+    elif first:
+        total = b.linear[hs[0]].copy()
+        for j in hs[1:first]:
+            total += b.linear[j]
+        total = total[at]
+    for i, j in enumerate(hs[first:], start=first):
+        if j not in lin:
+            lin[j] = b.linear[j][at]
+        total = total + lin[j] if i else lin[j]
+    return total
+
+
 def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
                 cache: LinkCache) -> tuple[ServingMap, np.ndarray]:
     """``link_state`` of ``state``, the kept ``base`` plus one trailing
     cell, as a delta on ``b``, the base's full build, with no SINR table.
 
-    Columns are computed for the touched cells only: the new one and those
-    whose power moved.  Every value is the full build's float, from the
-    same operands in the same order, so the bytes are the same."""
+    It works on index sets, not full-grid masks.  Only the touched cells,
+    the new one and those whose power moved, get dBm columns (see
+    ``_serve_trial``).  A channel with a touched holder is refilled at its
+    holders' pixels, their groups in the trial's ``cell_pixels``, and only
+    there are the touched holders' mW and the channel's total formed; a
+    channel without one is refilled at the restarted pixels its holders now
+    serve.  Pixel SE is re-averaged at both.  Every value is the full
+    build's float, from the same operands in the same order, so the bytes
+    are the same."""
     cells, n, params = state.cells, len(base.cells), cache.params
     gain = params.antenna_gain_db
-    touched = [c.power_dbm != o.power_dbm for c, o in zip(cells, base.cells)] + [True]
-    is_touched = np.array(touched)
     pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, cache)]
-    dbm, linear = {}, [*b.linear, None]
-    for j in np.flatnonzero(touched).tolist():
-        dbm[j] = (cells[j].power_dbm + gain) - pl[j]
-        linear[j] = 10.0 ** (dbm[j] / 10.0)
-
-    # Where the base winner kept its power, the running max over the other
-    # untouched columns stands, and the winner is the first maximal column
-    # among it and the touched ones.  Where it moved (``lost``), the max
-    # starts over.  Columns index as intp, much faster than the small type.
-    best = b.best.copy()
-    col = b.serving.pixel_col.astype(np.intp)
-    lost = is_touched[col].nonzero()[0] if len(dbm) > 1 else None
-    for j, d in dbm.items():
-        take = d > best
-        if j < n:
-            take |= (d == best) & (col > j)
-        col[take] = j
-        np.maximum(best, d, out=best)
-    if lost is not None and lost.size:
-        col[lost] = _running_max([(c.power_dbm + gain) - pl[j][lost]
-                                  for j, c in enumerate(cells)])[1]
+    dbm = {j: (c.power_dbm + gain) - pl[j] for j, (c, o) in enumerate(zip(cells, base.cells))
+           if c.power_dbm != o.power_dbm}
+    groups = list(b.serving.cell_pixels.values())
+    lost = np.concatenate([groups[j] for j in dbm if cells[j].power_dbm < base.cells[j].power_dbm]
+                          or [np.empty(0, np.intp)])
+    dbm[n] = (cells[n].power_dbm + gain) - pl[n]
+    best, col = b.best.copy(), b.serving.pixel_col.astype(np.intp)
+    _serve_trial(best, col, dbm, n, lost, [(c.power_dbm + gain) - pl[j][lost]
+                                           for j, c in enumerate(cells)] if lost.size else [])
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
 
-    # rows whose serving cell changed or was touched
-    rows = ((col != b.serving.pixel_col) | is_touched[col]).nonzero()[0]
-    rows_col = col[rows]
-    s_lin = b.s_lin.copy()
-    for j in np.bincount(rows_col).nonzero()[0].tolist():
-        at = rows[rows_col == j]
-        s_lin[at] = linear[j][at]
-
-    se_table = b.se_table.copy()     # each entry of a changed row that is read is refilled
-    redo = np.zeros(col.size, dtype=bool)
-    redo[rows] = True
+    groups = list(serving.cell_pixels.values())
+    lost_col = col[lost]
+    redo = set(np.bincount(lost_col).nonzero()[0].tolist())     # cells to re-average
+    s_lost = np.empty(lost.size)        # mW of a restarted pixel's server, if untouched
+    for j in redo:
+        if j not in dbm:
+            at = (lost_col == j).nonzero()[0]
+            s_lost[at] = b.linear[j][lost[at]]
+    se_table = b.se_table.copy(order="F")      # each changed entry that is read is refilled
     for ch, holders in enumerate(_holders(state, params)):
         hs = holders.nonzero()[0].tolist()
-        if not any(touched[j] for j in hs):
-            # same total: only the changed rows
-            if hs:
-                _fill(se_table, ch, rows[holders[rows_col]], s_lin, b.totals[ch], params)
+        if not any(j in dbm for j in hs):
+            if hs:      # same total: only the restarted pixels its holders serve
+                at = holders[lost_col]
+                _fill(se_table, ch, lost[at], s_lost[at], b.totals[ch][lost[at]], params)
             continue
-        if hs[-1] == n and len(hs) > 1 and not any(touched[j] for j in hs[:-1]):
-            total = b.totals[ch] + linear[n]            # the full build's last addition
-        else:
-            lin = [linear[j] for j in hs]
-            total = sum(lin[1:], lin[0])
-        hold = holders[col]
-        redo |= hold
-        _fill(se_table, ch, hold.nonzero()[0], s_lin, total, params)
-    at = redo.nonzero()[0]
-    pixel_se = b.pixel_se.copy()
-    pixel_se[at] = serving_mean(state, serving, se_table, at)
+        at = np.concatenate([groups[j] for j in hs])
+        lin = {j: _mw(dbm[j][at]) for j in hs if j in dbm}
+        total = _channel_total(b, ch, hs, lin, at)
+        ends = list(accumulate(groups[j].size for j in hs))
+        s = np.concatenate([lin[j][a:e] if j in lin else b.linear[j][groups[j]]
+                            for j, a, e in zip(hs, [0, *ends], ends)])
+        _fill(se_table, ch, at, s, total, params)
+        redo.update(hs)
+    pixel_se = serving_mean(state, serving, se_table, redo, b.pixel_se.copy())
     return serving, pixel_se

@@ -16,7 +16,7 @@ import numpy as np
 from .monitor import CellCheck, SlaExceedNotice
 from .planner import (ActionLedger, AddCell, AddChannel, Relocate, RemoveCell,
                       RemoveChannel)
-from .scenario import GridSpec, NetworkState, ScenarioError, pixel_positions
+from .scenario import GridSpec, NetworkState, ScenarioError, left_sum, pixel_positions
 
 
 _ROWS_PER_WRITE = 4096
@@ -152,11 +152,11 @@ def write_changelog(path, ledgers: list[tuple[int, ActionLedger]]) -> Path:
 
 
 def write_bandwidth_table(path, rows: list[tuple[int, float]]) -> Path:
-    """Per-cell required bandwidth plus a totals row, the builtin ``sum`` of
+    """Per-cell required bandwidth plus a totals row, the ``left_sum`` of
     the rows in their order, as ``NetworkEvaluation.total_required`` sums."""
     return _write_csv(path, ["cell", "required_mhz"],
                       [*([cell_id, _fmt(mhz)] for cell_id, mhz in rows),
-                       ["total", _fmt(sum(mhz for _, mhz in rows))]])
+                       ["total", _fmt(left_sum(mhz for _, mhz in rows))]])
 
 
 def read_bandwidth_table(path) -> tuple[list[tuple[str, float]], float]:

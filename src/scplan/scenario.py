@@ -67,6 +67,16 @@ def in_unit(x) -> bool:
     return is_real(x) and 0 <= x <= 1
 
 
+def left_sum(values) -> float:
+    """``values`` added left to right from 0.0: the bits of the builtin
+    ``sum`` of floats up to Python 3.11, which from 3.12 on compensates
+    the rounding (Neumaier) and can move the last bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def is_count(x) -> bool:
     """An integer of at least 1."""
     return is_int(x) and x >= 1

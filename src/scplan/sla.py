@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import GridSpec, NetworkState, ServingMap
+from .scenario import GridSpec, NetworkState, ServingMap, left_sum
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class PlanningSpecSet:
 
     def total(self) -> float:
         if self.level == "sc":
-            return float(sum(self.cell_values.values()))
+            return float(left_sum(self.cell_values.values()))
         return float(self.pixel_values.sum())
 
 
@@ -49,7 +49,7 @@ def translate_sc_level(a_busy: float, state: NetworkState, method: str,
     elif method == "correlated":
         if cell_demands is None:
             raise ValueError("correlated split needs per-cell demands")
-        total = float(sum(cell_demands[i] for i in ids))
+        total = float(left_sum(cell_demands[i] for i in ids))
         if total <= 0:
             raise ValueError("no correlation basis")
         values = {i: a_busy * cell_demands[i] / total for i in ids}

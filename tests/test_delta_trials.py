@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_same_evaluation, matrix_link_state, oracle_configure_powers
 from scplan import planner, radio
@@ -242,3 +244,74 @@ def test_layouts_past_255_cells_match_the_matrix_form(params, monkeypatch, num_c
         assert got[0].pixel_col.dtype == np.uint16
         assert _digest(*got) == _matrix_digest(trial, grid, params)
     assert len(deltas) == 2
+
+
+_LEVELS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)      # few levels: exact ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_index_set_serving_update_equals_the_running_max(data):
+    # a trial's serving column, folded in from the base's running max over
+    # the touched columns' candidates with the max restarted only where the
+    # base winner fell, equals a fresh running max over the trial's columns
+    n = data.draw(st.integers(1, 6), label="base columns")
+    size = data.draw(st.integers(1, 40), label="pixels")
+    column = st.lists(st.sampled_from(_LEVELS), min_size=size, max_size=size)
+    base = [np.array(data.draw(column)) for _ in range(n)]
+    moves = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                      st.sampled_from((-2.0, -1.0, 1.0, 2.0))), label="moves")
+    trial = [c + moves[j] if j in moves else c for j, c in enumerate(base)]
+    trial.append(np.array(data.draw(column)))
+    best, col = radio._running_max(base)
+    lost = np.concatenate([(col == j).nonzero()[0] for j in sorted(moves) if moves[j] < 0]
+                          or [np.empty(0, np.intp)])
+    radio._serve_trial(best, col, {j: trial[j] for j in [*sorted(moves), n]}, n, lost,
+                       [c[lost] for c in trial])
+    expected = radio._running_max(trial)[1]
+    assert (col.dtype, col.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+@pytest.mark.parametrize("step", [2.0, -2.0])
+def test_trial_with_a_holder_whose_power_rises_or_falls_matches_the_matrix_form(
+        params, monkeypatch, step):
+    # cell 2 shares channel 0 with cells 1 and 3 and serves pixels in the
+    # base; the trial moves its power up or down and adds a cell on channel
+    # 0 beside it.  A rise keeps cell 2's pixels without a restart, a fall
+    # restarts the max on them; both must give the matrix form's bytes
+    grid = GridSpec(63.0, 45.0, 3.0)        # 21 x 15 pixels
+    cells = (SmallCell(1, 2 * 21 + 3, (0,), 17.0, power_fixed=True),
+             SmallCell(2, 7 * 21 + 10, (0, 1), 17.0, power_fixed=True),
+             SmallCell(3, 12 * 21 + 17, (0,), 20.0, power_fixed=True),
+             SmallCell(4, 3 * 21 + 16, (1,), 14.0, power_fixed=True))
+    base = NetworkState(cells)
+    trial = NetworkState((*cells[:1], replace(cells[1], power_dbm=17.0 + step), *cells[2:],
+                          SmallCell(5, 8 * 21 + 6, (0,), 24.0)))
+    restarts, deltas = [], []
+    running_max, delta = radio._running_max, radio._trial_link
+    monkeypatch.setattr(radio, "_running_max", lambda c: restarts.append(1) or running_max(c))
+    monkeypatch.setattr(radio, "_trial_link", lambda *a: deltas.append(1) or delta(*a))
+    cache = LinkCache(grid, params)
+    assert cache.sinr_table(base).tobytes() == matrix_link_state(base, grid, params)[2].tobytes()
+    assert (cache._built[1].serving.pixel_col == 1).any()
+    restarts.clear()
+    got = link_state(trial, cache)
+    assert deltas == [1]
+    assert len(restarts) == (step < 0)
+    assert _digest(*got) == _matrix_digest(trial, grid, params)
+
+
+def test_with_powers_keeps_a_cell_exactly_where_its_power_keeps_its_repr():
+    # a cell is kept when its power is a float of the solved value with the
+    # same sign of zero, the cells where the ``repr`` of the two agree
+    powers = (24, 24.0, -0.0, 0.0, 0.0, -0.0, np.float64(17.5), 17.5, 12.25, 12.25)
+    solved = (24.0, 24.0, 0.0, -0.0, 0.0, -0.0, 17.5, 17.5, 12.5, 12.25)
+    cells = tuple(SmallCell(i, i, (0,), p) for i, p in enumerate(powers, start=1))
+    state = NetworkState(cells)
+    got = radio._with_powers(state, np.array(solved))
+    kept = [repr(p) == repr(q) for p, q in zip(powers, solved)]
+    assert kept == [False, True, False, False, True, True, False, True, False, True]
+    assert [a is b for a, b in zip(got.cells, cells)] == kept
+    assert [repr(c.power_dbm) for c in got.cells] == [repr(p) for p in solved]
+    same = NetworkState(tuple(c for c, k in zip(cells, kept) if k))
+    assert radio._with_powers(same, np.array([c.power_dbm for c in same.cells])) is same

@@ -18,7 +18,8 @@ from scplan.planner import AddCell, PlannerParams, Relocate, RemoveCell, replay_
 from scplan.presets import bundled_scenario_path
 from scplan.radio import PropagationParams
 from scplan.reporting import write_raster_csv, write_raster_pgm
-from scplan.scenario import GridSpec, pixel_positions, select_candidate_sites
+from scplan.scenario import (GridSpec, ServingMap, SmallCell, pixel_positions,
+                             select_candidate_sites)
 from scplan.scenario_io import (InvariantError, ScenarioError, load_scenario,
                                 scenario_from_dict, validate, validate_file)
 
@@ -707,3 +708,38 @@ def test_valid_exactly_when_runnable(mutation, method, tmp_path):
         assert violations
     else:
         assert violations == []
+
+
+def test_stacked_spec_sums_equal_cell_sums_on_a_fresh_map(monkeypatch):
+    # a map that has not summed a pixel-level spec raster sums it as one
+    # more row of evaluate_state's one slice_sums and keeps the sums in its
+    # memo: they must be the bits of cell_sums on a fresh map, for every
+    # method, on the layout's map and on a trial's new one
+    scn = load_scenario(BUNDLED)
+    calls = []
+    slice_sums = ServingMap.slice_sums
+    monkeypatch.setattr(ServingMap, "slice_sums",
+                        lambda self, rows: calls.append(len(rows)) or slice_sums(self, rows))
+    site = next(p for p in scn.candidate_sites.site_pixels
+                if p not in scn.initial_state.site_pixels)
+    trial = scn.initial_state.add_cell(SmallCell(99, site, (0,)))
+    for method in METHODS:
+        ctx = build_context(scn, method).busy_hour()
+        for state in (scn.initial_state, trial):
+            calls.clear()
+            ev = evaluate_state(state, ctx)
+            pixel = {m: p.pixel_specs.pixel_values for m, p in ctx.policies.items()
+                     if p.pixel_specs is not None}
+            # existing tenants plan on their own traffic: pixel level under every method
+            assert len(pixel) == len(ctx.policies) - (method in ("uniform-sc", "corr-sc"))
+            # one stacked call: traffic, spec rasters, weights, weighted SE
+            # (corr-sc also sums its basis raster)
+            assert calls[-1] == len(ctx.known_demand) + len(pixel) + 2
+            assert len(calls) == 1 + (method == "corr-sc")
+            fresh = ServingMap(ev.serving.cell_ids, ev.serving.pixel_cell)
+            for m, raster in pixel.items():
+                assert repr(ev.cell_specs[m]) == repr(fresh.cell_sums(raster))
+            # evaluated again, the map reads its memo and stacks no spec row
+            calls.clear()
+            assert_same_evaluation(evaluate_state(state, ctx), ev)
+            assert calls[-1] == len(ctx.known_demand) + 2

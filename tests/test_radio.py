@@ -497,7 +497,9 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     wide_state = replace(state, cells=tuple(replace(c, channels=wide.get(c.cell_id, c.channels))
                                             for c in state.cells))
     wide_table = rng.uniform(-10.0, 40.0, (num_pixels, 10))
-    some = np.flatnonzero(rng.random(num_pixels) < 0.3)
+    some = [j for j in range(len(state.cells)) if rng.random() < 0.5]
+    kept = rng.uniform(0.0, 1.0, num_pixels)
+    chosen = np.isin(serving.pixel_col, some)
     for state, table in ((state, table), (wide_state, wide_table)):
         reference = np.zeros(num_pixels)
         for c in state.cells:
@@ -505,7 +507,12 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
             if m.any():
                 reference[m] = table[np.ix_(m, np.array(c.channels))].mean(axis=1)
         assert serving_mean(state, serving, table).tobytes() == reference.tobytes()
-        assert serving_mean(state, serving, table, some).tobytes() == reference[some].tobytes()
+        # a link build's tables are Fortran-ordered, with the same means
+        assert serving_mean(state, serving, np.asfortranarray(table)).tobytes() == \
+            reference.tobytes()
+        # only the chosen cells' pixels of a given ``out`` are written
+        got = serving_mean(state, serving, table, some, kept.copy())
+        assert got.tobytes() == np.where(chosen, reference, kept).tobytes()
 
 
 def _bits(values: dict) -> dict:

@@ -1,9 +1,17 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 
 from conftest import oracle_pixel_xy
-from scplan.scenario import (GridSpec, NetworkState, SmallCell, TenantProfile,
+from scplan.evaluation import NetworkEvaluation
+from scplan.monitor import required_bandwidth
+from scplan.reporting import read_bandwidth_table, write_bandwidth_table
+from scplan.scenario import (GridSpec, NetworkState, SmallCell, TenantProfile, left_sum,
                              pixel_positions, select_candidate_sites)
+from scplan.sla import PlanningSpecSet, translate_sc_level
 
 
 def test_grid_pixel_counts():
@@ -99,3 +107,26 @@ def test_network_state_invariants():
     assert grown.cell(1).channels == (2, 3)
     assert grown.cell(2).channels == (1,)
     assert state.cell(1).channels == (2,)      # original untouched
+
+
+def test_float_sums_add_left_to_right_on_every_python_version(tmp_path):
+    # from Python 3.12 on the builtin ``sum`` of floats is compensated; every
+    # sum a report or a planner tie reads adds left to right instead, the
+    # bits of ``sum`` up to 3.11, on a list where the two orders differ
+    values = [1e16, 1.0, -1e16, 3.5, 0.1, 0.2]
+    assert left_sum(values) == 3.8000000000000003 != math.fsum(values)
+    assert left_sum(values) == functools.reduce(operator.add, values, 0.0)
+    assert left_sum([]) == 0.0
+    small = [1.0] + [1e-16] * 10        # left to right the small terms vanish
+    assert left_sum(small) == 1.0 != math.fsum(small)
+    cells = dict(enumerate(small, start=1))
+    assert PlanningSpecSet("t", "sc", "uniform", cell_values=cells).total() == 1.0
+    split = translate_sc_level(3.0, NetworkState(tuple(SmallCell(i, i, (0,)) for i in cells)),
+                               "correlated", cells)
+    assert split.cell_values[1] == 3.0
+    assert required_bandwidth({m: v for m, v in enumerate(small)},
+                              dict.fromkeys(range(len(small)), 2.0), 1.0) == 1.0
+    ev = NetworkEvaluation(*(None,) * 6, required_mhz=cells)
+    assert ev.total_required() == 1.0
+    write_bandwidth_table(tmp_path / "bw.csv", list(cells.items()))
+    assert read_bandwidth_table(tmp_path / "bw.csv")[1] == 1.0
