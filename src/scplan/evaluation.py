@@ -166,12 +166,8 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     state, serving, pixel_se = ctx.link_cache.link(state)
     basis_cell = (serving.cell_sums(ctx.basis)
                   if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
-    unsummed = {}       # tenant -> the memo entry of a spec raster not summed on this map
-    for tenant_id, policy in ctx.policies.items():
-        if policy.pixel_specs is not None:
-            kept = serving._fixed(policy.pixel_specs.pixel_values)
-            if kept is not None and kept[3] is None:
-                unsummed[tenant_id] = kept
+    unsummed = {m: p.pixel_specs.pixel_values for m, p in ctx.policies.items()
+                if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)}
 
     # a traffic row holds the floats of ``(raster * scale)[order]``: a map
     # evaluated at many steps keeps the raster gathered and only scales it
@@ -180,9 +176,8 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     traffic, weights, weighted = rows[:k], rows[-2], rows[-1]
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
         np.multiply(serving.ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
-    ordered = dict(zip(unsummed, rows[k:-2]))
-    for tenant_id, row in ordered.items():
-        np.take(unsummed[tenant_id][0], serving._order, out=row)
+    ordered = {m: serving.ordered(raster, out=row)
+               for (m, raster), row in zip(unsummed.items(), rows[k:-2])}
     weights[:] = traffic[0] if k else 0.0
     for row in traffic[1:]:
         np.add(weights, row, out=weights)
@@ -196,8 +191,8 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
                                              ordered.get(tenant_id)), out=weights)
     np.multiply(serving.ordered(pixel_se), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
-    for kept, cell_sums in zip(unsummed.values(), sums[k:]):
-        kept[3] = cell_sums
+    for raster, cell_sums in zip(unsummed.values(), sums[k:]):
+        serving.keep_sums(raster, cell_sums)
 
     demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, cell_sums in zip(ctx.known_demand, sums):

@@ -108,13 +108,16 @@ class LinkCache:
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); the link state of the last
     layout asked for (see ``link``); and the last full build, SINR table
-    included (see ``sinr_table``), with its running max, serving column,
-    served mW, channel totals, SE table, pixel SE and path-loss and mW
-    columns.  ``link_state`` builds a layout that is the kept full build
-    plus one trailing cell, as every site-search trial is, as a delta on
-    them, with the bytes of the full build but no SINR table, which a
+    included (see ``sinr_table``), with its running max, serving map (and
+    so each cell's pixel indices), channel totals, SE table, pixel SE and
+    path-loss and mW columns.  ``link_state`` builds a layout that is the
+    kept full build plus one trailing cell, as every site-search trial is,
+    as a delta on them (see ``_trial_link``): on index sets, the pixels a
+    touched column can take and the pixel groups of a changed channel's
+    holders, with the bytes of the full build but no SINR table, which a
     search never reads.  ``prepare_search`` keeps a search's base as that
-    build and holds its trials' powers, solved in one batch.
+    build and holds its trials' powers, solved in one batch.  The kept
+    build is released before the next is made, so two never coexist.
 
     Memoized arrays and mW columns are read-only.
     """
@@ -172,7 +175,7 @@ class _Build(NamedTuple):
     table: np.ndarray           # SINR (pixels, channels), read-only
     best: np.ndarray            # serving rx, dBm
     totals: list                # each channel's mW total, None without holders
-    se_table: np.ndarray
+    se_table: np.ndarray        # SE (pixels, channels), Fortran-ordered
     path_loss: list             # per cell
     linear: list                # per cell, mW
 
@@ -508,11 +511,12 @@ def _serve_trial(best: np.ndarray, col: np.ndarray, touched: dict[int, np.ndarra
 def _channel_total(b: _Build, ch: int, hs: list[int], lin: dict[int, np.ndarray],
                    at: np.ndarray) -> np.ndarray:
     """A trial's mW total of channel ``ch`` at ``at``: its holders ``hs``
-    added in cell order, as the full build adds them, where ``lin`` holds
-    the touched holders' mW at ``at``; the later untouched ones' are added
-    to it.  The holders before the first touched one are the base build's
-    total when they are all its holders, else are added on the whole grid,
-    where contiguous adds cost less than gathering each column."""
+    added in cell order, as the full build adds them.  ``lin`` maps each
+    touched holder to its mW at ``at`` and gains the gather of each
+    untouched holder after the first touched one, which is added at ``at``.
+    The holders before it are the base build's total when they are all its
+    holders, else are added on the whole grid, where contiguous adds cost
+    less than gathering each column."""
     first = next(i for i, j in enumerate(hs) if j in lin)
     if first and hs[first] == len(b.linear):
         total = b.totals[ch][at]        # every base holder is untouched
@@ -521,10 +525,12 @@ def _channel_total(b: _Build, ch: int, hs: list[int], lin: dict[int, np.ndarray]
         for j in hs[1:first]:
             total += b.linear[j]
         total = total[at]
-    for i, j in enumerate(hs[first:], start=first):
+    else:
+        total = lin[hs[0]].copy()
+    for j in hs[first + (not first):]:
         if j not in lin:
             lin[j] = b.linear[j][at]
-        total = total + lin[j] if i else lin[j]
+        total += lin[j]
     return total
 
 
@@ -548,12 +554,12 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     dbm = {j: (c.power_dbm + gain) - pl[j] for j, (c, o) in enumerate(zip(cells, base.cells))
            if c.power_dbm != o.power_dbm}
     groups = list(b.serving.cell_pixels.values())
-    lost = np.concatenate([groups[j] for j in dbm if cells[j].power_dbm < base.cells[j].power_dbm]
-                          or [np.empty(0, np.intp)])
+    fell = [j for j in dbm if cells[j].power_dbm < base.cells[j].power_dbm]
+    lost = np.concatenate([groups[j] for j in fell] or [np.empty(0, np.intp)])
+    at_lost = [(c.power_dbm + gain) - pl[j][lost] for j, c in enumerate(cells)] if fell else []
     dbm[n] = (cells[n].power_dbm + gain) - pl[n]
     best, col = b.best.copy(), b.serving.pixel_col.astype(np.intp)
-    _serve_trial(best, col, dbm, n, lost, [(c.power_dbm + gain) - pl[j][lost]
-                                           for j, c in enumerate(cells)] if lost.size else [])
+    _serve_trial(best, col, dbm, n, lost, at_lost)
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
 
     groups = list(serving.cell_pixels.values())

@@ -298,11 +298,14 @@ class ServingMap:
             kept = self._memo[id(values)] = [values, 0, None, None]     # held: its id stays
         return kept
 
-    def ordered(self, values: np.ndarray) -> np.ndarray:
+    def ordered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``values`` in the map's pixel order, where each cell's pixels fill
         its ``cell_slices`` slice.  A fixed raster asked for a second time is
         kept, read-only: a map evaluated at many steps gathers it twice in
-        all, and one evaluated once, as a site-search trial is, keeps none."""
+        all, and one evaluated once, as a site-search trial is, keeps none.
+        A gather into ``out`` is kept nowhere."""
+        if out is not None:     # the order is a permutation: nothing to clip, no buffer
+            return np.take(values, self._order, out=out, mode="clip")
         kept = self._fixed(values)
         if kept is not None and kept[2] is not None:
             return kept[2]
@@ -328,6 +331,18 @@ class ServingMap:
         for out, span in zip(sums, self.cell_slices.values()):
             np.add.reduce(rows[:, span], axis=1, out=out)
         return [dict(zip(self.cell_ids, row)) for row in sums.T.tolist()]
+
+    def unsummed(self, values: np.ndarray) -> bool:
+        """Whether ``values`` is a fixed raster whose per-cell sums the map
+        does not keep yet: a caller that sums it as a row of its own
+        ``slice_sums`` hands them to ``keep_sums``."""
+        kept = self._fixed(values)
+        return kept is not None and kept[3] is None
+
+    def keep_sums(self, values: np.ndarray, sums: dict[int, float]):
+        """Keep ``sums``, the fixed raster ``values``'s ``slice_sums`` row,
+        for ``cell_sums``."""
+        self._fixed(values)[3] = sums
 
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
         """``slice_sums`` of ``values`` in the map's pixel order, summed once
