@@ -12,6 +12,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple
@@ -344,7 +345,8 @@ def spectral_efficiency(sinr_db, params: PropagationParams):
 
 
 def serving_mean(state: NetworkState, serving: ServingMap, table: np.ndarray,
-                 cells=None, out: np.ndarray | None = None) -> np.ndarray:
+                 cells: Iterable[int] | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Per-pixel mean of a (pixel, channel) table, such as SE or SINR, over
     the serving cell's allocated channels, written into ``out`` (a new
     array by default) at the pixels of ``cells``, positions in
@@ -558,7 +560,8 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     lost = np.concatenate([groups[j] for j in fell] or [np.empty(0, np.intp)])
     at_lost = [(c.power_dbm + gain) - pl[j][lost] for j, c in enumerate(cells)] if fell else []
     dbm[n] = (cells[n].power_dbm + gain) - pl[n]
-    best, col = b.best.copy(), b.serving.pixel_col.astype(np.intp)
+    best = b.best.copy()
+    col = b.serving.pixel_col.astype(np.intp)  # indexes much faster than the small type
     _serve_trial(best, col, dbm, n, lost, at_lost)
     serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
 
