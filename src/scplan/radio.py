@@ -555,9 +555,9 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, cache)]
     dbm = {j: (c.power_dbm + gain) - pl[j] for j, (c, o) in enumerate(zip(cells, base.cells))
            if c.power_dbm != o.power_dbm}
-    groups = list(b.serving.cell_pixels.values())
+    base_groups = list(b.serving.cell_pixels.values())
     fell = [j for j in dbm if cells[j].power_dbm < base.cells[j].power_dbm]
-    lost = np.concatenate([groups[j] for j in fell] or [np.empty(0, np.intp)])
+    lost = np.concatenate([base_groups[j] for j in fell] or [np.empty(0, np.intp)])
     at_lost = [(c.power_dbm + gain) - pl[j][lost] for j, c in enumerate(cells)] if fell else []
     dbm[n] = (cells[n].power_dbm + gain) - pl[n]
     best = b.best.copy()
