@@ -2,8 +2,9 @@
 
 Every method's run of ``urban200m`` at horizon 24 must reproduce the frozen
 record exactly: floats are compared through ``repr``, so a change in the
-last bit of a power or of the total fails.  Two ``--gamma 0.5`` runs, whose
-plans remove and relocate cells, are frozen beside them.  Regenerate the
+last bit of a power or of the total fails.  Two ``--gamma 0.5`` runs and
+a uniform-px ``--gamma 0.2`` run, whose plans remove and relocate cells,
+are frozen beside them.  Regenerate the
 file only for a change that is meant to alter results, and say why in
 CHANGES.md:
 
@@ -24,9 +25,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden_urban200m.json"
 HORIZON = 24
 # runs with an override, keyed as in the golden file: the planner trims
 # cells, and the compressed ledgers hold a RemoveCell and a Relocate
-# (uniform-sc) or void the added cell (corr-px)
+# (uniform-sc), void the added cell (corr-px) or hold two Relocates
+# (uniform-px)
 OVERRIDES = {"uniform-sc gamma=0.5": ("uniform-sc", {"gamma": 0.5}),
-             "corr-px gamma=0.5": ("corr-px", {"gamma": 0.5})}
+             "corr-px gamma=0.5": ("corr-px", {"gamma": 0.5}),
+             "uniform-px gamma=0.2": ("uniform-px", {"gamma": 0.2})}
 RUNS = {**{m: (m, {}) for m in METHODS}, **OVERRIDES}
 
 
