@@ -71,16 +71,17 @@ class EvaluationContext:
 
     ``known_demand`` holds per-pixel rasters for tenants whose traffic is
     observable at the evaluated step, each times its ``demand_scale`` (1 if
-    absent): a run passes every live tenant's read-only peak raster with its
-    temporal weight, which a serving map evaluated at many steps gathers
-    once (see ``evaluate_state``).  Tenants listed only in ``policies`` are
-    planning estimates.  ``basis`` is the read-only busy-hour raster that
-    correlated cell-level splits follow (defaults to the sum of the known
-    traffic); ``estimate_scale`` scales an estimated tenant's contribution
-    by its temporal profile relative to the busy hour.  ``link_cache``
-    keeps the radio state of the layouts evaluated; contexts of one run
-    share one, which must be of ``grid`` and ``radio``.  Rasters are not
-    edited in place while the context is in use.
+    absent): a run passes every live tenant's peak raster with its temporal
+    weight, which a layout evaluated at many steps gathers once (see
+    ``evaluate_state``).  Tenants listed only in ``policies`` are planning
+    estimates.  ``basis`` is the busy-hour raster that correlated
+    cell-level splits follow (defaults to the sum of the known traffic);
+    ``estimate_scale`` scales an estimated tenant's contribution by its
+    temporal profile relative to the busy hour.  ``link_cache`` keeps the
+    radio state of the layouts evaluated and the kept layout's gathers;
+    contexts of one run share one, which must be of ``grid`` and
+    ``radio``.  A context's rasters stay unchanged while any context that
+    shares its link cache is in use.
     """
 
     grid: GridSpec
@@ -124,17 +125,15 @@ class NetworkEvaluation:
 
 def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float] | None,
                      serving: ServingMap, scale: float,
-                     ordered: np.ndarray | None = None) -> np.ndarray:
+                     ordered: np.ndarray | None) -> np.ndarray:
     """Expected traffic, in the map's pixel order, of a tenant whose service
     is not live yet.
 
-    Pixel-level policies carry the raster directly (``ordered``, when it is
-    already in the map's order); cell-level splits are spread evenly over
-    each cell's service area.
+    Pixel-level policies carry the raster directly, ``ordered`` in the
+    map's order; cell-level splits are spread evenly over each cell's
+    service area.
     """
     if policy.pixel_specs is not None:
-        if ordered is None:
-            ordered = serving.ordered(policy.pixel_specs.pixel_values)
         return ordered * scale
     out = np.zeros(serving.pixel_cell.size)
     for cid, value in cell_specs.items():
@@ -153,31 +152,37 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     observable demand plus the estimated rasters of tenants that are not
     live yet.  Every raster summed per cell is a row of one ``(k, P)``
     array in the serving map's pixel order: each live tenant's traffic,
-    each pixel-level spec raster the map has not summed yet, the weights
-    (the traffic added left to right, then the estimates in policy order)
-    and the weighted SE, so one ``ServingMap.slice_sums`` sums each cell
-    once.  A spec raster's sums go to the map's memo, where
-    ``pixel_specs_to_cell`` reads them, and its row is the estimate's
-    gather, so each fixed raster is gathered once.  Powers and link state
+    each pixel-level spec raster the map keeps no sums of, the weights (the
+    traffic added left to right, then the estimates in policy order) and
+    the weighted SE, so one ``ServingMap.slice_sums`` sums each cell once.
+    The map keeps a spec raster's sums, where ``pixel_specs_to_cell`` reads
+    them, and those of the basis a corr-sc split reads (``keep_sums``).
+    Other rasters are read through ``ctx.link_cache.ordered``, gathered
+    once while the layout is kept; a spec row is also its estimate, so a
+    site-search trial gathers each raster once.  Powers and link state
     depend on the layout alone, so they are taken from ``ctx.link_cache``
     when it holds this layout; a site search's trial takes its
     batch-solved powers and builds no SINR table.
     """
     state, serving, pixel_se = ctx.link_cache.link(state)
-    basis_cell = (serving.cell_sums(ctx.basis)
-                  if any(p.mode == "corr-sc" for p in ctx.policies.values()) else {})
+    ordered = ctx.link_cache.ordered
+    basis_cell = {}
+    if any(p.mode == "corr-sc" for p in ctx.policies.values()):
+        if serving.unsummed(ctx.basis):
+            serving.keep_sums(ctx.basis, serving.cell_sums(ctx.basis))
+        basis_cell = serving.cell_sums(ctx.basis)
     unsummed = {m: p.pixel_specs.pixel_values for m, p in ctx.policies.items()
                 if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)}
 
-    # a traffic row holds the floats of ``(raster * scale)[order]``: a map
+    # a traffic row holds the floats of ``(raster * scale)[order]``: a layout
     # evaluated at many steps keeps the raster gathered and only scales it
     k = len(ctx.known_demand)
     rows = np.empty((k + len(unsummed) + 2, serving.pixel_cell.size))
     traffic, weights, weighted = rows[:k], rows[-2], rows[-1]
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
-        np.multiply(serving.ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
-    ordered = {m: serving.ordered(raster, out=row)
-               for (m, raster), row in zip(unsummed.items(), rows[k:-2])}
+        np.multiply(ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
+    in_order = {m: serving.ordered(raster, out=row)
+                for (m, raster), row in zip(unsummed.items(), rows[k:-2])}
     weights[:] = traffic[0] if k else 0.0
     for row in traffic[1:]:
         np.add(weights, row, out=weights)
@@ -186,10 +191,12 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         if policy.pixel_specs is None:
             specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
         if tenant_id not in ctx.known_demand:
+            if policy.pixel_specs is not None and tenant_id not in in_order:
+                in_order[tenant_id] = ordered(policy.pixel_specs.pixel_values)
             np.add(weights, _estimate_raster(policy, specs[tenant_id], serving,
                                              ctx.estimate_scale.get(tenant_id, 1.0),
-                                             ordered.get(tenant_id)), out=weights)
-    np.multiply(serving.ordered(pixel_se), weights, out=weighted)
+                                             in_order.get(tenant_id)), out=weights)
+    np.multiply(ordered(pixel_se), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
     for raster, cell_sums in zip(unsummed.values(), sums[k:]):
         serving.keep_sums(raster, cell_sums)

@@ -118,25 +118,30 @@ class LinkCache:
     holders, with the bytes of the full build but no SINR table, which a
     search never reads.  ``prepare_search`` keeps a search's base as that
     build and holds its trials' powers, solved in one batch.  The kept
-    build is released before the next is made, so two never coexist.
+    build is released before the next is made, so two never coexist.  The
+    last layout linked keeps the rasters it is evaluated on gathered into
+    its pixel order (see ``ordered``) until another layout is linked.
 
-    Memoized arrays and mW columns are read-only.
+    Memoized arrays and mW columns are read-only.  The rasters of every
+    context that shares a cache stay unchanged while any of them is in use.
     """
 
     def __init__(self, grid: GridSpec, params: PropagationParams):
         self.grid, self.params = grid, params
         self._xy = np.ascontiguousarray(pixel_positions(grid).T)
         self._path_loss, self._linear, self._trials = {}, {}, {}
-        self._layout, self._built = (), ()
+        self._layout, self._built, self._gathers = (), (), {}
 
     def link(self, state: NetworkState):
         """``(powered state, serving, pixel SE)`` of ``state``: the kept one
         if ``state`` is the kept layout or its powered state (powers depend
         on the layout alone); else ``state`` is powered (as solved by the
         last ``prepare_search`` if it is one of its trials, else by
-        ``configure_powers``), built by ``link_state`` and kept."""
+        ``configure_powers``), built by ``link_state`` and kept, with no
+        gathers: the last layout's are released first."""
         if state in self._layout[:2]:
             return self._layout[1:]
+        self._gathers = {}
         powered = self._trials.get(state)
         if powered is None:
             powered = configure_powers(state, self.grid, self.params)
@@ -144,6 +149,16 @@ class LinkCache:
         pixel_se.flags.writeable = False
         self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
+
+    def ordered(self, values: np.ndarray) -> np.ndarray:
+        """``values`` in the pixel order of the last layout linked (see
+        ``ServingMap.ordered``), read-only, gathered once while that layout
+        is kept."""
+        kept = self._gathers.get(id(values), (None,))
+        if kept[0] is not values:
+            kept = self._gathers[id(values)] = values, self._layout[2].ordered(values)
+            kept[1].flags.writeable = False         # values is held: its id stays
+        return kept[1]
 
     def sinr_table(self, state: NetworkState):
         """SINR (pixels, channels) of the powered layout ``state``, NaN where
@@ -577,8 +592,8 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     for ch, holders in enumerate(_holders(state, params)):
         hs = holders.nonzero()[0].tolist()
         if not any(j in dbm for j in hs):
-            if hs:      # same total: only the restarted pixels its holders serve
-                at = holders[lost_col]
+            at = holders[lost_col]      # same total: only the restarted pixels its holders serve
+            if at.any():
                 _fill(se_table, ch, lost[at], s_lost[at], b.totals[ch][lost[at]], params)
             continue
         at = np.concatenate([groups[j] for j in hs])

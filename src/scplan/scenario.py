@@ -235,7 +235,9 @@ class ServingMap:
 
     ``pixel_col`` is each pixel's position in ``cell_ids``, as the smallest
     unsigned integer type that holds it; it is derived from ``pixel_cell``
-    when not given.
+    when not given.  Besides that value a map holds only the per-cell sums
+    its evaluations declare with ``keep_sums``; gathers that a layout
+    reuses are kept by ``radio.LinkCache.ordered``.
     """
 
     cell_ids: tuple[int, ...]
@@ -286,36 +288,11 @@ class ServingMap:
         """
         return {cid: self._order[s] for cid, s in self.cell_slices.items()}
 
-    def _fixed(self, values: np.ndarray) -> list | None:
-        """``[values, times gathered, kept gather or None, sums or None]`` for
-        a fixed raster, one read-only and owning its data (a peak demand
-        raster, a pixel-level spec, a ``LinkCache``'s pixel SE); None for any
-        other."""
-        if values.flags.writeable or values.base is not None:
-            return None
-        kept = self._memo.get(id(values))
-        if kept is None or kept[0] is not values:
-            kept = self._memo[id(values)] = [values, 0, None, None]     # held: its id stays
-        return kept
-
     def ordered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``values`` in the map's pixel order, where each cell's pixels fill
-        its ``cell_slices`` slice.  A fixed raster asked for a second time is
-        kept, read-only: a map evaluated at many steps gathers it twice in
-        all, and one evaluated once, as a site-search trial is, keeps none.
-        A gather into ``out`` is kept nowhere."""
-        if out is not None:     # the order is a permutation: nothing to clip, no buffer
-            return np.take(values, self._order, out=out, mode="clip")
-        kept = self._fixed(values)
-        if kept is not None and kept[2] is not None:
-            return kept[2]
-        gathered = values[self._order]
-        if kept is not None:
-            kept[1] += 1
-            if kept[1] > 1:
-                gathered.flags.writeable = False
-                kept[2] = gathered
-        return gathered
+        its ``cell_slices`` slice; into ``out`` when given."""
+        # the order is a permutation: nothing to clip, no buffer
+        return np.take(values, self._order, out=out, mode="clip")
 
     def slice_sums(self, rows: np.ndarray) -> list[dict[int, float]]:
         """Sum of each cell's slice of every row of ``rows``, a C-ordered
@@ -333,27 +310,21 @@ class ServingMap:
         return [dict(zip(self.cell_ids, row)) for row in sums.T.tolist()]
 
     def unsummed(self, values: np.ndarray) -> bool:
-        """Whether ``values`` is a fixed raster whose per-cell sums the map
-        does not keep yet: a caller that sums it as a row of its own
-        ``slice_sums`` hands them to ``keep_sums``."""
-        kept = self._fixed(values)
-        return kept is not None and kept[3] is None
+        """Whether the map keeps no sums of the raster ``values``."""
+        return self._memo.get(id(values), (None,))[0] is not values
 
     def keep_sums(self, values: np.ndarray, sums: dict[int, float]):
-        """Keep ``sums``, the fixed raster ``values``'s ``slice_sums`` row,
-        for ``cell_sums``."""
-        self._fixed(values)[3] = sums
+        """Keep ``sums``, the raster ``values``'s ``slice_sums`` row, which the
+        caller hands over, for ``cell_sums``; ``values`` must stay unchanged
+        while the map is in use."""
+        self._memo[id(values)] = values, sums       # held: its id stays
 
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
-        """``slice_sums`` of ``values`` in the map's pixel order, summed once
-        per map for a fixed raster; each call gets a fresh dict."""
-        kept = self._fixed(values)
-        if kept is None:
-            return self.slice_sums(values[self._order][None])[0]
-        if kept[3] is None:
-            ordered = values[self._order] if kept[2] is None else kept[2]
-            kept[3] = self.slice_sums(ordered[None])[0]
-        return dict(kept[3])
+        """``slice_sums`` of ``values`` in the map's pixel order: the kept
+        sums, or summed now; each call gets a fresh dict."""
+        if self.unsummed(values):
+            return self.slice_sums(self.ordered(values)[None])[0]
+        return dict(self._memo[id(values)][1])
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
 
     ``uniform`` spreads it evenly over all pixels; ``correlated`` spreads it
     in proportion to the per-pixel demand raster.  Aggregation to cells is
-    done separately against a serving map; the raster is read-only, so a
-    map sums it once (see ``ServingMap.cell_sums``).
+    done separately against a serving map (see ``ServingMap.keep_sums``);
+    the raster is read-only.
     """
     n = grid.num_pixels
     if method == "uniform":

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -469,8 +470,11 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
         if mask.any():
             spread[mask] = expected[cid] * 0.7 / int(mask.sum())
     policy = TenantSpecPolicy("t", 1.0, "uniform-sc")
-    assert _estimate_raster(policy, expected, serving, 0.7).tobytes() == \
+    assert _estimate_raster(policy, expected, serving, 0.7, None).tobytes() == \
         in_map_order(spread).tobytes()
+    policy = TenantSpecPolicy("t", 1.0, "corr-px", specs)
+    assert _estimate_raster(policy, None, serving, 0.7, serving.ordered(raster)).tobytes() == \
+        in_map_order(raster * 0.7).tobytes()
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -522,8 +526,8 @@ def _bits(values: dict) -> dict:
 @pytest.mark.parametrize("seed", range(12))
 def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     # one gather into the map's pixel order and one sum per cell slice keep
-    # the mask form's bits: plain and weighted sums, read-only rasters from
-    # the memo, no weights, all-zero weights and a cell that serves no pixel;
+    # the mask form's bits: plain and weighted sums, kept sums, no weights,
+    # all-zero weights and a cell that serves no pixel;
     # maps are large enough for numpy's pairwise blocks.  Weights are passed
     # in the map's pixel order, the cells' mask selections one after another
     rng = np.random.default_rng(100 + seed)
@@ -538,8 +542,10 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     pixel_se = rng.uniform(0.0, 4.4, num_pixels)
     pixel_se.flags.writeable = False
     mask_sums = {cid: float(raster[m].sum()) for cid, m in masks.items()}
-    for values in (raster, fixed, fixed):       # the second read-only call is memoised
+    for values in (raster, fixed, fixed):       # fixed's sums are kept after its first call
         assert _bits(serving.cell_sums(values)) == _bits(mask_sums)
+        if values is fixed and serving.unsummed(fixed):
+            serving.keep_sums(fixed, serving.cell_sums(fixed))
         in_order = np.concatenate([values[m] for m in masks.values()])
         assert serving.ordered(values).tobytes() == in_order.tobytes()
         assert _bits(serving.slice_sums(serving.ordered(values)[None])[0]) == _bits(mask_sums)
@@ -587,7 +593,9 @@ def test_stacked_slice_sums_equal_each_rows_own_reduce_bit_for_bit(num_cells, nu
 def test_memoised_sums_are_never_aliased():
     serving = ServingMap((1, 2), np.array([1, 2, 1, 2, 2]))
     fixed = np.arange(5.0)
-    fixed.flags.writeable = False
+    assert serving.unsummed(fixed)
+    serving.keep_sums(fixed, serving.cell_sums(fixed))
+    assert not serving.unsummed(fixed)
     first = serving.cell_sums(fixed)
     assert first == {1: 2.0, 2: 8.0}
     first[1] = 99.0
@@ -599,31 +607,42 @@ def test_memoised_sums_are_never_aliased():
     assert means == {1: 1.0, 2: 8.0 / 3}
     means[2] = -1.0
     assert average_se(serving, fixed) == {1: 1.0, 2: 8.0 / 3}
-    # a fixed raster's first gather is the caller's own; asked for again, the
-    # map keeps one read-only, so no caller can edit what the next one reads
-    first = serving.ordered(fixed)
-    assert first.tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
-    first[0] = 99.0
-    gathered = serving.ordered(fixed)
-    assert gathered.tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
-    assert serving.ordered(fixed) is gathered and not gathered.flags.writeable
-    with pytest.raises(ValueError):
-        gathered[0] = 99.0
-    scaled = gathered * 2.0         # arithmetic on it makes a fresh array
-    scaled[0] = 99.0
-    assert serving.ordered(fixed).tolist() == [0.0, 2.0, 1.0, 3.0, 4.0]
-    assert serving.slice_sums(gathered[None]) == [{1: 2.0, 2: 8.0}]
-    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
-    # an equal raster of its own is gathered on its own
-    twin = fixed.copy()
-    twin.flags.writeable = False
-    assert [serving.ordered(twin) is gathered for _ in range(3)] == [False] * 3
-    assert serving.ordered(twin).tolist() == gathered.tolist()
-    # another map of the same raster sums and gathers it afresh
+    # an equal raster of its own is not kept; another map of the same
+    # raster sums it afresh
+    assert serving.unsummed(fixed.copy())
     other = ServingMap((1, 2), np.array([1, 1, 2, 2, 2]))
+    assert other.unsummed(fixed)
     assert other.cell_sums(fixed) == {1: 1.0, 2: 9.0}
-    assert [other.ordered(fixed).tolist() for _ in range(3)] == [[0.0, 1.0, 2.0, 3.0, 4.0]] * 3
-    assert serving.ordered(fixed) is gathered
+    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
+
+
+def test_the_kept_layout_holds_its_gathers_until_another_is_linked(params):
+    # while a layout is kept, each raster is gathered once into its pixel
+    # order, read-only, so no caller can edit what the next one reads; the
+    # next layout linked releases them, so a site-search trial's gathers do
+    # not outlive it
+    grid = GridSpec(30.0, 30.0, 3.0)
+    state = random_state(np.random.default_rng(4), grid, num_cells=3)
+    cache = LinkCache(grid, params)
+    serving = cache.link(state)[1]
+    raster = np.arange(float(grid.num_pixels))
+    gathered = cache.ordered(raster)
+    assert gathered.tobytes() == serving.ordered(raster).tobytes()
+    assert cache.ordered(raster) is gathered and not gathered.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gathered[0] = 99.0
+    assert cache.link(state)[1] is serving and cache.ordered(raster) is gathered
+    twin = raster.copy()        # an equal raster of its own is gathered on its own
+    assert cache.ordered(twin) is not gathered
+    assert cache.ordered(twin).tobytes() == gathered.tobytes()
+    released = weakref.ref(gathered)
+    del gathered
+    assert released() is not None
+    trial = state.add_cell(SmallCell(99, next(p for p in range(grid.num_pixels)
+                                              if p not in state.site_pixels), (0,)))
+    other = cache.link(trial)[1]
+    assert released() is None
+    assert cache.ordered(raster).tobytes() == other.ordered(raster).tobytes()
 
 
 def test_a_writeable_raster_edited_in_place_is_summed_again():
