@@ -11,10 +11,11 @@ state = NetworkState((SmallCell(1, 0, (0, 1)),))
 params = MonitorParams(alpha=0.9, window_steps=6, consecutive_steps=3)
 
 print("required bandwidth = SLA-capped demand / average spectral efficiency")
-demands = {"retail": 28.0, "media": 45.0}
-specs = {"retail": 30.0, "media": 38.0}
+# each tenant's Mbps per cell; one cell (id 1) here
+demands = {"retail": {1: 28.0}, "media": {1: 45.0}}
+specs = {"retail": {1: 30.0}, "media": {1: 38.0}}
 for se in (2.5, 1.8, 1.2):
-    mhz = required_bandwidth(demands, specs, se)
+    mhz = required_bandwidth(demands, specs, {1: se})[1]
     print(f"  avg SE {se:.1f} -> {mhz:5.1f} MHz")
 
 series = [20.0, 24.0, 31.0, 38.5, 39.0, 40.5, 41.0, 12.0]

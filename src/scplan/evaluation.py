@@ -70,27 +70,26 @@ class EvaluationContext:
     """Everything the performance model needs besides the layout itself.
 
     ``known_demand`` holds per-pixel rasters for tenants whose traffic is
-    observable at the evaluated step, each times its ``demand_scale`` (1 if
+    observable at the evaluated step, each times its ``scale`` (1 if
     absent): a run passes every live tenant's peak raster with its temporal
     weight, which a layout evaluated at many steps gathers once (see
     ``evaluate_state``).  Tenants listed only in ``policies`` are planning
-    estimates.  ``basis`` is the busy-hour raster that correlated
-    cell-level splits follow (defaults to the sum of the known traffic);
-    ``estimate_scale`` scales an estimated tenant's contribution by its
-    temporal profile relative to the busy hour.  ``link_cache`` keeps the
-    radio state of the layouts evaluated and the kept layout's gathers;
-    contexts of one run share one, which must be of ``grid`` and
-    ``radio``.  A context's rasters stay unchanged while any context that
-    shares its link cache is in use.
+    estimates, each contributing its spec times its ``scale`` (a run's
+    temporal weight relative to the busy hour).  ``basis`` is the busy-hour
+    raster that correlated cell-level splits follow (defaults to the sum of
+    the scaled known traffic).  ``link_cache`` keeps the radio state of the
+    layouts evaluated and the kept layout's gathers; contexts of one run
+    share one, which must be of ``grid`` and ``radio``.  A context's
+    rasters stay unchanged while any context that shares its link cache is
+    in use.
     """
 
     grid: GridSpec
     radio: PropagationParams
     policies: dict[str, TenantSpecPolicy]
     known_demand: dict[str, np.ndarray] = field(default_factory=dict)
-    demand_scale: dict[str, float] = field(default_factory=dict)
+    scale: dict[str, float] = field(default_factory=dict)
     basis: np.ndarray | None = field(default=None, repr=False)
-    estimate_scale: dict[str, float] = field(default_factory=dict)
     link_cache: LinkCache | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,7 +98,7 @@ class EvaluationContext:
         elif (self.link_cache.grid, self.link_cache.params) != (self.grid, self.radio):
             raise ValueError("link cache of another grid or radio")
         if self.basis is None:
-            known = [raster * self.demand_scale.get(m, 1.0)
+            known = [raster * self.scale.get(m, 1.0)
                      for m, raster in self.known_demand.items()]
             self.basis = np.sum(known, axis=0) if known else np.zeros(self.grid.num_pixels)
             self.basis.flags.writeable = False
@@ -124,17 +123,16 @@ class NetworkEvaluation:
 
 
 def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float] | None,
-                     serving: ServingMap, scale: float,
-                     ordered: np.ndarray | None) -> np.ndarray:
+                     serving: ServingMap, scale: float, ordered) -> np.ndarray:
     """Expected traffic, in the map's pixel order, of a tenant whose service
     is not live yet.
 
-    Pixel-level policies carry the raster directly, ``ordered`` in the
-    map's order; cell-level splits are spread evenly over each cell's
-    service area.
+    Pixel-level policies carry the raster directly, put in the map's order
+    by ``ordered`` (an evaluation's ``LinkCache.ordered``); cell-level
+    splits are spread evenly over each cell's service area.
     """
     if policy.pixel_specs is not None:
-        return ordered * scale
+        return ordered(policy.pixel_specs.pixel_values) * scale
     out = np.zeros(serving.pixel_cell.size)
     for cid, value in cell_specs.items():
         span = serving.cell_slices[cid]
@@ -156,23 +154,21 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     traffic added left to right, then the estimates in policy order) and
     the weighted SE, so one ``ServingMap.slice_sums`` sums each cell once.
     The map keeps a spec raster's sums, where ``pixel_specs_to_cell`` reads
-    them, and those of the basis a corr-sc split reads (``keep_sums``).
-    Other rasters are read through ``ctx.link_cache.ordered``, gathered
-    once while the layout is kept; a spec row is also its estimate, so a
-    site-search trial gathers each raster once.  Powers and link state
-    depend on the layout alone, so they are taken from ``ctx.link_cache``
-    when it holds this layout; a site search's trial takes its
-    batch-solved powers and builds no SINR table.
+    them (``keep_sums``); the basis a corr-sc split reads is summed at each
+    evaluation.  Every other raster is read through
+    ``ctx.link_cache.ordered``, gathered once while the layout is kept, so
+    a site-search trial gathers each raster once.  Each tenant's demand and
+    spec per cell feed one ``required_bandwidth`` call.  Powers and link state depend on the layout alone, so they are
+    taken from ``ctx.link_cache`` when it holds this layout; a site
+    search's trial takes its batch-solved powers and builds no SINR table.
     """
     state, serving, pixel_se = ctx.link_cache.link(state)
     ordered = ctx.link_cache.ordered
     basis_cell = {}
     if any(p.mode == "corr-sc" for p in ctx.policies.values()):
-        if serving.unsummed(ctx.basis):
-            serving.keep_sums(ctx.basis, serving.cell_sums(ctx.basis))
         basis_cell = serving.cell_sums(ctx.basis)
-    unsummed = {m: p.pixel_specs.pixel_values for m, p in ctx.policies.items()
-                if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)}
+    unsummed = [p.pixel_specs.pixel_values for p in ctx.policies.values()
+                if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)]
 
     # a traffic row holds the floats of ``(raster * scale)[order]``: a layout
     # evaluated at many steps keeps the raster gathered and only scales it
@@ -180,9 +176,9 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     rows = np.empty((k + len(unsummed) + 2, serving.pixel_cell.size))
     traffic, weights, weighted = rows[:k], rows[-2], rows[-1]
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
-        np.multiply(ordered(raster), ctx.demand_scale.get(m, 1.0), out=row)
-    in_order = {m: serving.ordered(raster, out=row)
-                for (m, raster), row in zip(unsummed.items(), rows[k:-2])}
+        np.multiply(ordered(raster), ctx.scale.get(m, 1.0), out=row)
+    for raster, row in zip(unsummed, rows[k:-2]):
+        row[:] = ordered(raster)
     weights[:] = traffic[0] if k else 0.0
     for row in traffic[1:]:
         np.add(weights, row, out=weights)
@@ -191,14 +187,12 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         if policy.pixel_specs is None:
             specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
         if tenant_id not in ctx.known_demand:
-            if policy.pixel_specs is not None and tenant_id not in in_order:
-                in_order[tenant_id] = ordered(policy.pixel_specs.pixel_values)
             np.add(weights, _estimate_raster(policy, specs[tenant_id], serving,
-                                             ctx.estimate_scale.get(tenant_id, 1.0),
-                                             in_order.get(tenant_id)), out=weights)
+                                             ctx.scale.get(tenant_id, 1.0), ordered),
+                   out=weights)
     np.multiply(ordered(pixel_se), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
-    for raster, cell_sums in zip(unsummed.values(), sums[k:]):
+    for raster, cell_sums in zip(unsummed, sums[k:]):
         serving.keep_sums(raster, cell_sums)
 
     demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
@@ -211,12 +205,9 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
         if policy.pixel_specs is not None:
             specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
         if tenant_id not in ctx.known_demand:
-            scale = ctx.estimate_scale.get(tenant_id, 1.0)
+            scale = ctx.scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in specs[tenant_id].items()}
 
     avg = average_se(serving, pixel_se, totals, weighted_sums)
-    tenants = [(m, d, specs[m]) for m, d in demands.items()]
-    required = {cid: required_bandwidth({m: d[cid] for m, d, _ in tenants},
-                                        {m: a[cid] for m, _, a in tenants}, avg[cid])
-                for cid in state.cell_ids}
-    return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs, required)
+    return NetworkEvaluation(state, serving, pixel_se, avg, demands, specs,
+                             required_bandwidth(demands, specs, avg))

@@ -122,24 +122,19 @@ class RunContext:
     def evaluation(self, active, live, t: int) -> EvaluationContext:
         """Model inputs at step ``t``: the ``active`` tenants' policies, the
         observed traffic of those ``live`` (each peak raster with its weight
-        at ``t``), and the others estimated from their busy-step specs
-        scaled by their weight at ``t`` over their weight at the busy step
-        (0 where that is 0)."""
+        at ``t`` as its scale), and the others estimated from their busy-step
+        specs, scaled by their weight at ``t`` over their weight at the busy
+        step (0 where that is 0).  ``live`` is a subset of ``active``."""
         known = {tn.tenant_id: self.spatial[tn.tenant_id] for tn in live}
-        ids = {tn.tenant_id for tn in active}
-
-        def relative(tn):
-            busy = tn.temporal_weight(self.busy_step)
-            return tn.temporal_weight(t) / busy if busy else 0.0
-
+        scale = {tn.tenant_id: tn.temporal_weight(t) for tn in live}
+        for tn in active:
+            if tn.tenant_id not in known:
+                busy = tn.temporal_weight(self.busy_step)
+                scale[tn.tenant_id] = tn.temporal_weight(t) / busy if busy else 0.0
         return EvaluationContext(
             grid=self.scenario.grid, radio=self.scenario.radio,
-            policies={m: p for m, p in self.policies.items() if m in ids},
-            known_demand=known,
-            demand_scale={tn.tenant_id: tn.temporal_weight(t) for tn in live},
-            basis=self.basis_sum,
-            estimate_scale={tn.tenant_id: relative(tn) for tn in active
-                            if tn.tenant_id not in known},
+            policies={m: p for m, p in self.policies.items() if m in scale},
+            known_demand=known, scale=scale, basis=self.basis_sum,
             link_cache=self.link_cache)
 
     def busy_hour(self) -> EvaluationContext:
@@ -251,11 +246,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             state, ledger = plan(state, scn.candidate_sites, plan_ctx, scn.planner)
             ledgers.append((t, ledger))
             history = DemandHistory(scn.monitor.window_steps)
-            if event is not None and event_live_step is None:
-                event_live_step = t + 1
-        if (event is not None and event_live_step is None
-                and t >= event.step + scn.monitor.consecutive_steps - 1):
-            # capacity proved adequate for the estimate: service goes live
+        if event_live_step is None and t >= event.step and (
+                decision.fire or t >= event.step + scn.monitor.consecutive_steps - 1):
+            # planned for, or capacity proved adequate for the estimate: live
             event_live_step = t + 1
 
     # evaluate the final layout against actual traffic from every tenant
@@ -268,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     rasters = {
-        "demand_mbps": np.sum([raster * ctx.demand_scale.get(m, 1.0)
+        "demand_mbps": np.sum([raster * ctx.scale[m]
                                for m, raster in ctx.known_demand.items()], axis=0),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,

@@ -84,24 +84,27 @@ class DemandHistory:
         return busy[0]
 
 
-def required_bandwidth(tenant_demands: Mapping[str, float],
-                       specs: Mapping[str, float],
-                       avg_se: float) -> float:
-    """Spectrum (MHz) a cell needs for its SLA-capped demand.
+def required_bandwidth(demands: Mapping[str, Mapping[int, float]],
+                       specs: Mapping[str, Mapping[int, float]],
+                       avg_se: Mapping[int, float]) -> dict[int, float]:
+    """Spectrum (MHz) each cell of ``avg_se`` needs for its SLA-capped
+    demand, in ``avg_se`` order.
 
-    Sums min(demand, planning spec) over tenants and divides by the cell's
-    average spectral efficiency.  A cell with zero SE but positive capped
-    demand is un-servable: the requirement is infinite, so every expansion
-    threshold reads as exceeded.
+    ``demands`` and ``specs`` map each tenant to its per-cell Mbps.  A
+    cell's capped demand is ``left_sum`` of min(demand, planning spec) over
+    the tenants in ``demands`` order, divided by the cell's average spectral
+    efficiency.  A cell with zero SE but positive capped demand is
+    un-servable: the requirement is infinite, so every expansion threshold
+    reads as exceeded.
     """
-    capped = left_sum(min(tenant_demands[m], specs[m]) for m in tenant_demands)
-    if capped < 0:
-        raise ValueError("demands and specs must be >= 0")
-    if capped == 0:
-        return 0.0
-    if avg_se <= 0:
-        return math.inf
-    return capped / avg_se
+    pairs = [(cells, specs[m]) for m, cells in demands.items()]
+    out = {}
+    for cid, se in avg_se.items():
+        capped = left_sum(min(d[cid], a[cid]) for d, a in pairs)
+        if capped < 0:
+            raise ValueError("demands and specs must be >= 0")
+        out[cid] = 0.0 if capped == 0 else math.inf if se <= 0 else capped / se
+    return out
 
 
 def latest_max(samples):

@@ -69,18 +69,13 @@ def write_raster_csv(path, grid: GridSpec, values: np.ndarray) -> Path:
     return path
 
 
-def write_raster_pgm(path, grid: GridSpec, values: np.ndarray,
-                     lo: float | None = None, hi: float | None = None) -> Path:
-    """Grayscale PGM (ASCII P2) for quick viewing; finite values scaled to 0..255."""
+def write_raster_pgm(path, grid: GridSpec, values: np.ndarray) -> Path:
+    """Grayscale PGM (ASCII P2) for quick viewing; finite values scaled to
+    0..255 between their min and max."""
     path = Path(path)
     v = np.asarray(values, dtype=float).reshape(grid.ny, grid.nx)
     finite = v[np.isfinite(v)]
-    if lo is None:
-        lo = float(finite.min()) if finite.size else 0.0
-    if hi is None:
-        hi = float(finite.max()) if finite.size else 1.0
-    if hi < lo:
-        raise ValueError(f"PGM bounds lo={lo!r} above hi={hi!r}")
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     span = hi - lo if hi > lo else 1.0
     gray = np.clip(np.nan_to_num(v, nan=lo, neginf=lo, posinf=hi), lo, hi)
     gray = np.round((gray - lo) / span * 255).astype(int)

@@ -288,11 +288,10 @@ class ServingMap:
         """
         return {cid: self._order[s] for cid, s in self.cell_slices.items()}
 
-    def ordered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def ordered(self, values: np.ndarray) -> np.ndarray:
         """``values`` in the map's pixel order, where each cell's pixels fill
-        its ``cell_slices`` slice; into ``out`` when given."""
-        # the order is a permutation: nothing to clip, no buffer
-        return np.take(values, self._order, out=out, mode="clip")
+        its ``cell_slices`` slice: a fresh array, gathered now."""
+        return np.take(values, self._order)
 
     def slice_sums(self, rows: np.ndarray) -> list[dict[int, float]]:
         """Sum of each cell's slice of every row of ``rows``, a C-ordered

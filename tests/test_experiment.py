@@ -156,6 +156,27 @@ def test_run_report_totals_consistent(tmp_path):
     assert total == pytest.approx(report.total_required_mhz)
 
 
+def test_arriving_tenant_is_estimated_until_a_plan_made_after_it_arrives(monkeypatch):
+    # alpha 0.3 and one violating step fire the trigger at step 0, before the
+    # arrival at step 2: that plan does not deploy the arriving service, so
+    # its spec stands in for its traffic at step 2 and it goes live at step 3
+    known = []
+
+    def recording(state, ctx):
+        known.append(set(ctx.known_demand))
+        return evaluate_state(state, ctx)
+
+    monkeypatch.setattr("scplan.experiment.evaluate_state", recording)
+    scn = load_scenario(BUNDLED)
+    arriving, step = scn.event.tenant.tenant_id, scn.event.step
+    report = run_experiment(ExperimentConfig(BUNDLED, method="corr-px", horizon=6,
+                                             alpha=0.3, consecutive_steps=1))
+    assert report.fired_steps[0] < step
+    assert arriving not in known[step]
+    assert [arriving in k for k in known[step + 1:]] == [True] * (len(known) - step - 1)
+    assert report.total_required_mhz == pytest.approx(56.499, abs=5e-4)
+
+
 def test_emit_report_empty_ledger_changelog(mini_path, tmp_path):
     cfg = ExperimentConfig(mini_path, method="uniform-sc", horizon=4)
     report = run_experiment(cfg)
@@ -236,20 +257,6 @@ def test_writers_match_csv_writer_reference(tmp_path):
     gray[256:259] = [0, 255, 0]
     got = write_raster_pgm(tmp_path / "levels.pgm", levels, raster)
     assert got.read_bytes() == _pgm_reference(levels, gray.astype(int))
-
-
-def test_write_raster_pgm_keeps_explicit_zero_bounds(tmp_path):
-    grid = GridSpec(12.0, 3.0, 3.0)             # 4 x 1 pixels
-    negative = np.array([-20.0, -10.0, -5.0, -30.0])
-    got = write_raster_pgm(tmp_path / "hi.pgm", grid, negative, lo=-20.0, hi=0.0)
-    assert got.read_bytes() == _pgm_reference(grid, [0, 128, 191, 0])
-    got = write_raster_pgm(tmp_path / "hi_only.pgm", grid, negative, hi=0.0)
-    assert got.read_bytes() == _pgm_reference(grid, [85, 170, 212, 0])
-    with pytest.raises(ValueError, match="above hi"):   # lo=0.0 over data whose max is -5
-        write_raster_pgm(tmp_path / "crossed.pgm", grid, negative, lo=0.0)
-    positive = np.array([-1.0, 2.0, 4.0, 1.0])
-    got = write_raster_pgm(tmp_path / "lo.pgm", grid, positive, lo=0.0)
-    assert got.read_bytes() == _pgm_reference(grid, [0, 128, 255, 64])
 
 
 def test_layout_fragment_chains_into_scenario(tmp_path):
@@ -408,10 +415,10 @@ def test_busy_hour_is_the_busy_step_evaluation_with_the_estimate_unscaled(tmp_pa
                 == {m: r.tobytes() for m, r in step.known_demand.items()})
         assert list(busy.known_demand) == ["a"]
         assert busy.basis.tobytes() == step.basis.tobytes()
-        assert busy.demand_scale == step.demand_scale == {"a": 1.0}
-        # the spec is already C * w(busy): an estimate scales by w(t) / w(busy)
-        assert busy.estimate_scale == step.estimate_scale == {"b": 1.0}
-        assert run.evaluation(everyone, scn.tenants, 0).estimate_scale == {"b": 1.0 / 0.4}
+        # live "a" scales by w(t); the spec is already C * w(busy), so the
+        # estimated "b" scales by w(t) / w(busy)
+        assert busy.scale == step.scale == {"a": 1.0, "b": 1.0}
+        assert run.evaluation(everyone, scn.tenants, 0).scale["b"] == 1.0 / 0.4
         assert_same_evaluation(evaluate_state(scn.initial_state, busy),
                                evaluate_state(scn.initial_state, step))
 
@@ -431,16 +438,19 @@ def test_peak_rasters_with_their_scale_evaluate_as_the_scaled_rasters(tmp_path):
         run = build_context(scn, method)
         for live, t in ((scn.tenants, 0), (scn.tenants, 2), (everyone, 3)):
             ctx = run.evaluation(everyone, live, t)
-            assert set(ctx.demand_scale) == set(ctx.known_demand)
-            assert ctx.demand_scale != {m: 1.0 for m in ctx.known_demand}
+            assert set(ctx.scale) == set(ctx.known_demand) | set(ctx.policies)
+            assert {m: ctx.scale[m] for m in ctx.known_demand} != \
+                {m: 1.0 for m in ctx.known_demand}
             for fixed in (True, False):
                 scaled = {}
                 for m, raster in ctx.known_demand.items():
-                    scaled[m] = raster * ctx.demand_scale[m]
+                    scaled[m] = raster * ctx.scale[m]
                     scaled[m].flags.writeable = not fixed
                 plain = EvaluationContext(grid=ctx.grid, radio=ctx.radio,
                                           policies=ctx.policies, known_demand=scaled,
-                                          basis=ctx.basis, estimate_scale=ctx.estimate_scale)
+                                          basis=ctx.basis,
+                                          scale={m: w for m, w in ctx.scale.items()
+                                                 if m not in scaled})
                 mine = replace(ctx, link_cache=None)
                 for _ in range(2):      # a new map, then the same map again
                     assert_same_evaluation(evaluate_state(scn.initial_state, mine),

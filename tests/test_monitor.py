@@ -9,30 +9,76 @@ from scplan.monitor import (DemandHistory, MonitorParams, check_trigger,
 from scplan.scenario import NetworkState, SmallCell
 
 
+def one_cell(demands, specs, se):
+    """``required_bandwidth`` of one cell, from each tenant's Mbps there."""
+    return required_bandwidth({m: {1: v} for m, v in demands.items()},
+                              {m: {1: v} for m, v in specs.items()}, {1: se})[1]
+
+
 def test_required_bandwidth_hand_case():
-    value = required_bandwidth({"a": 10.0, "b": 30.0}, {"a": 20.0, "b": 20.0}, 2.0)
+    value = one_cell({"a": 10.0, "b": 30.0}, {"a": 20.0, "b": 20.0}, 2.0)
     assert value == pytest.approx(15.0)
 
 
 def test_required_bandwidth_zero_and_saturated():
-    assert required_bandwidth({"a": 0.0}, {"a": 5.0}, 2.0) == 0.0
+    assert one_cell({"a": 0.0}, {"a": 5.0}, 2.0) == 0.0
     # demand above every spec: the spec side caps
-    value = required_bandwidth({"a": 50.0, "b": 40.0}, {"a": 20.0, "b": 10.0}, 1.5)
+    value = one_cell({"a": 50.0, "b": 40.0}, {"a": 20.0, "b": 10.0}, 1.5)
     assert value == pytest.approx(30.0 / 1.5)
 
 
 def test_required_bandwidth_unservable_sentinel():
-    value = required_bandwidth({"a": 5.0}, {"a": 10.0}, 0.0)
+    value = one_cell({"a": 5.0}, {"a": 10.0}, 0.0)
     assert math.isinf(value)
     # zero capped demand stays zero even with zero efficiency
-    assert required_bandwidth({"a": 0.0}, {"a": 0.0}, 0.0) == 0.0
+    assert one_cell({"a": 0.0}, {"a": 0.0}, 0.0) == 0.0
 
 
 def test_required_bandwidth_monotonicity():
-    base = required_bandwidth({"a": 10.0}, {"a": 20.0}, 2.0)
-    assert required_bandwidth({"a": 12.0}, {"a": 20.0}, 2.0) >= base
-    assert required_bandwidth({"a": 10.0}, {"a": 25.0}, 2.0) >= base
-    assert required_bandwidth({"a": 10.0}, {"a": 20.0}, 2.5) <= base
+    base = one_cell({"a": 10.0}, {"a": 20.0}, 2.0)
+    assert one_cell({"a": 12.0}, {"a": 20.0}, 2.0) >= base
+    assert one_cell({"a": 10.0}, {"a": 25.0}, 2.0) >= base
+    assert one_cell({"a": 10.0}, {"a": 20.0}, 2.5) <= base
+
+
+def test_required_bandwidth_applies_each_rule_per_cell():
+    # zero demand, zero SE with demand and both zero, each in its own cell
+    got = required_bandwidth({"a": {1: 0.0, 2: 5.0, 3: 0.0, 4: 10.0}},
+                             {"a": {1: 5.0, 2: 5.0, 3: 0.0, 4: 8.0}},
+                             {4: 2.0, 3: 0.0, 2: 0.0, 1: 2.0})
+    assert got == {4: 4.0, 3: 0.0, 2: math.inf, 1: 0.0} and list(got) == [4, 3, 2, 1]
+
+
+mbps = st.sampled_from([0.0, 0.0, 1e-300, 0.1, 0.2, 0.3, 1.0, 3.5, 1e16]) | \
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 4), st.lists(st.integers(-5, 40), min_size=1,
+                                              max_size=6, unique=True))
+def test_required_bandwidth_maps_equal_a_per_cell_left_to_right_loop(data, tenants, cells):
+    # the per-tenant cell maps give, cell by cell, the bits of min(demand,
+    # spec) added over tenants left to right and divided by the cell's SE;
+    # zero demand, zero SE (inf) and both (0.0) are drawn often
+    names = [f"t{i}" for i in range(tenants)]
+    demands = {m: {c: data.draw(mbps) for c in cells} for m in names}
+    specs = {m: {c: data.draw(mbps) for c in reversed(cells)} for m in reversed(names)}
+    avg_se = {c: data.draw(st.sampled_from([0.0, 4.4]) | st.floats(0.0, 5.0))
+              for c in data.draw(st.permutations(cells))}
+    got = required_bandwidth(demands, specs, avg_se)
+    assert list(got) == list(avg_se)
+    for cid, se in avg_se.items():
+        capped = 0.0
+        for m in names:
+            capped += min(demands[m][cid], specs[m][cid])
+        want = 0.0 if capped == 0 else math.inf if se <= 0 else capped / se
+        assert got[cid].hex() == want.hex()
+    # a negative demand or spec that caps a cell's sum below 0 raises
+    cid = data.draw(st.sampled_from(cells))
+    side = data.draw(st.sampled_from([demands, specs]))
+    side[names[0]][cid] = -1e7 - sum(min(demands[m][cid], specs[m][cid]) for m in names)
+    with pytest.raises(ValueError, match=">= 0"):
+        required_bandwidth(demands, specs, avg_se)
 
 
 def test_busy_hour_argmax_and_ties():

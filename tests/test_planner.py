@@ -419,7 +419,7 @@ def test_evaluate_state_hand_computable_case(params):
     # estimate counts as demand at full weight: (5 + 9) / 4.4
     assert ev.required_mhz[1] == pytest.approx(14.0 / 4.4)
     # scaling the estimate by a temporal weight scales only its demand term
-    ctx.estimate_scale = {"new": 0.5}
+    ctx.scale = {"new": 0.5}
     ev2 = evaluate_state(state, ctx)
     assert ev2.required_mhz[1] == pytest.approx((5.0 + 4.5) / 4.4)
 

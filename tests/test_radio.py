@@ -470,10 +470,10 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
         if mask.any():
             spread[mask] = expected[cid] * 0.7 / int(mask.sum())
     policy = TenantSpecPolicy("t", 1.0, "uniform-sc")
-    assert _estimate_raster(policy, expected, serving, 0.7, None).tobytes() == \
+    assert _estimate_raster(policy, expected, serving, 0.7, serving.ordered).tobytes() == \
         in_map_order(spread).tobytes()
     policy = TenantSpecPolicy("t", 1.0, "corr-px", specs)
-    assert _estimate_raster(policy, None, serving, 0.7, serving.ordered(raster)).tobytes() == \
+    assert _estimate_raster(policy, None, serving, 0.7, serving.ordered).tobytes() == \
         in_map_order(raster * 0.7).tobytes()
 
     def mask_average_se(mask, weights):

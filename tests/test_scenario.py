@@ -124,8 +124,8 @@ def test_float_sums_add_left_to_right_on_every_python_version(tmp_path):
     split = translate_sc_level(3.0, NetworkState(tuple(SmallCell(i, i, (0,)) for i in cells)),
                                "correlated", cells)
     assert split.cell_values[1] == 3.0
-    assert required_bandwidth({m: v for m, v in enumerate(small)},
-                              dict.fromkeys(range(len(small)), 2.0), 1.0) == 1.0
+    assert required_bandwidth({m: {1: v} for m, v in enumerate(small)},
+                              dict.fromkeys(range(len(small)), {1: 2.0}), {1: 1.0}) == {1: 1.0}
     ev = NetworkEvaluation(*(None,) * 6, required_mhz=cells)
     assert ev.total_required() == 1.0
     write_bandwidth_table(tmp_path / "bw.csv", list(cells.items()))
