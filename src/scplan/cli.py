@@ -4,7 +4,8 @@ Subcommands: ``validate`` (invariant diagnostics), ``translate`` (emit
 planning specs only), ``plan`` (one planner invocation), ``run`` (full
 experiment) and ``report`` (summarize a run directory).
 
-Exit codes: 0 ok, 1 invariant violation, 2 I/O or parse error.
+Exit codes: 0 ok, 1 invariant violation (overrides included), 2 a file that
+cannot be read, decoded or parsed; any other error shows its traceback.
 """
 from __future__ import annotations
 
@@ -168,9 +169,6 @@ def main(argv=None) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

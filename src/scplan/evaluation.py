@@ -27,23 +27,16 @@ METHODS = ("uniform-sc", "corr-sc", "uniform-px", "corr-px", "oracle")
 class TenantSpecPolicy:
     """How one tenant's busy-hour capacity maps onto any given layout.
 
-    Cell-level modes re-translate on every layout; pixel-level modes carry a
-    fixed spec set, ``pixel_specs``, whose raster is re-aggregated over the
-    serving map.  The ``oracle`` mode is a pixel raster proportional to the
-    tenant's own real traffic.
+    Data that ``evaluate_state`` applies: cell-level modes re-translate on
+    every layout; pixel-level modes carry a fixed spec set, ``pixel_specs``,
+    re-aggregated over the serving map.  The ``oracle`` mode is a pixel
+    raster proportional to the tenant's own real traffic.
     """
 
     tenant_id: str
     a_busy_mbps: float
     mode: str
     pixel_specs: PlanningSpecSet | None = None
-
-    def cell_specs(self, state: NetworkState, serving, basis_cell_demand) -> dict[int, float]:
-        if self.mode in ("uniform-sc", "corr-sc"):
-            method = "uniform" if self.mode == "uniform-sc" else "correlated"
-            return translate_sc_level(self.a_busy_mbps, state, method, basis_cell_demand,
-                                      tenant_id=self.tenant_id).cell_values
-        return pixel_specs_to_cell(self.pixel_specs, serving)
 
 
 def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
@@ -104,7 +97,7 @@ class EvaluationContext:
             self.basis.flags.writeable = False
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkEvaluation:
     """One layout's link state and per-cell demands, specs and required
     bandwidth.  ``pixel_se`` is the mean SE over the serving cell's
@@ -153,20 +146,19 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     each pixel-level spec raster the map keeps no sums of, the weights (the
     traffic added left to right, then the estimates in policy order) and
     the weighted SE, so one ``ServingMap.slice_sums`` sums each cell once.
-    The map keeps a spec raster's sums, where ``pixel_specs_to_cell`` reads
-    them (``keep_sums``); the basis a corr-sc split reads is summed at each
+    Each policy is applied here: ``translate_sc_level`` re-splits a
+    cell-level one before the sums (its estimate is a weight), and
+    ``pixel_specs_to_cell`` reads a pixel-level one's sums, which the map
+    keeps (``keep_sums``), after them; a corr-sc basis is summed at each
     evaluation.  Every other raster is read through
-    ``ctx.link_cache.ordered``, gathered once while the layout is kept, so
-    a site-search trial gathers each raster once.  Each tenant's demand and
-    spec per cell feed one ``required_bandwidth`` call.  Powers and link state depend on the layout alone, so they are
+    ``ctx.link_cache.ordered``, gathered once while the layout is kept.
+    Each tenant's demand and spec per cell feed one ``required_bandwidth``
+    call.  Powers and link state depend on the layout alone, so they are
     taken from ``ctx.link_cache`` when it holds this layout; a site
     search's trial takes its batch-solved powers and builds no SINR table.
     """
     state, serving, pixel_se = ctx.link_cache.link(state)
     ordered = ctx.link_cache.ordered
-    basis_cell = {}
-    if any(p.mode == "corr-sc" for p in ctx.policies.values()):
-        basis_cell = serving.cell_sums(ctx.basis)
     unsummed = [p.pixel_specs.pixel_values for p in ctx.policies.values()
                 if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)]
 
@@ -185,7 +177,10 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, policy in ctx.policies.items():
         if policy.pixel_specs is None:
-            specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
+            split = "correlated" if policy.mode == "corr-sc" else "uniform"
+            basis_cell = serving.cell_sums(ctx.basis) if split == "correlated" else None
+            specs[tenant_id] = translate_sc_level(policy.a_busy_mbps, state, split, basis_cell,
+                                                  tenant_id=policy.tenant_id).cell_values
         if tenant_id not in ctx.known_demand:
             np.add(weights, _estimate_raster(policy, specs[tenant_id], serving,
                                              ctx.scale.get(tenant_id, 1.0), ordered),
@@ -203,7 +198,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
             specs[tenant_id] = dict(cell_sums)
     for tenant_id, policy in ctx.policies.items():
         if policy.pixel_specs is not None:
-            specs[tenant_id] = policy.cell_specs(state, serving, basis_cell)
+            specs[tenant_id] = pixel_specs_to_cell(policy.pixel_specs, serving)
         if tenant_id not in ctx.known_demand:
             scale = ctx.scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in specs[tenant_id].items()}

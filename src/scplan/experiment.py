@@ -51,18 +51,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
     def scenario(self) -> Scenario:
-        """The scenario at ``scenario_path`` with this config's overrides: a
-        field set here replaces the monitor or planner parameter of the same
-        name, and a new seed redraws the candidate sites of a fraction-drawn
-        pool; a seed given for an explicit pixel list is the named violation
-        ``run.seed_unused``."""
-        scn = load_scenario(self.scenario_path)
-
-        def overridden(params):
-            return replace(params, **{f.name: getattr(self, f.name) for f in fields(params)
-                                      if getattr(self, f.name, None) is not None})
-
-        scn = replace(scn, monitor=overridden(scn.monitor), planner=overridden(scn.planner))
+        """The scenario at ``scenario_path`` loaded with each field set here
+        as the monitor or planner parameter of the same name; a new seed then
+        redraws the candidate sites of a fraction-drawn pool, and is the
+        named violation ``run.seed_unused`` for an explicit pixel list."""
+        scn = load_scenario(self.scenario_path, {n: getattr(self, n) for n in PARAM_OVERRIDES
+                                                 if getattr(self, n) is not None})
         if self.seed is not None:
             require((scn.candidate_fraction is not None, "run.seed_unused",
                      f"seed {self.seed} would redraw the candidate sites, but the "

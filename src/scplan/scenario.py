@@ -229,7 +229,7 @@ class TenantProfile:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServingMap:
     """Assignment of every pixel to exactly one deployed cell.
 
@@ -242,8 +242,8 @@ class ServingMap:
 
     cell_ids: tuple[int, ...]
     pixel_cell: np.ndarray      # (num_pixels,) of cell ids
-    pixel_col: np.ndarray | None = field(default=None, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    pixel_col: np.ndarray | None = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixel_cell)

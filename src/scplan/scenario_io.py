@@ -7,6 +7,8 @@ planner, and an optional new-tenant arrival event.
 Loading is the one definition of a valid scenario: each dataclass checks
 its own fields, the loader adds the checks that span sections and raises
 one InvariantError listing every violation, and ``validate`` returns it.
+A run's overrides are written into the document first and meet the same
+checks; a file that cannot be read, decoded or parsed is a ScenarioError.
 """
 from __future__ import annotations
 
@@ -231,19 +233,28 @@ def scenario_from_dict(doc) -> Scenario:
 
 
 def read_document(path):
-    """The parsed JSON of a scenario file; ScenarioError if unreadable."""
+    """The parsed JSON of a scenario file, or a ScenarioError naming it."""
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"cannot parse {path}: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_document(path))
+def load_scenario(path, overrides=None) -> Scenario:
+    """The scenario at ``path``, each of ``overrides`` (values by name) first
+    written into each of monitor and planner that declares it (``alpha``: both)."""
+    doc, overrides = read_document(path), overrides or {}
+    for section, cls in (("monitor", MonitorParams), ("planner", PlannerParams)):
+        given = {f.name: overrides[f.name] for f in fields(cls) if f.name in overrides}
+        if given and isinstance(doc, dict) and isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), **given}
+    return scenario_from_dict(doc)
 
 
 def validate(doc) -> list[str]:

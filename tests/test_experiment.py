@@ -577,16 +577,59 @@ def test_cli_exit_codes_match_readme(tmp_path, capsys):
         assert "monitor.alpha_range" in captured.out + captured.err, cmd
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
-    for path in (broken, tmp_path / "missing.json"):
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"grid": "\xff"}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"grid": ' + "9" * 5000 + "}")
+    for path in (broken, tmp_path / "missing.json", not_utf8, long_int):
         for cmd in ("validate", "run"):
             args = [cmd, "--scenario", str(path)]
             if cmd != "validate":
                 args += ["--out", str(tmp_path / "x")]
             assert main(args) == 2, (cmd, path.name)
+            assert path.name in capsys.readouterr().err, (cmd, path.name)
+        with pytest.raises(ScenarioError, match=path.name):
+            validate_file(path)
     # an override is checked like the document's own value
     assert main(["translate", "--scenario", str(BUNDLED), "--alpha", "2",
                  "--out", str(tmp_path / "tr")]) == 1
     assert "monitor.alpha_range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, sections", [({"k_max": 1}, ("planner",)),
+                                                ({"alpha": 2}, ("monitor", "planner"))])
+def test_overrides_meet_the_documents_checks(override, sections, tmp_path, capsys):
+    # a second channel is within the document's k_max, not within the override's
+    doc = _bundled_doc()
+    doc["initial_cells"][0]["channels"] = [0, 1]
+    assert validate(doc) == []
+    path = tmp_path / "two_channels.json"
+    path.write_text(json.dumps(doc))
+    for section in sections:
+        doc[section].update(override)
+    expected = validate(doc)
+    assert expected
+    with pytest.raises(InvariantError) as exc:
+        ExperimentConfig(path, **override).scenario()
+    assert exc.value.violations == expected
+    (name, value), = override.items()
+    flag = {"k_max": "--kmax", "alpha": "--alpha"}[name]
+    assert main(["run", "--scenario", str(path), flag, str(value), "--horizon", "4",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert all(rule in err for rule in _names(expected))
+    assert not (tmp_path / "run").exists()
+
+
+def test_overrides_leave_a_malformed_document_to_the_loader(tmp_path):
+    doc = _bundled_doc()
+    doc["monitor"] = [0.5]
+    path = tmp_path / "malformed.json"
+    for text in (json.dumps(doc), "[]"):
+        path.write_text(text)
+        with pytest.raises(InvariantError) as exc:
+            ExperimentConfig(path, alpha=0.5).scenario()
+        assert exc.value.violations == validate(json.loads(text))
 
 
 def test_candidate_redraw_is_not_rechecked(tmp_path):

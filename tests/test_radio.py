@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
-from scplan.evaluation import (EvaluationContext, TenantSpecPolicy, _estimate_raster,
-                               evaluate_state)
+from scplan.evaluation import (EvaluationContext, NetworkEvaluation, TenantSpecPolicy,
+                               _estimate_raster, evaluate_state)
 from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
                           configure_powers, link_state, path_loss, rx_power_matrix,
                           serving_assignment, serving_mean, sinr, spectral_efficiency)
@@ -446,6 +446,18 @@ def test_serving_map_rejects_a_pixel_of_an_unknown_cell():
         with pytest.raises(ValueError, match="not in cell_ids"):
             ServingMap(ids, np.array(pixel_cell))
     assert ServingMap((), np.array([], dtype=int)).cell_pixels == {}
+
+
+def test_maps_and_evaluations_compare_by_identity():
+    # equal fields hold arrays, whose ``==`` has no single truth value
+    serving = ServingMap((3, 1), np.array([1, 3, 3]))
+    copy = ServingMap(serving.cell_ids, serving.pixel_cell.copy())
+    ev = NetworkEvaluation(None, serving, np.ones(3), {}, {}, {}, {})
+    for one, rebuilt in ((serving, copy),
+                         (ev, NetworkEvaluation(None, copy, np.ones(3), {}, {}, {}, {}))):
+        assert one == one
+        assert one != rebuilt
+        assert len({one, one, rebuilt}) == 2
 
 
 @pytest.mark.parametrize("seed", range(8))
