@@ -19,7 +19,7 @@ from .experiment import (PARAM_OVERRIDES, ExperimentConfig, build_context, emit_
                          plan_once, run_experiment)
 from .presets import bundled_scenario_path
 from .reporting import read_bandwidth_table, write_plan_files, write_spec_csv
-from .scenario import InvariantError, ScenarioError, left_sum
+from .scenario import InvariantError, ScenarioError, left_sum, require
 from .scenario_io import validate_file
 
 
@@ -71,9 +71,8 @@ def _cmd_validate(args) -> int:
 def _cmd_translate(args) -> int:
     cfg = _config(args)
     scn = cfg.scenario()
-    if scn.event is None:
-        print("scenario has no arriving tenant to translate for")
-        return 1
+    require((scn.event is not None, "translate.event_required",
+             "the scenario has no arriving tenant to translate for"))
     ctx = build_context(scn, cfg.method, cfg.horizon).busy_hour()
     tenant_id = scn.event.tenant.tenant_id
     policy = ctx.policies[tenant_id]

@@ -23,7 +23,7 @@ from .sla import PlanningSpecSet, pixel_specs_to_cell, translate_pixel_level, tr
 METHODS = ("uniform-sc", "corr-sc", "uniform-px", "corr-px", "oracle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TenantSpecPolicy:
     """How one tenant's busy-hour capacity maps onto any given layout.
 
@@ -58,7 +58,7 @@ def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
     return TenantSpecPolicy(tenant_id, a_busy_mbps, mode, specs)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationContext:
     """Everything the performance model needs besides the layout itself.
 
@@ -71,8 +71,8 @@ class EvaluationContext:
     temporal weight relative to the busy hour).  ``basis`` is the busy-hour
     raster that correlated cell-level splits follow (defaults to the sum of
     the scaled known traffic).  ``link_cache`` keeps the radio state of the
-    layouts evaluated and the kept layout's gathers; contexts of one run
-    share one, which must be of ``grid`` and ``radio``.  A context's
+    layouts evaluated and the kept layout's gathers and spec sums; contexts
+    of one run share one, which must be of ``grid`` and ``radio``.  A context's
     rasters stay unchanged while any context that shares its link cache is
     in use.
     """
@@ -83,7 +83,7 @@ class EvaluationContext:
     known_demand: dict[str, np.ndarray] = field(default_factory=dict)
     scale: dict[str, float] = field(default_factory=dict)
     basis: np.ndarray | None = field(default=None, repr=False)
-    link_cache: LinkCache | None = field(default=None, repr=False, compare=False)
+    link_cache: LinkCache | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.link_cache is None:
@@ -115,17 +115,11 @@ class NetworkEvaluation:
         return left_sum(self.required_mhz.values())
 
 
-def _estimate_raster(policy: TenantSpecPolicy, cell_specs: dict[int, float] | None,
-                     serving: ServingMap, scale: float, ordered) -> np.ndarray:
+def _estimate_raster(cell_specs: dict[int, float], serving: ServingMap,
+                     scale: float) -> np.ndarray:
     """Expected traffic, in the map's pixel order, of a tenant whose service
-    is not live yet.
-
-    Pixel-level policies carry the raster directly, put in the map's order
-    by ``ordered`` (an evaluation's ``LinkCache.ordered``); cell-level
-    splits are spread evenly over each cell's service area.
-    """
-    if policy.pixel_specs is not None:
-        return ordered(policy.pixel_specs.pixel_values) * scale
+    is not live yet under a cell-level policy: its split times ``scale``,
+    spread evenly over each cell's service area."""
     out = np.zeros(serving.pixel_cell.size)
     for cid, value in cell_specs.items():
         span = serving.cell_slices[cid]
@@ -139,28 +133,28 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
 
     Powers are re-configured, the serving map re-derived, every tenant's
     specs re-expressed for this layout and each cell's required bandwidth
-    evaluated.  The SE average is weighted by the total expected traffic:
-    observable demand plus the estimated rasters of tenants that are not
-    live yet.  Every raster summed per cell is a row of one ``(k, P)``
-    array in the serving map's pixel order: each live tenant's traffic,
-    each pixel-level spec raster the map keeps no sums of, the weights (the
-    traffic added left to right, then the estimates in policy order) and
-    the weighted SE, so one ``ServingMap.slice_sums`` sums each cell once.
-    Each policy is applied here: ``translate_sc_level`` re-splits a
-    cell-level one before the sums (its estimate is a weight), and
-    ``pixel_specs_to_cell`` reads a pixel-level one's sums, which the map
-    keeps (``keep_sums``), after them; a corr-sc basis is summed at each
-    evaluation.  Every other raster is read through
-    ``ctx.link_cache.ordered``, gathered once while the layout is kept.
-    Each tenant's demand and spec per cell feed one ``required_bandwidth``
-    call.  Powers and link state depend on the layout alone, so they are
-    taken from ``ctx.link_cache`` when it holds this layout; a site
-    search's trial takes its batch-solved powers and builds no SINR table.
+    evaluated; powers and link state come from ``ctx.link_cache`` (see
+    ``LinkCache.link``).  The SE average is weighted by the total expected
+    traffic: observable demand plus the estimated rasters of tenants that
+    are not live yet.  One ``ServingMap.slice_sums`` sums each cell of a
+    ``(k, P)`` array in the map's pixel order: each live tenant's traffic,
+    each pixel-level spec raster whose sums the layout does not keep, the
+    weights (the traffic added left to right, then the estimates in policy
+    order) and the weighted SE.  ``translate_sc_level`` re-splits a
+    cell-level policy before the sums, and ``pixel_specs_to_cell`` takes a
+    pixel-level one's sums after them; a corr-sc basis is summed at each
+    evaluation.  A layout that keeps (see ``LinkCache``) reuses its gathers
+    and spec sums; a spec raster is summed once per kept layout, so it is
+    gathered straight into its row, as a site-search trial gathers every
+    raster.  Each tenant's demand and spec per cell feed one
+    ``required_bandwidth`` call.
     """
-    state, serving, pixel_se = ctx.link_cache.link(state)
-    ordered = ctx.link_cache.ordered
-    unsummed = [p.pixel_specs.pixel_values for p in ctx.policies.values()
-                if p.pixel_specs is not None and serving.unsummed(p.pixel_specs.pixel_values)]
+    cache = ctx.link_cache
+    state, serving, pixel_se = cache.link(state)
+    pixel = {m: p.pixel_specs.pixel_values for m, p in ctx.policies.items()
+             if p.pixel_specs is not None}
+    summed = {m: cache.sums(raster) for m, raster in pixel.items()}
+    unsummed = [m for m, sums in summed.items() if sums is None]
 
     # a traffic row holds the floats of ``(raster * scale)[order]``: a layout
     # evaluated at many steps keeps the raster gathered and only scales it
@@ -168,9 +162,10 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     rows = np.empty((k + len(unsummed) + 2, serving.pixel_cell.size))
     traffic, weights, weighted = rows[:k], rows[-2], rows[-1]
     for (m, raster), row in zip(ctx.known_demand.items(), traffic):
-        np.multiply(ordered(raster), ctx.scale.get(m, 1.0), out=row)
-    for raster, row in zip(unsummed, rows[k:-2]):
-        row[:] = ordered(raster)
+        np.multiply(cache.ordered(raster, row), ctx.scale.get(m, 1.0), out=row)
+    spec_rows = {m: serving.ordered(pixel[m], row) for m, row in zip(unsummed, rows[k:-2])}
+    spec_rows.update((m, cache.ordered(raster)) for m, raster in pixel.items()
+                     if m not in spec_rows and m not in ctx.known_demand)   # estimates' gathers
     weights[:] = traffic[0] if k else 0.0
     for row in traffic[1:]:
         np.add(weights, row, out=weights)
@@ -181,14 +176,15 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
             basis_cell = serving.cell_sums(ctx.basis) if split == "correlated" else None
             specs[tenant_id] = translate_sc_level(policy.a_busy_mbps, state, split, basis_cell,
                                                   tenant_id=policy.tenant_id).cell_values
-        if tenant_id not in ctx.known_demand:
-            np.add(weights, _estimate_raster(policy, specs[tenant_id], serving,
-                                             ctx.scale.get(tenant_id, 1.0), ordered),
-                   out=weights)
-    np.multiply(ordered(pixel_se), weights, out=weighted)
+        if tenant_id not in ctx.known_demand:      # an estimate: its spec, scaled
+            scale = ctx.scale.get(tenant_id, 1.0)
+            np.add(weights, spec_rows[tenant_id] * scale if tenant_id in spec_rows
+                   else _estimate_raster(specs[tenant_id], serving, scale), out=weights)
+    np.multiply(cache.ordered(pixel_se, weighted), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
-    for raster, cell_sums in zip(unsummed, sums[k:]):
-        serving.keep_sums(raster, cell_sums)
+    for m, cell_sums in zip(unsummed, sums[k:]):
+        cache.keep_sums(pixel[m], cell_sums)
+        summed[m] = cell_sums
 
     demands: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, cell_sums in zip(ctx.known_demand, sums):
@@ -198,7 +194,7 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
             specs[tenant_id] = dict(cell_sums)
     for tenant_id, policy in ctx.policies.items():
         if policy.pixel_specs is not None:
-            specs[tenant_id] = pixel_specs_to_cell(policy.pixel_specs, serving)
+            specs[tenant_id] = pixel_specs_to_cell(policy.pixel_specs, serving, summed[tenant_id])
         if tenant_id not in ctx.known_demand:
             scale = ctx.scale.get(tenant_id, 1.0)
             demands[tenant_id] = {cid: v * scale for cid, v in specs[tenant_id].items()}

@@ -72,7 +72,7 @@ PARAM_OVERRIDES = tuple(f.name for f in fields(ExperimentConfig) if f.name in
                         {p.name for p in fields(MonitorParams) + fields(PlannerParams)})
 
 
-@dataclass
+@dataclass(eq=False)
 class Report:
     method: str
     horizon: int
@@ -91,7 +91,7 @@ class Report:
     config_echo: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunContext:
     """What a run or a planning pass derives from a scenario before any step.
 
@@ -111,7 +111,7 @@ class RunContext:
     demand_totals: dict[str, list[float]]
     policies: dict[str, TenantSpecPolicy]
     basis_sum: np.ndarray = field(repr=False)
-    link_cache: LinkCache = field(repr=False, compare=False)
+    link_cache: LinkCache = field(repr=False)
 
     def evaluation(self, active, live, t: int) -> EvaluationContext:
         """Model inputs at step ``t``: the ``active`` tenants' policies, the

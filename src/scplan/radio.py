@@ -101,26 +101,24 @@ def noise_floor_dbm(params: PropagationParams) -> float:
 
 class LinkCache:
     """Radio quantities of one run that depend on the layout alone, on the
-    cache's ``grid`` and radio ``params``, kept so an unchanged layout skips
-    the radio model; nothing is process-global.
+    cache's ``grid`` and radio ``params``, and the one home of what a layout
+    keeps between its evaluations; nothing is process-global.
 
     For the cells of the last layout seen it holds the path-loss column of
     each site and the mW received-power column of each (site, power), so a
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); the link state of the last
-    layout asked for (see ``link``); and the last full build, SINR table
-    included (see ``sinr_table``), with its running max, serving map (and
-    so each cell's pixel indices), channel totals, SE table, pixel SE and
-    path-loss and mW columns.  ``link_state`` builds a layout that is the
-    kept full build plus one trailing cell, as every site-search trial is,
-    as a delta on them (see ``_trial_link``): on index sets, the pixels a
-    touched column can take and the pixel groups of a changed channel's
-    holders, with the bytes of the full build but no SINR table, which a
-    search never reads.  ``prepare_search`` keeps a search's base as that
-    build and holds its trials' powers, solved in one batch.  The kept
-    build is released before the next is made, so two never coexist.  The
-    last layout linked keeps the rasters it is evaluated on gathered into
-    its pixel order (see ``ordered``) until another layout is linked.
+    layout linked (see ``link``); and the last full build, SINR table
+    included (see ``sinr_table``), on which ``link_state`` builds a site
+    search's trials as deltas.  ``prepare_search`` keeps a search's base as
+    that build and solves its trials' powers in one batch.  Two full builds
+    never coexist.
+
+    Until another layout is linked, the last one keeps each raster it is
+    evaluated on gathered into its pixel order (see ``ordered``) and the
+    per-cell sums of each spec raster (see ``sums``); a trial of the last
+    search, evaluated once, keeps nothing unless it is linked again, as a
+    search's winner may be.
 
     Memoized arrays and mW columns are read-only.  The rasters of every
     context that shares a cache stay unchanged while any of them is in use.
@@ -130,19 +128,20 @@ class LinkCache:
         self.grid, self.params = grid, params
         self._xy = np.ascontiguousarray(pixel_positions(grid).T)
         self._path_loss, self._linear, self._trials = {}, {}, {}
-        self._layout, self._built, self._gathers = (), (), {}
+        self._layout, self._built, self._kept = (), (), None
 
     def link(self, state: NetworkState):
         """``(powered state, serving, pixel SE)`` of ``state``: the kept one
         if ``state`` is the kept layout or its powered state (powers depend
-        on the layout alone); else ``state`` is powered (as solved by the
-        last ``prepare_search`` if it is one of its trials, else by
-        ``configure_powers``), built by ``link_state`` and kept, with no
-        gathers: the last layout's are released first."""
+        on the layout alone), which keeps from then on; else ``state`` is
+        powered (as solved by the last ``prepare_search`` if it is one of
+        its trials, else by ``configure_powers``), built by ``link_state``
+        and kept, after what the last layout kept is released."""
         if state in self._layout[:2]:
+            self._kept = {} if self._kept is None else self._kept
             return self._layout[1:]
-        self._gathers = {}
         powered = self._trials.get(state)
+        self._kept = {} if powered is None else None    # a trial keeps nothing
         if powered is None:
             powered = configure_powers(state, self.grid, self.params)
         serving, pixel_se = link_state(powered, self)
@@ -150,15 +149,29 @@ class LinkCache:
         self._layout = (state, powered, serving, pixel_se)
         return self._layout[1:]
 
-    def ordered(self, values: np.ndarray) -> np.ndarray:
+    def ordered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``values`` in the pixel order of the last layout linked (see
-        ``ServingMap.ordered``), read-only, gathered once while that layout
-        is kept."""
-        kept = self._gathers.get(id(values), (None,))
+        ``ServingMap.ordered``): the layout's read-only gather, made once,
+        if it keeps; else gathered now, into ``out`` if given."""
+        if self._kept is None:
+            return self._layout[2].ordered(values, out)
+        kept = self._kept.get(("gather", id(values)), (None,))
         if kept[0] is not values:
-            kept = self._gathers[id(values)] = values, self._layout[2].ordered(values)
+            kept = self._kept["gather", id(values)] = values, self._layout[2].ordered(values)
             kept[1].flags.writeable = False         # values is held: its id stays
         return kept[1]
+
+    def sums(self, values: np.ndarray) -> dict[int, float] | None:
+        """A copy of the per-cell sums of the raster ``values`` that the last
+        layout linked keeps (see ``keep_sums``), or None."""
+        kept = (self._kept or {}).get(("sums", id(values)), (None,))
+        return dict(kept[1]) if kept[0] is values else None
+
+    def keep_sums(self, values: np.ndarray, sums: dict[int, float]):
+        """Keep a copy of ``sums``, the raster ``values``'s per-cell sums on
+        the last layout linked, if it keeps; ``values`` must not change."""
+        if self._kept is not None:
+            self._kept["sums", id(values)] = values, dict(sums)
 
     def sinr_table(self, state: NetworkState):
         """SINR (pixels, channels) of the powered layout ``state``, NaN where

@@ -235,15 +235,14 @@ class ServingMap:
 
     ``pixel_col`` is each pixel's position in ``cell_ids``, as the smallest
     unsigned integer type that holds it; it is derived from ``pixel_cell``
-    when not given.  Besides that value a map holds only the per-cell sums
-    its evaluations declare with ``keep_sums``; gathers that a layout
-    reuses are kept by ``radio.LinkCache.ordered``.
+    when not given.  A map is a plain value that caches only its pixel
+    order and slices; what a layout reuses between evaluations, gathers and
+    spec sums, is kept by ``radio.LinkCache``.
     """
 
     cell_ids: tuple[int, ...]
     pixel_cell: np.ndarray      # (num_pixels,) of cell ids
     pixel_col: np.ndarray | None = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.pixel_cell)
@@ -280,18 +279,20 @@ class ServingMap:
     @cached_property
     def cell_pixels(self) -> dict[int, np.ndarray]:
         """Ascending indices of the pixels each cell serves, in ``cell_ids``
-        order, as its slice of the pixel order; empty if it serves none.
-
-        ``a[cell_pixels[c]]`` holds the elements of ``a[pixel_cell == c]`` in
-        the same order, so per-cell sums are bit-identical to the mask form
-        while one aggregation over all cells costs O(P) instead of O(P*N).
-        """
+        order, as its slice of the pixel order (empty if it serves none):
+        ``a[cell_pixels[c]]`` is ``a[pixel_cell == c]``, element for element,
+        found in O(P) for every cell at once."""
         return {cid: self._order[s] for cid, s in self.cell_slices.items()}
 
-    def ordered(self, values: np.ndarray) -> np.ndarray:
-        """``values`` in the map's pixel order, where each cell's pixels fill
-        its ``cell_slices`` slice: a fresh array, gathered now."""
-        return np.take(values, self._order)
+    def ordered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``values``, a raster of the map's pixel count, in the map's pixel
+        order, where each cell's pixels fill its ``cell_slices`` slice:
+        gathered now, into ``out`` if given, else into a fresh array."""
+        if len(values) != self.pixel_col.size:
+            raise ValueError(f"a raster of {len(values)} pixels for a map of "
+                             f"{self.pixel_col.size}")
+        # in range: "clip" skips the bounds check and "raise"'s buffer for ``out``
+        return np.take(values, self._order, out=out, mode="clip")
 
     def slice_sums(self, rows: np.ndarray) -> list[dict[int, float]]:
         """Sum of each cell's slice of every row of ``rows``, a C-ordered
@@ -308,22 +309,10 @@ class ServingMap:
             np.add.reduce(rows[:, span], axis=1, out=out)
         return [dict(zip(self.cell_ids, row)) for row in sums.T.tolist()]
 
-    def unsummed(self, values: np.ndarray) -> bool:
-        """Whether the map keeps no sums of the raster ``values``."""
-        return self._memo.get(id(values), (None,))[0] is not values
-
-    def keep_sums(self, values: np.ndarray, sums: dict[int, float]):
-        """Keep ``sums``, the raster ``values``'s ``slice_sums`` row, which the
-        caller hands over, for ``cell_sums``; ``values`` must stay unchanged
-        while the map is in use."""
-        self._memo[id(values)] = values, sums       # held: its id stays
-
     def cell_sums(self, values: np.ndarray) -> dict[int, float]:
-        """``slice_sums`` of ``values`` in the map's pixel order: the kept
-        sums, or summed now; each call gets a fresh dict."""
-        if self.unsummed(values):
-            return self.slice_sums(self.ordered(values)[None])[0]
-        return dict(self._memo[id(values)][1])
+        """``slice_sums`` of the raster ``values`` in the map's pixel order,
+        summed now."""
+        return self.slice_sums(self.ordered(values)[None])[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from .scenario import GridSpec, NetworkState, ServingMap, left_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanningSpecSet:
     """Per-cell (and optionally per-pixel) capacity targets for one tenant."""
 
@@ -65,7 +65,7 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
 
     ``uniform`` spreads it evenly over all pixels; ``correlated`` spreads it
     in proportion to the per-pixel demand raster.  Aggregation to cells is
-    done separately against a serving map (see ``ServingMap.keep_sums``);
+    done separately against a serving map (see ``pixel_specs_to_cell``);
     the raster is read-only.
     """
     n = grid.num_pixels
@@ -87,8 +87,10 @@ def translate_pixel_level(a_busy: float, grid: GridSpec, method: str,
     return PlanningSpecSet(tenant_id, "pixel", method, pixel_values=values)
 
 
-def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap) -> dict[int, float]:
-    """Aggregate a pixel-level spec raster to the cells serving the pixels."""
+def pixel_specs_to_cell(specs: PlanningSpecSet, serving: ServingMap,
+                        sums: dict[int, float] | None = None) -> dict[int, float]:
+    """Aggregate a pixel-level spec raster to the cells serving the pixels:
+    ``sums``, its per-cell sums on ``serving``, if given, else summed now."""
     if specs.level != "pixel":
         raise ValueError("expected a pixel-level spec set")
-    return serving.cell_sums(specs.pixel_values)
+    return serving.cell_sums(specs.pixel_values) if sums is None else sums

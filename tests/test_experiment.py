@@ -1,6 +1,11 @@
 import csv
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -14,7 +19,8 @@ from scplan.cli import main
 from scplan.evaluation import METHODS, EvaluationContext, evaluate_state
 from scplan.experiment import ExperimentConfig, build_context, emit_report, run_experiment
 from scplan.monitor import MonitorParams
-from scplan.planner import AddCell, PlannerParams, Relocate, RemoveCell, replay_actions
+from scplan.planner import (AddCell, PlannerParams, Relocate, RemoveCell, replay_actions,
+                            select_site)
 from scplan.presets import bundled_scenario_path
 from scplan.radio import PropagationParams
 from scplan.reporting import write_raster_csv, write_raster_pgm
@@ -292,6 +298,17 @@ def test_cli_validate_violations(tmp_path, capsys):
     assert "monitor.alpha_range" in capsys.readouterr().out
 
 
+def test_cli_translate_names_its_refusal(mini_path, tmp_path, capsys):
+    # a document with no arriving tenant has nothing to translate: a named
+    # violation on stderr like the document's own, exit 1, nothing written
+    out = tmp_path / "specs"
+    assert main(["translate", "--scenario", str(mini_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: translate.event_required: ")
+    assert not out.exists()
+
+
 def test_cli_missing_scenario_is_io_error(capsys):
     assert main(["validate", "--scenario", "/nonexistent.json"]) == 2
 
@@ -473,7 +490,7 @@ def test_cli_translate_without_event(mini_path, tmp_path, capsys):
     code = main(["translate", "--scenario", str(mini_path), "--method",
                  "corr-px", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "no arriving tenant" in capsys.readouterr().out
+    assert "no arriving tenant" in capsys.readouterr().err
 
 
 def test_unknown_radio_key_is_parse_error(tmp_path):
@@ -764,10 +781,10 @@ def test_valid_exactly_when_runnable(mutation, method, tmp_path):
 
 
 def test_stacked_spec_sums_equal_cell_sums_on_a_fresh_map(monkeypatch):
-    # a map that has not summed a pixel-level spec raster sums it as one
-    # more row of evaluate_state's one slice_sums and keeps the sums in its
-    # memo: they must be the bits of cell_sums on a fresh map, for every
-    # method, on the layout's map and on a trial's new one
+    # a layout whose link cache keeps no sums of a pixel-level spec raster
+    # sums it as one more row of evaluate_state's one slice_sums and keeps
+    # the sums in the cache: they must be the bits of cell_sums on a fresh
+    # map, for every method, on the layout's map and on a grown layout's
     scn = load_scenario(BUNDLED)
     calls = []
     slice_sums = ServingMap.slice_sums
@@ -792,7 +809,78 @@ def test_stacked_spec_sums_equal_cell_sums_on_a_fresh_map(monkeypatch):
             fresh = ServingMap(ev.serving.cell_ids, ev.serving.pixel_cell)
             for m, raster in pixel.items():
                 assert repr(ev.cell_specs[m]) == repr(fresh.cell_sums(raster))
-            # evaluated again, the map reads its memo and stacks no spec row
+            # evaluated again, the layout reads its kept sums and stacks no spec row
             calls.clear()
             assert_same_evaluation(evaluate_state(state, ctx), ev)
             assert calls[-1] == len(ctx.known_demand) + 2
+
+
+def test_a_site_search_keeps_nothing_and_kept_layouts_reuse_their_sums(monkeypatch, tmp_path):
+    # a trial is evaluated once: after select_site no trial's gather or sum
+    # is held.  The winner, evaluated on, and a week's one layout keep their
+    # spec sums: only their first evaluation stacks spec rows
+    scn = load_scenario(BUNDLED)
+    calls = []
+    slice_sums = ServingMap.slice_sums
+    monkeypatch.setattr(ServingMap, "slice_sums",
+                        lambda self, rows: calls.append(len(rows)) or slice_sums(self, rows))
+    ctx = build_context(scn, "corr-px").busy_hour()
+    cache, k = ctx.link_cache, len(ctx.known_demand)
+    pixel = [p.pixel_specs.pixel_values for p in ctx.policies.values()]
+    base = evaluate_state(scn.initial_state, ctx)
+    assert all(cache.sums(raster) is not None for raster in pixel)
+    site, ev = select_site(base.state, scn.candidate_sites, ctx, 99)
+    for raster in (*pixel, *ctx.known_demand.values(), ev.pixel_se):
+        assert cache.sums(raster) is None
+        assert cache.ordered(raster) is not cache.ordered(raster)
+    calls.clear()
+    for _ in range(3):
+        assert_same_evaluation(evaluate_state(ev.state, ctx), ev)
+    assert calls == [k + len(pixel) + 2, k + 2, k + 2]
+    assert all(cache.sums(raster) is not None for raster in pixel)
+
+    doc = _bundled_doc()
+    del doc["event"]
+    path = tmp_path / "week.json"
+    path.write_text(json.dumps(doc))
+    calls.clear()
+    report = run_experiment(ExperimentConfig(path, method="corr-px", horizon=6))
+    assert report.fired_steps == []
+    tenants = len(doc["tenants"])
+    assert calls == [2 * tenants + 2] + [tenants + 2] * 6
+
+
+def _compares_arrays(cls, seen=frozenset()) -> bool:
+    """Whether ``==`` on the dataclass ``cls`` compares a field whose type
+    holds an array: an array, a container of arrays, or another dataclass
+    that compares one."""
+    if not dataclasses.is_dataclass(cls) or not cls.__dataclass_params__.eq or cls in seen:
+        return False
+    hints = typing.get_type_hints(cls)
+
+    def holds(tp):
+        return tp is np.ndarray or _compares_arrays(tp, seen | {cls}) or any(
+            holds(arg) for arg in typing.get_args(tp))
+
+    return any(f.compare and holds(hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def test_no_dataclass_compares_arrays(mini_path):
+    # == on a dataclass compares its fields as a tuple, and an array field
+    # makes that raise numpy's "truth value of an array is ambiguous": such
+    # holders compare by identity (eq=False)
+    import scplan
+    classes = {cls for name in pkgutil.iter_modules(scplan.__path__)
+               for _, cls in inspect.getmembers(importlib.import_module(f"scplan.{name.name}"),
+                                                inspect.isclass)
+               if dataclasses.is_dataclass(cls) and cls.__module__.startswith("scplan.")}
+    assert len(classes) > 20
+    assert sorted(c.__qualname__ for c in classes if _compares_arrays(c)) == []
+    # two holders built the same way are two values: == is a bool and never raises
+    scn = load_scenario(mini_path)
+    runs = [build_context(scn, "corr-px") for _ in range(2)]
+    policies = [run.policies["a"] for run in runs]
+    reports = [run_experiment(ExperimentConfig(mini_path, horizon=2)) for _ in range(2)]
+    for a, b in (runs, [run.busy_hour() for run in runs], policies,
+                 [policy.pixel_specs for policy in policies], reports):
+        assert (a == b) is False and (a == a) is True

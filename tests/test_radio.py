@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
-from scplan.evaluation import (EvaluationContext, NetworkEvaluation, TenantSpecPolicy,
+from scplan.evaluation import (EvaluationContext, NetworkEvaluation,
                                _estimate_raster, evaluate_state)
 from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
                           configure_powers, link_state, path_loss, rx_power_matrix,
@@ -481,12 +481,8 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     for cid, mask in masks.items():
         if mask.any():
             spread[mask] = expected[cid] * 0.7 / int(mask.sum())
-    policy = TenantSpecPolicy("t", 1.0, "uniform-sc")
-    assert _estimate_raster(policy, expected, serving, 0.7, serving.ordered).tobytes() == \
-        in_map_order(spread).tobytes()
-    policy = TenantSpecPolicy("t", 1.0, "corr-px", specs)
-    assert _estimate_raster(policy, None, serving, 0.7, serving.ordered).tobytes() == \
-        in_map_order(raster * 0.7).tobytes()
+    assert _estimate_raster(expected, serving, 0.7).tobytes() == in_map_order(spread).tobytes()
+    assert (serving.ordered(raster) * 0.7).tobytes() == in_map_order(raster * 0.7).tobytes()
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -538,8 +534,8 @@ def _bits(values: dict) -> dict:
 @pytest.mark.parametrize("seed", range(12))
 def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     # one gather into the map's pixel order and one sum per cell slice keep
-    # the mask form's bits: plain and weighted sums, kept sums, no weights,
-    # all-zero weights and a cell that serves no pixel;
+    # the mask form's bits: plain and weighted sums, no weights, all-zero
+    # weights and a cell that serves no pixel;
     # maps are large enough for numpy's pairwise blocks.  Weights are passed
     # in the map's pixel order, the cells' mask selections one after another
     rng = np.random.default_rng(100 + seed)
@@ -554,13 +550,15 @@ def test_whole_map_sums_and_means_equal_the_mask_form_bit_for_bit(seed):
     pixel_se = rng.uniform(0.0, 4.4, num_pixels)
     pixel_se.flags.writeable = False
     mask_sums = {cid: float(raster[m].sum()) for cid, m in masks.items()}
-    for values in (raster, fixed, fixed):       # fixed's sums are kept after its first call
+    for values in (raster, fixed):
         assert _bits(serving.cell_sums(values)) == _bits(mask_sums)
-        if values is fixed and serving.unsummed(fixed):
-            serving.keep_sums(fixed, serving.cell_sums(fixed))
         in_order = np.concatenate([values[m] for m in masks.values()])
         assert serving.ordered(values).tobytes() == in_order.tobytes()
+        into = np.empty(num_pixels)
+        assert serving.ordered(values, into) is into and into.tobytes() == in_order.tobytes()
         assert _bits(serving.slice_sums(serving.ordered(values)[None])[0]) == _bits(mask_sums)
+    with pytest.raises(ValueError, match="pixels for a map of"):
+        serving.ordered(raster[1:])
 
     def mask_average_se(mask, weights):
         if not mask.any():
@@ -602,45 +600,57 @@ def test_stacked_slice_sums_equal_each_rows_own_reduce_bit_for_bit(num_cells, nu
     assert serving.pixel_col.dtype == (np.uint8 if num_cells < 256 else np.uint16)
 
 
-def test_memoised_sums_are_never_aliased():
-    serving = ServingMap((1, 2), np.array([1, 2, 1, 2, 2]))
-    fixed = np.arange(5.0)
-    assert serving.unsummed(fixed)
-    serving.keep_sums(fixed, serving.cell_sums(fixed))
-    assert not serving.unsummed(fixed)
-    first = serving.cell_sums(fixed)
-    assert first == {1: 2.0, 2: 8.0}
-    first[1] = 99.0
-    second = serving.cell_sums(fixed)
-    assert second == {1: 2.0, 2: 8.0}
+def _kept_layout(params, seed=4):
+    grid = GridSpec(30.0, 30.0, 3.0)
+    state = random_state(np.random.default_rng(seed), grid, num_cells=3)
+    return grid, state, LinkCache(grid, params)
+
+
+def test_memoised_sums_are_never_aliased(params):
+    # the sums a kept layout keeps are copied in and out: no caller can edit
+    # what the next evaluation reads; an equal raster of its own, or another
+    # layout, has none
+    grid, state, cache = _kept_layout(params)
+    serving = cache.link(state)[1]
+    fixed = np.arange(float(grid.num_pixels))
+    assert cache.sums(fixed) is None
+    handed = serving.cell_sums(fixed)
+    cache.keep_sums(fixed, handed)
+    expected = dict(handed)
+    handed.clear()
+    first = cache.sums(fixed)
+    assert first == expected == serving.cell_sums(fixed)
+    first[state.cell_ids[0]] = 99.0
+    second = cache.sums(fixed)
+    assert second == expected and second is not first
     second.clear()
-    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
-    means = average_se(serving, fixed)
+    assert cache.sums(fixed) == expected
+    assert cache.sums(fixed.copy()) is None
+    assert cache.link(state)[1] is serving and cache.sums(fixed) == expected
+    trial = state.add_cell(SmallCell(99, next(p for p in range(grid.num_pixels)
+                                              if p not in state.site_pixels), (0,)))
+    cache.link(trial)
+    assert cache.sums(fixed) is None
+    # nor are a map's SE means
+    small, values = ServingMap((1, 2), np.array([1, 2, 1, 2, 2])), np.arange(5.0)
+    means = average_se(small, values)
     assert means == {1: 1.0, 2: 8.0 / 3}
     means[2] = -1.0
-    assert average_se(serving, fixed) == {1: 1.0, 2: 8.0 / 3}
-    # an equal raster of its own is not kept; another map of the same
-    # raster sums it afresh
-    assert serving.unsummed(fixed.copy())
-    other = ServingMap((1, 2), np.array([1, 1, 2, 2, 2]))
-    assert other.unsummed(fixed)
-    assert other.cell_sums(fixed) == {1: 1.0, 2: 9.0}
-    assert serving.cell_sums(fixed) == {1: 2.0, 2: 8.0}
+    assert average_se(small, values) == {1: 1.0, 2: 8.0 / 3}
 
 
 def test_the_kept_layout_holds_its_gathers_until_another_is_linked(params):
     # while a layout is kept, each raster is gathered once into its pixel
     # order, read-only, so no caller can edit what the next one reads; the
-    # next layout linked releases them, so a site-search trial's gathers do
-    # not outlive it
-    grid = GridSpec(30.0, 30.0, 3.0)
-    state = random_state(np.random.default_rng(4), grid, num_cells=3)
-    cache = LinkCache(grid, params)
+    # next layout linked releases them.  A site-search trial keeps none: a
+    # gather is made into the given array, or anew
+    grid, state, cache = _kept_layout(params)
     serving = cache.link(state)[1]
     raster = np.arange(float(grid.num_pixels))
     gathered = cache.ordered(raster)
     assert gathered.tobytes() == serving.ordered(raster).tobytes()
     assert cache.ordered(raster) is gathered and not gathered.flags.writeable
+    assert cache.ordered(raster, np.empty(grid.num_pixels)) is gathered
     with pytest.raises(ValueError, match="read-only"):
         gathered[0] = 99.0
     assert cache.link(state)[1] is serving and cache.ordered(raster) is gathered
@@ -650,11 +660,20 @@ def test_the_kept_layout_holds_its_gathers_until_another_is_linked(params):
     released = weakref.ref(gathered)
     del gathered
     assert released() is not None
-    trial = state.add_cell(SmallCell(99, next(p for p in range(grid.num_pixels)
-                                              if p not in state.site_pixels), (0,)))
-    other = cache.link(trial)[1]
+    free = [p for p in range(grid.num_pixels) if p not in state.site_pixels]
+    trials = [state.add_cell(SmallCell(99, p, (0,), params.power_max_dbm)) for p in free[:2]]
+    cache.prepare_search(state, trials)
+    other = cache.link(trials[0])[1]
     assert released() is None
-    assert cache.ordered(raster).tobytes() == other.ordered(raster).tobytes()
+    into = np.empty(grid.num_pixels)
+    assert cache.ordered(raster, into) is into
+    assert into.tobytes() == other.ordered(raster).tobytes()
+    assert cache.ordered(raster) is not cache.ordered(raster)
+    cache.keep_sums(raster, other.cell_sums(raster))
+    assert cache.sums(raster) is None
+    # linked again, as a search's winner is, the trial keeps from then on
+    assert cache.link(trials[0])[1] is other
+    assert cache.ordered(raster) is cache.ordered(raster)
 
 
 def test_a_writeable_raster_edited_in_place_is_summed_again():

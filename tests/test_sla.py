@@ -109,8 +109,8 @@ def test_correlated_monotone_and_scale_equivariant():
 
 
 def test_pixel_level_specs_are_read_only():
-    # a spec raster stays unchanged while a serving map keeps its sums
-    # (ServingMap.keep_sums)
+    # a spec raster stays unchanged while a layout keeps its sums
+    # (LinkCache.keep_sums)
     grid = GridSpec(30.0, 30.0, 3.0)
     demand = np.arange(grid.num_pixels, dtype=float)
     for specs in (translate_pixel_level(10.0, grid, "uniform"),
