@@ -108,11 +108,11 @@ class LinkCache:
     each site and the mW received-power column of each (site, power), so a
     layout that differs from it by a cell or a power computes only that
     cell's columns (see ``rx_power_matrix``); the link state of the last
-    layout linked (see ``link``); and the last full build, SINR table
-    included (see ``sinr_table``), on which ``link_state`` builds a site
-    search's trials as deltas.  ``prepare_search`` keeps a search's base as
-    that build and solves its trials' powers in one batch.  Two full builds
-    never coexist.
+    layout linked (see ``link``); and the last full build, on which
+    ``link_state`` builds a site search's trials as deltas and from which
+    ``sinr_table`` derives the SINR table on request.  ``prepare_search``
+    keeps a search's base as that build and solves its trials' powers in
+    one batch.  Two full builds never coexist.
 
     Until another layout is linked, the last one keeps each raster it is
     evaluated on gathered into its pixel order (see ``ordered``) and the
@@ -126,7 +126,8 @@ class LinkCache:
 
     def __init__(self, grid: GridSpec, params: PropagationParams):
         self.grid, self.params = grid, params
-        self._xy = np.ascontiguousarray(pixel_positions(grid).T)
+        pos = pixel_positions(grid)
+        self._x, self._y = pos[:grid.nx, 0].copy(), pos[::grid.nx, 1].copy()  # nx + ny floats
         self._path_loss, self._linear, self._trials = {}, {}, {}
         self._layout, self._built, self._kept = (), (), None
 
@@ -174,9 +175,16 @@ class LinkCache:
             self._kept["sums", id(values)] = values, dict(sums)
 
     def sinr_table(self, state: NetworkState):
-        """SINR (pixels, channels) of the powered layout ``state``, NaN where
-        its serving cell does not hold the channel; read-only."""
-        return self._full(state).table
+        """SINR (pixels, channels) of the powered layout ``state``, read-only,
+        derived now from its full build; NaN off the serving cell's channels."""
+        b = self._full(state)
+        table = np.full(b.se_table.shape, np.nan, order="F")
+        for ch, holders in enumerate(_holders(state, self.params)):
+            at = holders[b.serving.pixel_col].nonzero()[0]
+            if at.size:
+                table[:, ch][at] = _sinr_db(b.serving_mw[at], b.totals[ch][at], self.params)
+        table.flags.writeable = False
+        return table
 
     def _full(self, state: NetworkState):
         """The full build of ``state``: the kept one, else one made now and kept."""
@@ -197,12 +205,12 @@ class LinkCache:
 
 
 class _Build(NamedTuple):
-    """A layout's link state and the intermediates a site search reuses."""
+    """A layout's link state and what its trials and SINR table reuse."""
 
     serving: ServingMap
     pixel_se: np.ndarray
-    table: np.ndarray           # SINR (pixels, channels), read-only
     best: np.ndarray            # serving rx, dBm
+    serving_mw: np.ndarray      # serving rx, mW
     totals: list                # each channel's mW total, None without holders
     se_table: np.ndarray        # SE (pixels, channels), Fortran-ordered
     path_loss: list             # per cell
@@ -210,40 +218,44 @@ class _Build(NamedTuple):
 
 
 def _site_path_loss(site: int, cache: LinkCache) -> np.ndarray:
-    """Path-loss column of one site, from contiguous x and y columns; the
-    floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``."""
-    x, y = cache._xy
-    dx, dy = x - x[site], y - y[site]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return path_loss(np.sqrt(dx, out=dx), cache.params)
+    """Path-loss column of one site, from the 1-D column and row offsets;
+    the floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``, since
+    ``dy**2 + dx**2`` is ``dx**2 + dy**2``."""
+    row, col = divmod(site, cache.grid.nx)
+    dx, dy = cache._x - cache._x[col], cache._y - cache._y[row]
+    d = np.add.outer(dy * dy, dx * dx).ravel()
+    return path_loss(np.sqrt(d, out=d), cache.params)
 
 
 def rx_power_matrix(state: NetworkState, cache: LinkCache
-                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The (num_pixels, num_cells) received power as its columns, in dBm
-    and in mW, cells in id order; no matrix is built.  A dBm column is
-    ``(power + gain) - pl``, the float the whole-matrix broadcast gives;
-    path-loss and mW columns come from ``cache`` when it holds them."""
+                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The (num_pixels, num_cells) received power, cells in id order, as
+    its running max in dBm, serving column (see ``_running_max``) and mW
+    columns.  Each dBm column, ``(power + gain) - pl`` as the whole-matrix
+    broadcast gives it, is formed in one buffer and folded in at once, so no
+    list of them is kept; ``cache`` gives the path-loss and mW columns it holds."""
     if not state.cells:
         raise ValueError("empty network")
     gain = cache.params.antenna_gain_db
-    path_loss_by_site, linear, rx_dbm = {}, {}, []
-    for c in state.cells:
-        pl = cache._path_loss.get(c.site_pixel)
+    path_loss_by_site, linear = {p: cache._path_loss.get(p) for p in state.site_pixels}, {}
+    for p, pl in path_loss_by_site.items():     # first: its temporaries meet no dBm buffer
         if pl is None:
-            pl = _site_path_loss(c.site_pixel, cache)
-        path_loss_by_site[c.site_pixel] = pl
-        rx_dbm.append((c.power_dbm + gain) - pl)
-        key = (c.site_pixel, c.power_dbm)
-        lin = cache._linear.get(key)
-        if lin is None:
-            lin = _mw(rx_dbm[-1])
-            lin.flags.writeable = False
-        linear[key] = lin
+            path_loss_by_site[p] = _site_path_loss(p, cache)
+
+    def dbm_columns():
+        dbm = np.empty(cache.grid.num_pixels)
+        for c in state.cells:
+            np.subtract(c.power_dbm + gain, path_loss_by_site[c.site_pixel], out=dbm)
+            lin = cache._linear.get((c.site_pixel, c.power_dbm))
+            if lin is None:
+                lin = _mw(dbm)
+                lin.flags.writeable = False
+            linear[c.site_pixel, c.power_dbm] = lin
+            yield dbm
+
+    best, col = _running_max(dbm_columns())
     cache._path_loss, cache._linear = path_loss_by_site, linear
-    return rx_dbm, list(linear.values())
+    return best, col, list(linear.values())
 
 
 def serving_assignment(state: NetworkState, grid: GridSpec,
@@ -347,12 +359,12 @@ def sinr(pixel: int, channel: int, state: NetworkState, grid: GridSpec,
     Interference is the sum of received powers from every other deployed
     cell holding the channel; noise spans one channel bandwidth.
     """
-    b = _build(state, LinkCache(grid, params))
-    serving_cell = state.cells[b.serving.pixel_col[pixel]]
+    cache = LinkCache(grid, params)
+    serving_cell = state.cells[link_state(state, cache)[0].pixel_col[pixel]]
     if channel not in serving_cell.channels:
         raise ValueError(f"channel {channel} not allocated at serving cell "
                          f"{serving_cell.cell_id}")
-    return float(b.table[pixel, channel])
+    return float(cache.sinr_table(state)[pixel, channel])
 
 
 def spectral_efficiency(sinr_db, params: PropagationParams):
@@ -442,18 +454,20 @@ def link_state(state: NetworkState, cache: LinkCache) -> tuple[ServingMap, np.nd
     cell, powers aside, as every site-search trial is (cells sort by id and
     a new cell's id is the largest), is built as a delta on that build,
     with the same bytes; any other layout gets the full build, kept in
-    ``cache`` with its SINR table (see ``LinkCache.sinr_table``)."""
+    ``cache`` (see ``LinkCache.sinr_table``)."""
     if cache._built and _extends(cache._built[0], state):
         return _trial_link(*cache._built, state, cache)
     return cache._full(state)[:2]
 
 
-def _running_max(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _running_max(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise max of ``columns`` and the index of the first column
-    holding it: a running strict ``>``, so ties go to the lowest index."""
-    best = columns[0].copy()
+    holding it: a running strict ``>``, so ties go to the lowest index.
+    Each column is read once, as it comes, so it may be a refilled buffer."""
+    columns = iter(columns)
+    best = next(columns).copy()
     col = np.zeros(best.size, dtype=np.intp)
-    for j, column in enumerate(columns[1:], start=1):
+    for j, column in enumerate(columns, start=1):
         col[column > best] = j
         np.maximum(best, column, out=best)
     return best, col
@@ -465,44 +479,39 @@ def _holders(state: NetworkState, params: PropagationParams) -> list[np.ndarray]
             for ch in range(params.num_channels)]
 
 
-def _fill(se_table: np.ndarray, ch: int, pixels: np.ndarray, s: np.ndarray,
-          total: np.ndarray, params: PropagationParams) -> np.ndarray:
-    """SE on channel ``ch`` at ``pixels``, whose serving cells hold it, from
-    ``s``, their serving mW, and ``total``, the channel's mW total there;
-    returns their SINR, dB."""
+def _sinr_db(s: np.ndarray, total: np.ndarray, params: PropagationParams) -> np.ndarray:
+    """SINR, dB, of serving mW ``s`` against its channel's mW ``total``: the
+    floats every SE fill and ``LinkCache.sinr_table`` use."""
     sinr_db = total - s         # then in place: 10 log10(s / ((total - s) + noise))
     sinr_db += 10.0 ** (noise_floor_dbm(params) / 10.0)
-    np.divide(s, sinr_db, out=sinr_db)
-    np.log10(sinr_db, out=sinr_db)
+    np.log10(np.divide(s, sinr_db, out=sinr_db), out=sinr_db)
     sinr_db *= 10.0
-    se_table[:, ch][pixels] = spectral_efficiency(sinr_db, params)
     return sinr_db
 
 
 def _build(state: NetworkState, cache: LinkCache) -> _Build:
     """The full link state of ``state``, see ``link_state``."""
     params = cache.params
-    rx_dbm, rx_lin = rx_power_matrix(state, cache)
-    best, serving_col = _running_max(rx_dbm)
-    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[serving_col], serving_col)
+    best, col, rx_lin = rx_power_matrix(state, cache)
+    serving = ServingMap(state.cell_ids, np.array(state.cell_ids)[col], col)
+    col = serving.pixel_col         # the small type: the intp column is freed
     s_lin = np.empty(best.size)
     for lin, pixels in zip(rx_lin, serving.cell_pixels.values()):
         s_lin[pixels] = lin[pixels]
 
     # Fortran order: each channel's column is contiguous, as it is filled and read
-    table = np.full((best.size, params.num_channels), np.nan, order="F")
-    se_table = np.zeros(table.shape, order="F")
+    se_table = np.zeros((best.size, params.num_channels), order="F")
     totals = []
     for ch, holders in enumerate(_holders(state, params)):
         total = None
         if holders.any():
             lin = [rx_lin[j] for j in holders.nonzero()[0]]
             total = sum(lin[1:], lin[0])        # ((lin[0] + lin[1]) + lin[2]) + ...
-            at = holders[serving_col].nonzero()[0]
-            table[:, ch][at] = _fill(se_table, ch, at, s_lin[at], total[at], params)
+            at = holders[col].nonzero()[0]
+            sinr_db = _sinr_db(s_lin[at], total[at], params)
+            se_table[:, ch][at] = spectral_efficiency(sinr_db, params)
         totals.append(total)
-    table.flags.writeable = False
-    return _Build(serving, serving_mean(state, serving, se_table), table, best,
+    return _Build(serving, serving_mean(state, serving, se_table), best, s_lin,
                   totals, se_table, [cache._path_loss[p] for p in state.site_pixels], rx_lin)
 
 
@@ -514,7 +523,7 @@ def _extends(base: NetworkState, state: NetworkState) -> bool:
 
 
 def _serve_trial(best: np.ndarray, col: np.ndarray, touched: dict[int, np.ndarray], n: int,
-                 lost: np.ndarray, at_lost: list[np.ndarray]) -> None:
+                 lost: np.ndarray, at_lost: Iterable[np.ndarray]) -> None:
     """Turn a base's running max ``best`` and serving column ``col`` (see
     ``_running_max``) into a trial's serving column, in place.
 
@@ -567,7 +576,7 @@ def _channel_total(b: _Build, ch: int, hs: list[int], lin: dict[int, np.ndarray]
 def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
                 cache: LinkCache) -> tuple[ServingMap, np.ndarray]:
     """``link_state`` of ``state``, the kept ``base`` plus one trailing
-    cell, as a delta on ``b``, the base's full build, with no SINR table.
+    cell, as a delta on ``b``, the base's full build.
 
     It works on index sets, not full-grid masks.  Only the touched cells,
     the new one and those whose power moved, get dBm columns (see
@@ -586,7 +595,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     base_groups = list(b.serving.cell_pixels.values())
     fell = [j for j in dbm if cells[j].power_dbm < base.cells[j].power_dbm]
     lost = np.concatenate([base_groups[j] for j in fell] or [np.empty(0, np.intp)])
-    at_lost = [(c.power_dbm + gain) - pl[j][lost] for j, c in enumerate(cells)] if fell else []
+    at_lost = ((c.power_dbm + gain) - pl[j][lost] for j, c in enumerate(cells))
     dbm[n] = (cells[n].power_dbm + gain) - pl[n]
     best = b.best.copy()
     col = b.serving.pixel_col.astype(np.intp)  # indexes much faster than the small type
@@ -607,7 +616,8 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
         if not any(j in dbm for j in hs):
             at = holders[lost_col]      # same total: only the restarted pixels its holders serve
             if at.any():
-                _fill(se_table, ch, lost[at], s_lost[at], b.totals[ch][lost[at]], params)
+                se_table[:, ch][lost[at]] = spectral_efficiency(_sinr_db(
+                    s_lost[at], b.totals[ch][lost[at]], params), params)
             continue
         at = np.concatenate([groups[j] for j in hs])
         lin = {j: _mw(dbm[j][at]) for j in hs if j in dbm}
@@ -615,7 +625,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
         ends = list(accumulate(groups[j].size for j in hs))
         s = np.concatenate([lin[j][a:e] if j in lin else b.linear[j][groups[j]]
                             for j, a, e in zip(hs, [0, *ends], ends)])
-        _fill(se_table, ch, at, s, total, params)
+        se_table[:, ch][at] = spectral_efficiency(_sinr_db(s, total, params), params)
         redo.update(hs)
     pixel_se = serving_mean(state, serving, se_table, redo, b.pixel_se.copy())
     return serving, pixel_se

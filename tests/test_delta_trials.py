@@ -1,7 +1,8 @@
 """Layouts built as deltas on the full build a ``LinkCache`` keeps.
 
 ``link_state`` builds any layout that is the cache's kept full build plus
-one trailing cell from that build's intermediates, without a SINR table.
+one trailing cell from that build's intermediates; no build holds a SINR
+table, which ``LinkCache.sinr_table`` derives from a full build on request.
 Every site-search trial is such a layout: ``select_site`` first has the
 cache keep the full build of its base and solve all its trials' powers in
 one batch.  Every delta build must equal the matrix form of
@@ -50,15 +51,16 @@ def _check_every_trial(monkeypatch, run) -> int:
     ``LinkCache``, and check every delta build, in a search or not, against
     the matrix form; each trial of both searches to be a delta build and to
     match a fresh-cache ``evaluate_state`` of its layout; every power solved
-    against the one-layout loop; and the SINR table of every full build
-    against the matrix form.  Returns the number of trials checked."""
+    against the one-layout loop; and the SINR table derived from every full
+    build against the matrix form.  Returns the number of trials checked."""
     expected = {}           # layout -> digest of its matrix form
     fresh = {}              # trial layout -> its evaluation in a fresh cache
     deltas, trials = [], []
     searching = []
     aside = []              # a fresh-cache evaluation runs: nothing is checked
     batches = []            # (layouts, cells per layout) of each power solve
-    delta, select, full = radio._trial_link, planner.select_site, radio._build
+    tables = set()          # full builds whose derived SINR table was checked
+    delta, select, full = radio._trial_link, planner.select_site, LinkCache._full
     solve, evaluate = radio.solve_powers, planner.evaluate_state
 
     def checked_powers(states, grid, params):
@@ -71,11 +73,12 @@ def _check_every_trial(monkeypatch, run) -> int:
         batches.append((len(states), len(states[0].cells)))
         return got
 
-    def checked_build(state, cache):
-        got = full(state, cache)
-        if not aside:
+    def checked_full(cache, state):
+        got = full(cache, state)
+        if not aside and state not in tables:
+            tables.add(state)       # first: sinr_table asks for the build again
             table = matrix_link_state(state, cache.grid, cache.params)[2]
-            assert got.table.tobytes() == table.tobytes()
+            assert cache.sinr_table(state).tobytes() == table.tobytes()
         return got
 
     def checked_delta(base, b, state, cache):
@@ -118,7 +121,7 @@ def _check_every_trial(monkeypatch, run) -> int:
         assert_same_evaluation(fresh_ev, ev)
         return site, ev
 
-    monkeypatch.setattr(radio, "_build", checked_build)
+    monkeypatch.setattr(LinkCache, "_full", checked_full)
     monkeypatch.setattr(radio, "_trial_link", checked_delta)
     monkeypatch.setattr(radio, "solve_powers", checked_powers)
     monkeypatch.setattr(planner, "evaluate_state", checked_evaluate)
@@ -254,7 +257,8 @@ _LEVELS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)      # few levels: exact ties
 def test_index_set_serving_update_equals_the_running_max(data):
     # a trial's serving column, folded in from the base's running max over
     # the touched columns' candidates with the max restarted only where the
-    # base winner fell, equals a fresh running max over the trial's columns
+    # base winner fell, equals a fresh running max over the trial's columns,
+    # whether the restart's columns come as a list or a generator
     n = data.draw(st.integers(1, 6), label="base columns")
     size = data.draw(st.integers(1, 40), label="pixels")
     column = st.lists(st.sampled_from(_LEVELS), min_size=size, max_size=size)
@@ -263,13 +267,14 @@ def test_index_set_serving_update_equals_the_running_max(data):
                                       st.sampled_from((-2.0, -1.0, 1.0, 2.0))), label="moves")
     trial = [c + moves[j] if j in moves else c for j, c in enumerate(base)]
     trial.append(np.array(data.draw(column)))
-    best, col = radio._running_max(base)
-    lost = np.concatenate([(col == j).nonzero()[0] for j in sorted(moves) if moves[j] < 0]
-                          or [np.empty(0, np.intp)])
-    radio._serve_trial(best, col, {j: trial[j] for j in [*sorted(moves), n]}, n, lost,
-                       [c[lost] for c in trial])
     expected = radio._running_max(trial)[1]
-    assert (col.dtype, col.tobytes()) == (expected.dtype, expected.tobytes())
+    for form in (list, iter):
+        best, col = radio._running_max(base)
+        lost = np.concatenate([(col == j).nonzero()[0] for j in sorted(moves) if moves[j] < 0]
+                              or [np.empty(0, np.intp)])
+        radio._serve_trial(best, col, {j: trial[j] for j in [*sorted(moves), n]}, n, lost,
+                           form(c[lost] for c in trial))
+        assert (col.dtype, col.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 @pytest.mark.parametrize("step", [2.0, -2.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -11,9 +12,10 @@ from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
 from scplan.evaluation import (EvaluationContext, NetworkEvaluation,
                                _estimate_raster, evaluate_state)
-from scplan.radio import (LinkCache, PropagationParams, average_se, cell_capacity,
-                          configure_powers, link_state, path_loss, rx_power_matrix,
-                          serving_assignment, serving_mean, sinr, spectral_efficiency)
+from scplan.radio import (LinkCache, PropagationParams, _running_max, average_se,
+                          cell_capacity, configure_powers, link_state, noise_floor_dbm,
+                          path_loss, rx_power_matrix, serving_assignment, serving_mean,
+                          sinr, spectral_efficiency)
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
 from scplan.sla import PlanningSpecSet, pixel_specs_to_cell
@@ -57,7 +59,7 @@ def test_received_power_link_budget(params):
     target = site + 20
     assert pos[target, 0] - pos[site, 0] == pytest.approx(20.0)
     state = NetworkState((SmallCell(1, site, (0,), 24.0),))
-    rx = rx_power_matrix(state, LinkCache(grid, params))[0][0]
+    rx = rx_power_matrix(state, LinkCache(grid, params))[0]     # one cell: the max is its column
     assert rx[target] == pytest.approx(24 + 2 - oracle_path_loss(20.0))
     assert rx[target] == pytest.approx(-55.81, abs=0.005)
     # at the cell's own pixel the distance clamp applies
@@ -292,9 +294,10 @@ def test_snapshot_capacity_identity_and_partition(params):
 
 
 def test_cached_path_loss_columns_match_whole_matrix(params):
-    # dBm and mW columns kept across layouts give the same bits as the
-    # whole-matrix broadcast over every pixel and cell and its 10 ** (rx / 10),
-    # also when a radio's cache is used again after another radio's
+    # the streamed running max and serving column, and the mW columns kept
+    # across layouts, give the same bits as the whole-matrix broadcast over
+    # every pixel and cell, its row max and first argmax, and its
+    # 10 ** (rx / 10), also when a radio's cache is used again after another's
     rng = np.random.default_rng(11)
     grid = GridSpec(45.0, 30.0, 3.0)
     pos = pixel_positions(grid)
@@ -311,8 +314,10 @@ def test_cached_path_loss_columns_match_whole_matrix(params):
             powers = np.array([c.power_dbm for c in layout.cells])
             whole = powers[None, :] + radio.antenna_gain_db - path_loss(d, radio)
             for c in (caches.setdefault(radio, LinkCache(grid, radio)), LinkCache(grid, radio)):
-                rx_dbm, rx_lin = rx_power_matrix(layout, c)
-                assert np.stack(rx_dbm, axis=1).tobytes() == whole.tobytes()
+                best, col, rx_lin = rx_power_matrix(layout, c)
+                assert best.tobytes() == whole.max(axis=1).tobytes()
+                assert (col.dtype, col.tobytes()) == (np.dtype(np.intp),
+                                                      np.argmax(whole, axis=1).tobytes())
                 assert np.stack(rx_lin, axis=1).tobytes() == (10.0 ** (whole / 10.0)).tobytes()
 
 
@@ -391,22 +396,113 @@ def test_only_a_changed_cell_recomputes_its_mw_column(params):
     grid = GridSpec(45.0, 30.0, 3.0)
     state = random_state(np.random.default_rng(6), grid, num_cells=5)
     cache = LinkCache(grid, params)
-    _, before = rx_power_matrix(state, cache)
+    *_, before = rx_power_matrix(state, cache)
     third = state.cells[2]
     changed = state.remove_cell(third.cell_id).add_cell(
         replace(third, power_dbm=third.power_dbm + 1.0))
-    _, after = rx_power_matrix(changed, cache)
+    *_, after = rx_power_matrix(changed, cache)
     assert [a is b for a, b in zip(after, before)] == [True, True, False, True, True]
     free = next(p for p in range(grid.num_pixels) if p not in state.site_pixels)
-    _, grown = rx_power_matrix(changed.add_cell(SmallCell(99, free, (1,), 20.0)), cache)
+    *_, grown = rx_power_matrix(changed.add_cell(SmallCell(99, free, (1,), 20.0)), cache)
     assert len(grown) == 6 and all(a is b for a, b in zip(grown, after))
     for column in grown:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-    _, other = rx_power_matrix(changed, LinkCache(grid, replace(params, antenna_gain_db=3.0)))
-    _, again = rx_power_matrix(changed, cache)
+    *_, other = rx_power_matrix(changed, LinkCache(grid, replace(params, antenna_gain_db=3.0)))
+    *_, again = rx_power_matrix(changed, cache)
     assert not any(a is b for a, b in zip(other, after))
     assert all(a is b for a, b in zip(again, after))
+
+
+_LEVELS = (12.0, 17.0, 24.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_streamed_max_equals_the_running_max_over_explicit_columns(data):
+    # cells 1..n on a grid with a middle column; two of them mirror each
+    # other across it at equal power, and every other cell is farther from
+    # the middle pixel of their row at no more power, so that pixel ties
+    # them and the one that comes first must win
+    params, grid = PropagationParams(), GridSpec(63.0, 45.0, 3.0)     # 21 x 15 pixels
+    pos = pixel_positions(grid)
+    row, off = data.draw(st.integers(0, grid.ny - 1)), data.draw(st.integers(0, 9))
+    pair, mid = (row * 21 + off, row * 21 + 20 - off), row * 21 + 10
+    reach = np.hypot(*(pos - pos[mid]).T)
+    farther = [p for p in range(grid.num_pixels) if reach[p] > reach[pair[0]]]
+    others = data.draw(st.lists(st.sampled_from(farther), max_size=6, unique=True))
+    power = data.draw(st.sampled_from(_LEVELS))
+    sites = data.draw(st.permutations([*pair, *others]))
+    cells = tuple(SmallCell(i, site, (0,), power if site in pair else data.draw(
+        st.sampled_from([p for p in _LEVELS if p <= power]))) for i, site in enumerate(sites, 1))
+    state = NetworkState(cells)
+    columns = [(c.power_dbm + params.antenna_gain_db)
+               - path_loss(np.sqrt(((pos - pos[c.site_pixel]) ** 2).sum(axis=1)), params)
+               for c in state.cells]
+    want_best, want_col = _running_max(columns)
+    best, col, _ = rx_power_matrix(state, LinkCache(grid, params))
+    assert best.tobytes() == want_best.tobytes()
+    assert (col.dtype, col.tobytes()) == (want_col.dtype, want_col.tobytes())
+    assert columns[sites.index(pair[0])][mid] == columns[sites.index(pair[1])][mid]
+    assert col[mid] == min(sites.index(p) for p in pair)
+
+
+def test_derived_sinr_table_is_the_sinr_formula_where_served_and_nan_elsewhere(params):
+    # at a pixel whose serving cell holds the channel, 10 log10(s / ((total
+    # - s) + noise)) over the serving mW s and the holders' mW added in cell
+    # order, bit for bit; NaN elsewhere, read-only, and radio.sinr refuses a
+    # channel the serving cell does not hold
+    grid = GridSpec(63.0, 45.0, 3.0)
+    noise = 10.0 ** (noise_floor_dbm(params) / 10.0)
+    refused = 0
+    for seed in range(6):
+        for layout in _layouts_with_a_tie(seed, grid):
+            table = LinkCache(grid, params).sinr_table(layout)
+            _, col, lin = rx_power_matrix(layout, LinkCache(grid, params))
+            s = np.stack(lin, axis=1)[np.arange(grid.num_pixels), col]
+            for ch in range(params.num_channels):
+                holders = [j for j, c in enumerate(layout.cells) if ch in c.channels]
+                at = np.isin(col, holders).nonzero()[0]
+                assert np.isnan(np.delete(table[:, ch], at)).all()
+                if not holders:
+                    continue
+                total = lin[holders[0]].copy()
+                for j in holders[1:]:
+                    total += lin[j]
+                want = 10.0 * np.log10(s[at] / ((total[at] - s[at]) + noise))
+                assert table[at, ch].tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+            pixel = int(np.isnan(table).any(axis=1).argmax())
+            ch = int(np.isnan(table[pixel]).argmax())
+            if np.isnan(table[pixel, ch]):
+                refused += 1
+                with pytest.raises(ValueError, match="not allocated"):
+                    sinr(pixel, ch, layout, grid, params)
+            held = int((~np.isnan(table[pixel])).argmax())
+            assert sinr(pixel, held, layout, grid, params) == table[pixel, held]
+    assert refused > 0
+
+
+def test_a_cold_link_peaks_at_what_it_keeps_plus_three_pixel_columns(params):
+    # the full build forms each cell's dBm column in one buffer, folds it
+    # into the running max at once and keeps no SINR table, so a cold link of
+    # 16 cells on the 134 x 134 grid of the 400 m workloads, powers solved,
+    # peaks at most three pixel columns above what it keeps; holding every
+    # dBm column at once would take 16
+    grid = GridSpec(402.0, 402.0, 3.0)
+    state = random_state(np.random.default_rng(16), grid, num_cells=16)
+    cache = LinkCache(grid, params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cache.link(state)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - before > 32 * 8 * grid.num_pixels      # path-loss and mW columns
+    assert peak - kept <= 3 * 8 * grid.num_pixels
 
 
 def _random_serving(seed: int):
