@@ -213,14 +213,15 @@ class _Build(NamedTuple):
     serving_mw: np.ndarray      # serving rx, mW
     totals: list                # each channel's mW total, None without holders
     se_table: np.ndarray        # SE (pixels, channels), Fortran-ordered
-    path_loss: list             # per cell
     linear: list                # per cell, mW
 
 
 def _site_path_loss(site: int, cache: LinkCache) -> np.ndarray:
-    """Path-loss column of one site, from the 1-D column and row offsets;
-    the floats of ``sqrt(((pos - pos[site]) ** 2).sum(axis=1))``, since
-    ``dy**2 + dx**2`` is ``dx**2 + dy**2``."""
+    """Path-loss column of one site: ``cache``'s, else made from the 1-D
+    column and row offsets, the floats of ``sqrt(((pos - pos[site]) ** 2)
+    .sum(axis=1))``, since ``dy**2 + dx**2`` is ``dx**2 + dy**2``."""
+    if site in cache._path_loss:
+        return cache._path_loss[site]
     row, col = divmod(site, cache.grid.nx)
     dx, dy = cache._x - cache._x[col], cache._y - cache._y[row]
     d = np.add.outer(dy * dy, dx * dx).ravel()
@@ -237,10 +238,8 @@ def rx_power_matrix(state: NetworkState, cache: LinkCache
     if not state.cells:
         raise ValueError("empty network")
     gain = cache.params.antenna_gain_db
-    path_loss_by_site, linear = {p: cache._path_loss.get(p) for p in state.site_pixels}, {}
-    for p, pl in path_loss_by_site.items():     # first: its temporaries meet no dBm buffer
-        if pl is None:
-            path_loss_by_site[p] = _site_path_loss(p, cache)
+    # path loss first: its temporaries meet no dBm buffer
+    path_loss_by_site, linear = {p: _site_path_loss(p, cache) for p in state.site_pixels}, {}
 
     def dbm_columns():
         dbm = np.empty(cache.grid.num_pixels)
@@ -484,7 +483,8 @@ def _sinr_db(s: np.ndarray, total: np.ndarray, params: PropagationParams) -> np.
     floats every SE fill and ``LinkCache.sinr_table`` use."""
     sinr_db = total - s         # then in place: 10 log10(s / ((total - s) + noise))
     sinr_db += 10.0 ** (noise_floor_dbm(params) / 10.0)
-    np.log10(np.divide(s, sinr_db, out=sinr_db), out=sinr_db)
+    np.divide(s, sinr_db, out=sinr_db)
+    np.log10(sinr_db, out=sinr_db)
     sinr_db *= 10.0
     return sinr_db
 
@@ -512,7 +512,7 @@ def _build(state: NetworkState, cache: LinkCache) -> _Build:
             se_table[:, ch][at] = spectral_efficiency(sinr_db, params)
         totals.append(total)
     return _Build(serving, serving_mean(state, serving, se_table), best, s_lin,
-                  totals, se_table, [cache._path_loss[p] for p in state.site_pixels], rx_lin)
+                  totals, se_table, rx_lin)
 
 
 def _extends(base: NetworkState, state: NetworkState) -> bool:
@@ -589,7 +589,7 @@ def _trial_link(base: NetworkState, b: _Build, state: NetworkState,
     are the same."""
     cells, n, params = state.cells, len(base.cells), cache.params
     gain = params.antenna_gain_db
-    pl = [*b.path_loss, _site_path_loss(cells[n].site_pixel, cache)]
+    pl = [_site_path_loss(p, cache) for p in state.site_pixels]    # the base's are cache's
     dbm = {j: (c.power_dbm + gain) - pl[j] for j, (c, o) in enumerate(zip(cells, base.cells))
            if c.power_dbm != o.power_dbm}
     base_groups = list(b.serving.cell_pixels.values())

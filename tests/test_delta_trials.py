@@ -59,7 +59,6 @@ def _check_every_trial(monkeypatch, run) -> int:
     searching = []
     aside = []              # a fresh-cache evaluation runs: nothing is checked
     batches = []            # (layouts, cells per layout) of each power solve
-    tables = set()          # full builds whose derived SINR table was checked
     delta, select, full = radio._trial_link, planner.select_site, LinkCache._full
     solve, evaluate = radio.solve_powers, planner.evaluate_state
 
@@ -74,9 +73,9 @@ def _check_every_trial(monkeypatch, run) -> int:
         return got
 
     def checked_full(cache, state):
+        built = state not in cache._built[:1]       # else sinr_table's own ask
         got = full(cache, state)
-        if not aside and state not in tables:
-            tables.add(state)       # first: sinr_table asks for the build again
+        if built and not aside:
             table = matrix_link_state(state, cache.grid, cache.params)[2]
             assert cache.sinr_table(state).tobytes() == table.tobytes()
         return got

@@ -493,14 +493,17 @@ def test_a_cold_link_peaks_at_what_it_keeps_plus_three_pixel_columns(params):
     grid = GridSpec(402.0, 402.0, 3.0)
     state = random_state(np.random.default_rng(16), grid, num_cells=16)
     cache = LinkCache(grid, params)
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()      # else leave the suite's tracing on
+    if started:
+        tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         cache.link(state)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     assert kept - before > 32 * 8 * grid.num_pixels      # path-loss and mW columns
     assert peak - kept <= 3 * 8 * grid.num_pixels
 
