@@ -27,35 +27,44 @@ METHODS = ("uniform-sc", "corr-sc", "uniform-px", "corr-px", "oracle")
 class TenantSpecPolicy:
     """How one tenant's busy-hour capacity maps onto any given layout.
 
-    Data that ``evaluate_state`` applies: cell-level modes re-translate on
-    every layout; pixel-level modes carry a fixed spec set, ``pixel_specs``,
-    re-aggregated over the serving map.  The ``oracle`` mode is a pixel
-    raster proportional to the tenant's own real traffic.
+    Data that ``evaluate_state`` applies: a cell-level policy (no
+    ``pixel_specs``) re-splits ``a_busy_mbps`` by ``split`` on every layout;
+    a pixel-level one carries a fixed spec set, ``pixel_specs``, split by
+    ``split`` once and re-aggregated over the serving map.
     """
 
     tenant_id: str
     a_busy_mbps: float
-    mode: str
+    split: str
     pixel_specs: PlanningSpecSet | None = None
 
 
-def make_policy(mode: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
+def make_policy(method: str, tenant_id: str, a_busy_mbps: float, grid: GridSpec,
                 basis_px: np.ndarray | None = None,
                 own_map_px: np.ndarray | None = None) -> TenantSpecPolicy:
-    """Build the spec policy for a tenant under one translation method.
-
-    ``corr-px`` and ``oracle`` are one correlated pixel split, over ``basis_px``
-    (the other tenants' per-pixel demand) and ``own_map_px`` (the tenant's own).
-    """
-    if mode not in METHODS:
-        raise ValueError(f"unknown method {mode!r}")
+    """Build the spec policy for a tenant under one translation method: the
+    ``uniform-`` methods split evenly, the others in proportion to demand;
+    the ``-sc`` methods over each layout's cells, the others once over the
+    pixels, corr-px following ``basis_px`` (the other tenants' per-pixel
+    demand) and oracle ``own_map_px`` (the tenant's own)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    split = "uniform" if method.startswith("uniform-") else "correlated"
     specs = None
-    if mode == "uniform-px":
-        specs = translate_pixel_level(a_busy_mbps, grid, "uniform", tenant_id=tenant_id)
-    elif mode in ("corr-px", "oracle"):
-        basis = basis_px if mode == "corr-px" else own_map_px
-        specs = translate_pixel_level(a_busy_mbps, grid, "correlated", basis, tenant_id)
-    return TenantSpecPolicy(tenant_id, a_busy_mbps, mode, specs)
+    if not method.endswith("-sc"):
+        follows = own_map_px if method == "oracle" else basis_px
+        specs = translate_pixel_level(a_busy_mbps, grid, split, follows, tenant_id)
+    return TenantSpecPolicy(tenant_id, a_busy_mbps, split, specs)
+
+
+def traffic_sum(grid: GridSpec, rasters: dict[str, np.ndarray],
+                scale: dict[str, float]) -> np.ndarray:
+    """The read-only sum of each raster times its ``scale`` (1 if absent),
+    added in order; zero traffic without rasters."""
+    scaled = [raster * scale.get(m, 1.0) for m, raster in rasters.items()]
+    out = np.sum(scaled, axis=0) if scaled else np.zeros(grid.num_pixels)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(eq=False)
@@ -67,14 +76,15 @@ class EvaluationContext:
     absent): a run passes every live tenant's peak raster with its temporal
     weight, which a layout evaluated at many steps gathers once (see
     ``evaluate_state``).  Tenants listed only in ``policies`` are planning
-    estimates, each contributing its spec times its ``scale`` (a run's
-    temporal weight relative to the busy hour).  ``basis`` is the busy-hour
-    raster that correlated cell-level splits follow (defaults to the sum of
-    the scaled known traffic).  ``link_cache`` keeps the radio state of the
-    layouts evaluated and the kept layout's gathers and spec sums; contexts
-    of one run share one, which must be of ``grid`` and ``radio``.  A context's
-    rasters stay unchanged while any context that shares its link cache is
-    in use.
+    estimates, each adding its spec times its ``scale`` (a run's temporal
+    weight relative to the busy hour) to the SE weights: a pixel-level spec
+    pixel by pixel, a cell-level split into each served cell's slice of the
+    weights, spread evenly over its pixels.  ``basis`` is the busy-hour
+    raster that correlated cell-level splits follow (defaults to the
+    ``traffic_sum`` of the known traffic).  ``link_cache`` keeps the radio
+    state and the kept layout's gathers and spec sums; contexts of one run
+    share one, of ``grid`` and ``radio``, and keep their rasters unchanged
+    as ``LinkCache`` requires.
     """
 
     grid: GridSpec
@@ -91,10 +101,7 @@ class EvaluationContext:
         elif (self.link_cache.grid, self.link_cache.params) != (self.grid, self.radio):
             raise ValueError("link cache of another grid or radio")
         if self.basis is None:
-            known = [raster * self.scale.get(m, 1.0)
-                     for m, raster in self.known_demand.items()]
-            self.basis = np.sum(known, axis=0) if known else np.zeros(self.grid.num_pixels)
-            self.basis.flags.writeable = False
+            self.basis = traffic_sum(self.grid, self.known_demand, self.scale)
 
 
 @dataclass(eq=False)
@@ -115,19 +122,6 @@ class NetworkEvaluation:
         return left_sum(self.required_mhz.values())
 
 
-def _estimate_raster(cell_specs: dict[int, float], serving: ServingMap,
-                     scale: float) -> np.ndarray:
-    """Expected traffic, in the map's pixel order, of a tenant whose service
-    is not live yet under a cell-level policy: its split times ``scale``,
-    spread evenly over each cell's service area."""
-    out = np.zeros(serving.pixel_cell.size)
-    for cid, value in cell_specs.items():
-        span = serving.cell_slices[cid]
-        if span.stop > span.start:
-            out[span] = value * scale / (span.stop - span.start)
-    return out
-
-
 def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvaluation:
     """Run the performance model for one layout.
 
@@ -135,18 +129,18 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs re-expressed for this layout and each cell's required bandwidth
     evaluated; powers and link state come from ``ctx.link_cache`` (see
     ``LinkCache.link``).  The SE average is weighted by the total expected
-    traffic: observable demand plus the estimated rasters of tenants that
-    are not live yet.  One ``ServingMap.slice_sums`` sums each cell of a
+    traffic: observable demand plus the estimates of tenants that are not
+    live yet.  One ``ServingMap.slice_sums`` sums each cell of a
     ``(k, P)`` array in the map's pixel order: each live tenant's traffic,
     each pixel-level spec raster whose sums the layout does not keep, the
     weights (the traffic added left to right, then the estimates in policy
     order) and the weighted SE.  ``translate_sc_level`` re-splits a
     cell-level policy before the sums, and ``pixel_specs_to_cell`` takes a
-    pixel-level one's sums after them; a corr-sc basis is summed at each
-    evaluation.  A layout that keeps (see ``LinkCache``) reuses its gathers
-    and spec sums; a spec raster is summed once per kept layout, so it is
-    gathered straight into its row, as a site-search trial gathers every
-    raster.  Each tenant's demand and spec per cell feed one
+    pixel-level one's sums after them; a correlated split's basis is summed
+    at each evaluation.  A layout that keeps (see ``LinkCache``) reuses its
+    gathers and spec sums; a spec raster is summed once per kept layout, so
+    it is gathered straight into its row, as a site-search trial gathers
+    every raster.  Each tenant's demand and spec per cell feed one
     ``required_bandwidth`` call.
     """
     cache = ctx.link_cache
@@ -172,14 +166,17 @@ def evaluate_state(state: NetworkState, ctx: EvaluationContext) -> NetworkEvalua
     specs: dict[str, dict[int, float]] = dict.fromkeys(ctx.policies)
     for tenant_id, policy in ctx.policies.items():
         if policy.pixel_specs is None:
-            split = "correlated" if policy.mode == "corr-sc" else "uniform"
-            basis_cell = serving.cell_sums(ctx.basis) if split == "correlated" else None
-            specs[tenant_id] = translate_sc_level(policy.a_busy_mbps, state, split, basis_cell,
-                                                  tenant_id=policy.tenant_id).cell_values
+            basis_cell = serving.cell_sums(ctx.basis) if policy.split == "correlated" else None
+            specs[tenant_id] = translate_sc_level(policy.a_busy_mbps, state, policy.split,
+                                                  basis_cell, policy.tenant_id).cell_values
         if tenant_id not in ctx.known_demand:      # an estimate: its spec, scaled
             scale = ctx.scale.get(tenant_id, 1.0)
-            np.add(weights, spec_rows[tenant_id] * scale if tenant_id in spec_rows
-                   else _estimate_raster(specs[tenant_id], serving, scale), out=weights)
+            if tenant_id in spec_rows:
+                np.add(weights, spec_rows[tenant_id] * scale, out=weights)
+            else:       # spread evenly over each cell's pixels; empty spans add nothing
+                for cid, value in specs[tenant_id].items():
+                    span = serving.cell_slices[cid]
+                    weights[span] += value * scale / max(span.stop - span.start, 1)
     np.multiply(cache.ordered(pixel_se, weighted), weights, out=weighted)
     *sums, totals, weighted_sums = serving.slice_sums(rows)
     for m, cell_sums in zip(unsummed, sums[k:]):

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import reporting
 from .evaluation import (METHODS, EvaluationContext, TenantSpecPolicy,
-                         evaluate_state, make_policy)
+                         evaluate_state, make_policy, traffic_sum)
 from .monitor import CellCheck, DemandHistory, MonitorParams, SlaExceedNotice, \
     check_trigger, latest_max, sla_exceed_check
 from .planner import ActionLedger, PlannerParams, plan
 from .radio import LinkCache, serving_mean
-from .scenario import (GridSpec, NetworkState, TenantProfile, is_count, require,
-                       select_candidate_sites)
+from .scenario import GridSpec, NetworkState, is_count, require, select_candidate_sites
 from .scenario_io import Scenario, load_scenario
 
 
@@ -140,11 +139,6 @@ class RunContext:
         return self.evaluation(everyone, scn.tenants, self.busy_step)
 
 
-def _demand(spatial: dict[str, np.ndarray], tenant: TenantProfile, t: int) -> np.ndarray:
-    """A tenant's traffic at step ``t``: its peak raster scaled by its profile."""
-    return spatial[tenant.tenant_id] * tenant.temporal_weight(t)
-
-
 def _busiest_step(series) -> int:
     """Step with the largest total over ``series``, each a sequence of
     ``(t, value)`` pairs summed in order; ties go to the latest."""
@@ -171,11 +165,11 @@ def build_context(scn: Scenario, method: str, horizon: int | None = None) -> Run
     spatial = {t.tenant_id: t.spatial_demand(grid) for t in existing + arriving}
     for raster in spatial.values():
         raster.flags.writeable = False
-    totals = {tn.tenant_id: [float(_demand(spatial, tn, t).sum()) for t in range(horizon)]
-              for tn in existing + arriving}
+    totals = {tn.tenant_id: [float((spatial[tn.tenant_id] * tn.temporal_weight(t)).sum())
+                             for t in range(horizon)] for tn in existing + arriving}
     busy_step = _busiest_step(enumerate(totals[tn.tenant_id]) for tn in existing)
-    basis_sum = np.sum([_demand(spatial, tn, busy_step) for tn in existing], axis=0)
-    basis_sum.flags.writeable = False
+    basis_sum = traffic_sum(grid, {tn.tenant_id: spatial[tn.tenant_id] for tn in existing},
+                            {tn.tenant_id: tn.temporal_weight(busy_step) for tn in existing})
     policies = {}
     for tn in existing:
         own = spatial[tn.tenant_id]
@@ -255,8 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     rows = [(cid, ev.required_mhz[cid]) for cid in state.cell_ids]
     rasters = {
-        "demand_mbps": np.sum([raster * ctx.scale[m]
-                               for m, raster in ctx.known_demand.items()], axis=0),
+        "demand_mbps": traffic_sum(grid, ctx.known_demand, ctx.scale),
         "serving_cell": ev.serving.pixel_cell.astype(float),
         "pixel_se": ev.pixel_se,
         "sinr_db": serving_mean(state, ev.serving, run.link_cache.sinr_table(state)),

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import (matrix_link_state, oracle_noise_dbm, oracle_path_loss,
                       oracle_serving, oracle_sinr_db, random_state)
-from scplan.evaluation import (EvaluationContext, NetworkEvaluation,
-                               _estimate_raster, evaluate_state)
+from scplan.evaluation import (METHODS, EvaluationContext, NetworkEvaluation,
+                               evaluate_state, make_policy)
 from scplan.radio import (LinkCache, PropagationParams, _running_max, average_se,
                           cell_capacity, configure_powers, link_state, noise_floor_dbm,
                           path_loss, rx_power_matrix, serving_assignment, serving_mean,
                           sinr, spectral_efficiency)
 from scplan.scenario import (GridSpec, NetworkState, ServingMap, SmallCell,
                              pixel_positions)
-from scplan.sla import PlanningSpecSet, pixel_specs_to_cell
+from scplan.sla import PlanningSpecSet, pixel_specs_to_cell, translate_sc_level
 
 
 def weighted_sums(serving, pixel_se, weights):
@@ -576,11 +576,6 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     specs = PlanningSpecSet("t", "pixel", "correlated", pixel_values=raster)
     assert pixel_specs_to_cell(specs, serving) == expected
 
-    spread = np.zeros(num_pixels)
-    for cid, mask in masks.items():
-        if mask.any():
-            spread[mask] = expected[cid] * 0.7 / int(mask.sum())
-    assert _estimate_raster(expected, serving, 0.7).tobytes() == in_map_order(spread).tobytes()
     assert (serving.ordered(raster) * 0.7).tobytes() == in_map_order(raster * 0.7).tobytes()
 
     def mask_average_se(mask, weights):
@@ -600,6 +595,32 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
     assert average_se(serving, pixel_se, *sums)[idle] == 0.0
     with pytest.raises(KeyError):
         average_se(serving, pixel_se, *sums)[max(serving.cell_ids) + 1]
+
+    # through ``evaluate_state`` on this map: a uniform-sc and a corr-sc
+    # estimate, each split times its scale, spread evenly over each served
+    # cell's pixels and added after the live traffic, weight the SE as in
+    # the mask form
+    grid, radio = GridSpec(float(num_pixels), 1.0, 1.0), PropagationParams()
+    cache = LinkCache(grid, radio)
+    cache._layout = (state, state, serving, pixel_se)     # the layout links to this map
+    scale = {"live": 0.9, "u": 0.7, "c": 1.3}
+    policies = {"u": make_policy("uniform-sc", "u", 3.0, grid),
+                "c": make_policy("corr-sc", "c", 5.0, grid)}
+    ev = evaluate_state(state, EvaluationContext(grid, radio, policies, {"live": raster},
+                                                 scale, link_cache=cache))
+    weights = raster * scale["live"]
+    basis = {cid: float(weights[mask].sum()) for cid, mask in masks.items()}
+    for m, split, cell_demands in (("u", "uniform", None), ("c", "correlated", basis)):
+        spec = translate_sc_level(policies[m].a_busy_mbps, state, split, cell_demands)
+        assert ev.cell_specs[m] == spec.cell_values
+        spread = np.zeros(num_pixels)
+        for cid, mask in masks.items():
+            if mask.any():
+                spread[mask] = spec.cell_values[cid] * scale[m] / int(mask.sum())
+        weights = weights + spread
+    assert _bits(ev.avg_se) == _bits({cid: mask_average_se(mask, weights)
+                                      for cid, mask in masks.items()})
+    assert ev.avg_se[idle] == 0.0
 
     # and with two served cells widened to 8 and 9 channels, where numpy's
     # mean(axis=1) no longer adds left to right
@@ -624,6 +645,26 @@ def test_per_cell_aggregations_equal_the_mask_form_bit_for_bit(seed):
         # only the chosen cells' pixels of a given ``out`` are written
         got = serving_mean(state, serving, table, some, kept.copy())
         assert got.tobytes() == np.where(chosen, reference, kept).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_make_policy_decides_each_methods_split_once(method):
+    # the split each method names, and the raster a pixel-level one follows
+    grid = GridSpec(6.0, 6.0, 3.0)
+    basis, own = np.array([1.0, 2.0, 3.0, 6.0]), np.array([5.0, 0.0, 1.0, 2.0])
+    split, follows = {"uniform-sc": ("uniform", None), "corr-sc": ("correlated", None),
+                      "uniform-px": ("uniform", np.ones(4)), "corr-px": ("correlated", basis),
+                      "oracle": ("correlated", own)}[method]
+    policy = make_policy(method, "t", 8.0, grid, basis_px=basis, own_map_px=own)
+    assert (policy.tenant_id, policy.a_busy_mbps, policy.split) == ("t", 8.0, split)
+    if follows is None:
+        assert policy.pixel_specs is None
+    else:
+        assert (policy.pixel_specs.tenant_id, policy.pixel_specs.method) == ("t", split)
+        assert policy.pixel_specs.pixel_values.tobytes() == \
+            (8.0 * follows / follows.sum()).tobytes()
+    with pytest.raises(ValueError, match="unknown method"):
+        make_policy(method.upper(), "t", 8.0, grid)
 
 
 def _bits(values: dict) -> dict:
